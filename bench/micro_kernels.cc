@@ -1,8 +1,8 @@
 // google-benchmark micro-suite over the algorithmic kernels of TENET:
-// Kruskal MST, Hopcroft-Karp matching, tree splitting, Dijkstra, pairwise
-// similarity (scalar baseline vs the vectorized DotUnit kernel vs the
-// similarity cache), coherence graph construction, tree-cover solving and
-// greedy disambiguation.
+// Kruskal and Prim MST, Hopcroft-Karp matching, tree splitting, Dijkstra,
+// pairwise similarity (scalar baseline vs the vectorized DotUnit kernel vs
+// the similarity cache), coherence graph construction, tree-cover solving
+// and greedy disambiguation.
 //
 // Besides the interactive google-benchmark suite, `--json <path>` runs a
 // hand-rolled deterministic measurement pass over the pairwise-similarity
@@ -38,16 +38,18 @@ using namespace tenet;
 
 graph::WeightedGraph RandomGraph(int n, double edge_prob, uint64_t seed) {
   Rng rng(seed);
-  graph::WeightedGraph g(n);
+  std::vector<graph::Edge> edges;
   for (int i = 1; i < n; ++i) {
-    g.AddEdge(i - 1, i, rng.NextDouble(0.01, 1.0));
+    edges.push_back(graph::Edge{i - 1, i, rng.NextDouble(0.01, 1.0)});
   }
   for (int u = 0; u < n; ++u) {
     for (int v = u + 2; v < n; ++v) {
-      if (rng.NextBool(edge_prob)) g.AddEdge(u, v, rng.NextDouble(0.01, 1.0));
+      if (rng.NextBool(edge_prob)) {
+        edges.push_back(graph::Edge{u, v, rng.NextDouble(0.01, 1.0)});
+      }
     }
   }
-  return g;
+  return graph::WeightedGraph(n, std::move(edges));
 }
 
 void BM_KruskalMst(benchmark::State& state) {
@@ -59,6 +61,16 @@ void BM_KruskalMst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_KruskalMst)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_PrimMst(benchmark::State& state) {
+  graph::WeightedGraph g =
+      RandomGraph(static_cast<int>(state.range(0)), 0.1, 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::PrimMst(g));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_PrimMst)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Dijkstra(benchmark::State& state) {
   graph::WeightedGraph g =

@@ -37,12 +37,6 @@ struct CoherenceGraphOptions {
   /// SimilarityCache).  Null computes every pair.  A per-request cache on
   /// the LinkContext overrides this one.
   embedding::SimilarityCache* similarity_cache = nullptr;
-  /// When false, concept-pair weights come from per-pair
-  /// EmbeddingStore::Cosine calls instead of the gathered, tiled kernel.
-  /// Same values by construction (both run the DotUnit reduction over unit
-  /// rows) but one fault-point probe per pair instead of per document.
-  /// Kept for the golden equivalence test and as an escape hatch.
-  bool use_gather_kernel = true;
 };
 
 // The knowledge coherence graph G = (V, E) of Definition 4.
@@ -110,7 +104,9 @@ class CoherenceGraph {
 // triangular sweep computes pair weights with the DotUnit reduction —
 // identical values to per-pair Cosine() calls, emitted in lexicographic
 // (i, j) pair order whatever the tiling or task partition, so the edge
-// list (and everything downstream of it) is deterministic.
+// list (and everything downstream of it) is deterministic.  That list,
+// mention edges first, is already unique and lexicographic, so the graph
+// is built from it without a merge (see graph::WeightedGraph).
 class CoherenceGraphBuilder {
  public:
   /// Builds against any KB substrate behind the KbView contract — flat or

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <utility>
 
 #include "common/dependency_health.h"
 #include "common/fault_injection.h"
@@ -20,42 +19,107 @@ namespace tenet {
 namespace core {
 namespace {
 
-// Accumulates distinct edges/nodes of one cover tree.
-class CoverTreeAccumulator {
- public:
-  explicit CoverTreeAccumulator(int root) {
-    tree_.root = root;
-    AddNode(root);
+// The cover tree made of exactly `tree`'s edges, in its breadth-first
+// order.
+CoverTree ToCoverTree(const graph::RootedTree& tree) {
+  CoverTree out;
+  out.root = tree.root();
+  out.nodes = tree.nodes();
+  out.edges.reserve(tree.num_edges());
+  for (const graph::TreeEdge& e : tree.edges()) {
+    out.edges.push_back(graph::Edge{e.parent, e.child, e.weight});
   }
+  out.weight = tree.TotalWeight();
+  return out;
+}
 
-  void AddNode(int node) {
-    if (seen_nodes_.insert(node).second) tree_.nodes.push_back(node);
+// Step (f): matches every carved subtree to a mention within shortest-path
+// distance <= bound (Hopcroft-Karp), then merges each matched subtree, and
+// the shortest path reaching it, into that mention's tree.  The searches
+// run over the edges step (a) kept, one mention at a time, so one distance
+// array is alive at once; a mention that receives a subtree is searched
+// again for its path.
+Status MatchSubtrees(const graph::WeightedGraph& g, double bound,
+                     const std::vector<graph::RootedTree>& subtrees,
+                     TreeCover* cover, TreeCoverStats* stats) {
+  const int num_mentions = static_cast<int>(cover->trees.size());
+  const int num_subtrees = static_cast<int>(subtrees.size());
+  graph::HopcroftKarp matcher(num_mentions, num_subtrees);
+  // reachable[reachable_begin[m] ...]: (subtree, its node closest to m) for
+  // every subtree within the bound of mention m, subtrees ascending.
+  std::vector<int> reachable_begin(num_mentions + 1, 0);
+  std::vector<std::pair<int, int>> reachable;
+  for (int m = 0; m < num_mentions; ++m) {
+    const graph::ShortestPaths paths = graph::Dijkstra(g, m, bound);
+    for (int s = 0; s < num_subtrees; ++s) {
+      double best = std::numeric_limits<double>::infinity();
+      int best_node = -1;
+      for (int node : subtrees[s].nodes()) {
+        if (paths.distance[node] < best) {
+          best = paths.distance[node];
+          best_node = node;
+        }
+      }
+      if (best_node >= 0 && best <= bound) {
+        matcher.AddEdge(m, s);
+        reachable.emplace_back(s, best_node);
+      }
+    }
+    reachable_begin[m + 1] = static_cast<int>(reachable.size());
   }
-
-  void AddEdge(int u, int v, double weight) {
-    uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-    uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-    if (!seen_edges_.insert((hi << 32) | lo).second) return;
-    tree_.edges.push_back(graph::Edge{u, v, weight});
-    tree_.weight += weight;
-    AddNode(u);
-    AddNode(v);
+  const int matched = matcher.MaxMatching();
+  if (matched < num_subtrees) {
+    return Status::BoundTooSmall(
+        "maximum matching cannot assign every subtree; B below B*");
   }
+  if (stats != nullptr) stats->matched_subtrees = matched;
 
-  void AddTree(const graph::RootedTree& t) {
-    AddNode(t.root());
-    for (const graph::TreeEdge& e : t.edges()) {
-      AddEdge(e.parent, e.child, e.weight);
+  // A node or edge already in mention m's tree carries stamp m.
+  std::vector<int> node_stamp(g.num_nodes(), -1);
+  std::vector<int> edge_stamp(g.num_edges(), -1);
+  auto edge_index = [&g](int u, int v) {
+    const int index = g.FindEdge(u, v);
+    TENET_CHECK_GE(index, 0) << "cover edge " << u << "-" << v
+                             << " not in the graph";
+    return index;
+  };
+  for (int m = 0; m < num_mentions; ++m) {
+    const int s = matcher.MatchOfLeft(m);
+    if (s < 0) continue;
+    CoverTree& tree = cover->trees[m];
+    for (int node : tree.nodes) node_stamp[node] = m;
+    for (const graph::Edge& e : tree.edges) edge_stamp[edge_index(e.u, e.v)] = m;
+    auto add_node = [&](int node) {
+      if (node_stamp[node] == m) return;
+      node_stamp[node] = m;
+      tree.nodes.push_back(node);
+    };
+    auto add_edge = [&](int u, int v, double weight) {
+      const int index = edge_index(u, v);
+      if (edge_stamp[index] == m) return;
+      edge_stamp[index] = m;
+      tree.edges.push_back(graph::Edge{u, v, weight});
+      tree.weight += weight;
+      add_node(u);
+      add_node(v);
+    };
+    add_node(subtrees[s].root());
+    for (const graph::TreeEdge& e : subtrees[s].edges()) {
+      add_edge(e.parent, e.child, e.weight);
+    }
+    const auto first = reachable.begin() + reachable_begin[m];
+    const auto last = reachable.begin() + reachable_begin[m + 1];
+    const auto target = std::lower_bound(first, last, std::make_pair(s, -1));
+    TENET_CHECK(target != last && target->first == s);
+    const std::vector<int> path =
+        graph::Dijkstra(g, m, bound).PathTo(g, target->second);
+    for (size_t i = 1; i < path.size(); ++i) {
+      add_edge(path[i - 1], path[i],
+               g.EdgeWeight(path[i - 1], path[i], 0.0));
     }
   }
-
-  CoverTree Take() { return std::move(tree_); }
-
- private:
-  CoverTree tree_;
-  std::unordered_set<int> seen_nodes_;
-  std::unordered_set<uint64_t> seen_edges_;
-};
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -90,6 +154,7 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
   const int num_mentions = cg.num_mentions();
   const int num_concepts = cg.num_concept_nodes();
+  const graph::WeightedGraph& g = cg.graph();
 
   TreeCover cover;
   cover.trees.resize(num_mentions);
@@ -99,39 +164,29 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
   if (num_concepts == 0) return cover;  // every mention isolated
 
-  // ---- Step (a): edge pruning --------------------------------------------
-  graph::WeightedGraph pruned = cg.graph().PrunedCopy(bound);
-  if (stats != nullptr) {
-    stats->pruned_edges = cg.graph().num_edges() - pruned.num_edges();
+  // ---- Steps (a) + (b): edge pruning and major root contraction ---------
+  // One filtered, relabelled pass over the edges: contracted node 0 is r,
+  // contracted node j + 1 is concept node (num_mentions + j).  Every
+  // concept node has exactly one mention edge, so contraction creates no
+  // parallel edges, and filtering keeps edge order: contracted edge indices
+  // follow the relative order of the coherence-graph edges they come from,
+  // the order Kruskal's tie-break is defined on.
+  std::vector<graph::Edge> kept;
+  kept.reserve(g.num_edges());
+  for (const graph::Edge& e : g.edges()) {
+    if (!(e.weight <= bound)) continue;
+    const int u = e.u < num_mentions ? 0 : e.u - num_mentions + 1;
+    const int v = e.v < num_mentions ? 0 : e.v - num_mentions + 1;
+    TENET_DCHECK(u != v);
+    kept.push_back(graph::Edge{std::min(u, v), std::max(u, v), e.weight});
   }
+  const int num_kept = static_cast<int>(kept.size());
+  const graph::WeightedGraph contracted(num_concepts + 1, std::move(kept));
+  TENET_DCHECK(contracted.num_edges() == num_kept);
+  if (stats != nullptr) stats->pruned_edges = g.num_edges() - num_kept;
 
-  // ---- Step (b): major root node contraction -----------------------------
-  // Contracted node 0 is r; contracted node j+1 is concept node
-  // (num_mentions + j) of the coherence graph.
-  graph::WeightedGraph contracted(num_concepts + 1);
-  std::vector<int> star_mention(num_concepts, -1);
-  std::vector<double> star_weight(num_concepts,
-                                  std::numeric_limits<double>::infinity());
-  for (const graph::Edge& e : pruned.edges()) {
-    const bool u_is_mention = e.u < num_mentions;
-    const bool v_is_mention = e.v < num_mentions;
-    TENET_DCHECK(!(u_is_mention && v_is_mention));
-    if (u_is_mention || v_is_mention) {
-      int mention = u_is_mention ? e.u : e.v;
-      int concept_local = (u_is_mention ? e.v : e.u) - num_mentions;
-      contracted.AddEdge(0, concept_local + 1, e.weight);
-      if (e.weight < star_weight[concept_local]) {
-        star_weight[concept_local] = e.weight;
-        star_mention[concept_local] = mention;
-      }
-    } else {
-      contracted.AddEdge(e.u - num_mentions + 1, e.v - num_mentions + 1,
-                         e.weight);
-    }
-  }
-
-  // ---- Step (c): MST (Kruskal order; see Sec. 4.2 discussion) ------------
-  graph::SpanningForest mst = graph::KruskalMst(contracted);
+  // ---- Step (c): MST in Kruskal's order (see Sec. 4.2 discussion) --------
+  graph::SpanningForest mst = graph::PrimMst(contracted);
   if (!mst.spans_all) {
     return Status::BoundTooSmall(
         "pruned contracted graph is disconnected; B below B*");
@@ -141,149 +196,86 @@ Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
   }
 
   // ---- Step (d): decompose r back into the mentions ----------------------
-  // Components of MST \ {r}; each hangs off exactly one star edge.
-  std::vector<std::vector<std::pair<int, double>>> mst_adj(num_concepts + 1);
-  std::vector<std::pair<int, double>> root_edges;  // (concept_local+1, w)
-  for (int edge_index : mst.edge_indices) {
-    const graph::Edge& e = contracted.edges()[edge_index];
-    if (e.u == 0 || e.v == 0) {
-      root_edges.emplace_back(e.u == 0 ? e.v : e.u, e.weight);
-    } else {
-      mst_adj[e.u].emplace_back(e.v, e.weight);
-      mst_adj[e.v].emplace_back(e.u, e.weight);
-    }
+  // Removing r splits the MST into components, each hanging off r by one
+  // star edge whose concept belongs to one mention.  A mention's tree is
+  // its components, breadth-first from the mention, each node's children
+  // in acceptance order: the incidence order of the MST rebuilt as a graph
+  // whose edge indices are acceptance positions.
+  std::vector<graph::Edge> accepted;
+  accepted.reserve(mst.edge_indices.size());
+  for (int index : mst.edge_indices) {
+    accepted.push_back(contracted.edges()[index]);
   }
-
-  std::vector<graph::RootedTree> mention_trees;
-  std::vector<int> tree_owner;  // mention id per decomposed tree
+  const graph::WeightedGraph tree_graph(num_concepts + 1,
+                                        std::move(accepted));
+  auto node_of = [num_mentions](int contracted_node) {
+    return num_mentions + contracted_node - 1;
+  };
+  // Star edges grouped by owning mention, acceptance order kept.
+  const std::span<const int> star = tree_graph.IncidentEdges(0);
+  auto owner = [&](int edge) {
+    return cg.MentionOfNode(node_of(tree_graph.OtherEndpoint(edge, 0)));
+  };
+  std::vector<int> owned_begin(num_mentions + 1, 0);
+  for (int edge : star) ++owned_begin[owner(edge) + 1];
+  for (int m = 0; m < num_mentions; ++m) owned_begin[m + 1] += owned_begin[m];
+  std::vector<int> owned(star.size());
   {
-    std::vector<bool> visited(num_concepts + 1, false);
-    for (const auto& [entry, entry_weight] : root_edges) {
-      TENET_CHECK(!visited[entry])
-          << "component attached to r by two star edges (cycle in MST)";
-      int concept_local = entry - 1;
-      int mention = star_mention[concept_local];
-      TENET_DCHECK(mention >= 0);
-      // Collect the component as oriented edges in coherence-graph ids.
-      std::vector<graph::TreeEdge> edges;
-      edges.push_back(graph::TreeEdge{
-          mention, num_mentions + concept_local, entry_weight});
-      std::vector<int> stack{entry};
-      visited[entry] = true;
-      while (!stack.empty()) {
-        int node = stack.back();
-        stack.pop_back();
-        for (const auto& [next, w] : mst_adj[node]) {
-          if (visited[next]) continue;
-          visited[next] = true;
-          edges.push_back(graph::TreeEdge{num_mentions + node - 1,
-                                          num_mentions + next - 1, w});
-          stack.push_back(next);
-        }
-      }
-      Result<graph::RootedTree> tree =
-          graph::RootedTree::FromOrientedEdges(mention, edges);
-      TENET_CHECK(tree.ok()) << tree.status();
-      mention_trees.push_back(std::move(tree).value());
-      tree_owner.push_back(mention);
-    }
-  }
-
-  // A mention may own several components (it was the cheapest root edge of
-  // several) — merge them into one tree rooted at the mention.
-  // std::map keeps mention iteration order deterministic across platforms.
-  std::map<int, std::vector<graph::TreeEdge>> edges_by_mention;
-  for (size_t t = 0; t < mention_trees.size(); ++t) {
-    std::vector<graph::TreeEdge>& bucket = edges_by_mention[tree_owner[t]];
-    const std::vector<graph::TreeEdge>& edges = mention_trees[t].edges();
-    bucket.insert(bucket.end(), edges.begin(), edges.end());
+    std::vector<int> next(owned_begin.begin(), owned_begin.end() - 1);
+    for (int edge : star) owned[next[owner(edge)]++] = edge;
   }
 
   // ---- Step (e): tree splitting ------------------------------------------
-  struct OwnedSubtree {
-    int owner;  // mention whose decomposed tree it was carved from
-    graph::RootedTree tree;
-  };
-  std::vector<OwnedSubtree> subtrees;
-  std::vector<graph::RootedTree> leftovers;
-  std::vector<int> leftover_owner;
-  for (auto& [mention, edges] : edges_by_mention) {
-    Result<graph::RootedTree> tree =
-        graph::RootedTree::FromOrientedEdges(mention, edges);
-    TENET_CHECK(tree.ok()) << tree.status();
-    Result<SplitResult> split = SplitTree(tree.value(), bound);
+  std::vector<graph::RootedTree> subtrees;
+  std::vector<std::pair<int, int>> queue;  // (contracted node, edge to it)
+  for (int m = 0; m < num_mentions; ++m) {
+    if (owned_begin[m] == owned_begin[m + 1]) continue;
+    CoverTree& tree = cover.trees[m];
+    auto attach = [&](int parent, int edge, int child) {
+      const double weight = tree_graph.edges()[edge].weight;
+      tree.edges.push_back(graph::Edge{parent, node_of(child), weight});
+      tree.nodes.push_back(node_of(child));
+      tree.weight += weight;
+      queue.emplace_back(child, edge);
+    };
+    queue.clear();
+    for (int k = owned_begin[m]; k < owned_begin[m + 1]; ++k) {
+      attach(m, owned[k], tree_graph.OtherEndpoint(owned[k], 0));
+    }
+    for (size_t q = 0; q < queue.size(); ++q) {
+      const auto [node, via] = queue[q];
+      for (int edge : tree_graph.IncidentEdges(node)) {
+        if (edge != via) {
+          attach(node_of(node), edge, tree_graph.OtherEndpoint(edge, node));
+        }
+      }
+    }
+    // A tree within the bound is its own leftover (Algorithm 2, lines
+    // 1-2); only heavier ones are split.
+    if (tree.weight <= bound) continue;
+    std::vector<graph::TreeEdge> oriented;
+    oriented.reserve(tree.edges.size());
+    for (const graph::Edge& e : tree.edges) {
+      oriented.push_back(graph::TreeEdge{e.u, e.v, e.weight});
+    }
+    Result<graph::RootedTree> rooted =
+        graph::RootedTree::FromOrientedEdges(m, oriented);
+    TENET_CHECK(rooted.ok()) << rooted.status();
+    Result<SplitResult> split = SplitTree(rooted.value(), bound);
     TENET_CHECK(split.ok()) << split.status();
-    leftovers.push_back(std::move(split.value().leftover));
-    leftover_owner.push_back(mention);
+    tree = ToCoverTree(split.value().leftover);
     for (graph::RootedTree& s : split.value().subtrees) {
-      subtrees.push_back(OwnedSubtree{mention, std::move(s)});
+      subtrees.push_back(std::move(s));
     }
   }
   if (stats != nullptr) {
     stats->subtrees = static_cast<int>(subtrees.size());
   }
 
-  std::vector<CoverTreeAccumulator> accumulators;
-  accumulators.reserve(num_mentions);
-  for (int m = 0; m < num_mentions; ++m) accumulators.emplace_back(m);
-  for (size_t i = 0; i < leftovers.size(); ++i) {
-    accumulators[leftover_owner[i]].AddTree(leftovers[i]);
-  }
-
   // ---- Step (f): maximum matching of subtrees to mentions ----------------
   if (!subtrees.empty()) {
-    // Shortest paths from every mention in the pruned graph.
-    std::vector<graph::ShortestPaths> paths;
-    paths.reserve(num_mentions);
-    for (int m = 0; m < num_mentions; ++m) {
-      paths.push_back(graph::Dijkstra(pruned, m));
-    }
-    graph::HopcroftKarp matcher(num_mentions,
-                                static_cast<int>(subtrees.size()));
-    // For path reconstruction: the closest subtree node per (mention,
-    // subtree) pair.
-    std::vector<std::vector<int>> closest_node(
-        num_mentions, std::vector<int>(subtrees.size(), -1));
-    for (int m = 0; m < num_mentions; ++m) {
-      for (size_t s = 0; s < subtrees.size(); ++s) {
-        double best = std::numeric_limits<double>::infinity();
-        int best_node = -1;
-        for (int node : subtrees[s].tree.nodes()) {
-          if (paths[m].distance[node] < best) {
-            best = paths[m].distance[node];
-            best_node = node;
-          }
-        }
-        if (best_node >= 0 && best <= bound) {
-          matcher.AddEdge(m, static_cast<int>(s));
-          closest_node[m][s] = best_node;
-        }
-      }
-    }
-    int matched = matcher.MaxMatching();
-    if (matched < static_cast<int>(subtrees.size())) {
-      return Status::BoundTooSmall(
-          "maximum matching cannot assign every subtree; B below B*");
-    }
-    if (stats != nullptr) stats->matched_subtrees = matched;
-
-    for (size_t s = 0; s < subtrees.size(); ++s) {
-      int mention = matcher.MatchOfRight(static_cast<int>(s));
-      TENET_DCHECK(mention >= 0);
-      CoverTreeAccumulator& acc = accumulators[mention];
-      acc.AddTree(subtrees[s].tree);
-      // Shortest path mention -> subtree.
-      std::vector<int> path =
-          paths[mention].PathTo(pruned, closest_node[mention][s]);
-      for (size_t i = 1; i < path.size(); ++i) {
-        acc.AddEdge(path[i - 1], path[i],
-                    pruned.EdgeWeight(path[i - 1], path[i], 0.0));
-      }
-    }
-  }
-
-  for (int m = 0; m < num_mentions; ++m) {
-    cover.trees[m] = accumulators[m].Take();
+    Status matched = MatchSubtrees(g, bound, subtrees, &cover, stats);
+    if (!matched.ok()) return matched;
   }
   if (stats != nullptr) stats->cover_total_edges = cover.TotalEdges();
   return cover;

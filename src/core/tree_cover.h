@@ -48,7 +48,8 @@ struct TreeCoverStats {
 // Implements Algorithm 1 (TreeCoverDetermination):
 //   (a) prune edges heavier than the bound B;
 //   (b) contract all mention nodes into a major root r;
-//   (c) Kruskal MST over {r} ∪ C (concept-concept edges included — the
+//   (c) MST over {r} ∪ C in Kruskal's (weight, edge index) order,
+//       computed by graph::PrimMst (concept-concept edges included — the
 //       paper's running example, Fig. 2; see DESIGN.md faithfulness notes);
 //   (d) decompose r back into the mentions, yielding one rooted tree per
 //       mention (mentions without concepts become isolated singletons);

@@ -9,25 +9,28 @@ namespace core {
 namespace {
 
 // Recursive splitter.  Returns the still-attached ("residual") subtree
-// below `node` as an oriented edge list together with its weight (<= bound),
-// carving subtrees into `out` along the way.
+// below the node at position `pos` as an oriented edge list together with
+// its weight (<= bound), carving subtrees into `out` along the way.
 struct Residual {
   std::vector<graph::TreeEdge> edges;
   double weight = 0.0;
 };
 
-Residual SplitBelow(const graph::RootedTree& tree, int node, double bound,
+Residual SplitBelow(const graph::RootedTree& tree, int pos, double bound,
                     std::vector<graph::RootedTree>* out) {
+  const int node = tree.nodes()[pos];
   Residual residual;
-  for (const auto& [child, edge_weight] : tree.Children(node)) {
+  for (int child = tree.ChildBegin(pos); child < tree.ChildEnd(pos);
+       ++child) {
+    const graph::TreeEdge& edge = tree.edges()[child - 1];
     Residual below = SplitBelow(tree, child, bound, out);
     // Everything hanging from `node` through `child`.
-    double contribution = below.weight + edge_weight;
+    double contribution = below.weight + edge.weight;
     TENET_DCHECK(contribution <= 2.0 * bound);
 
     if (residual.weight + contribution <= bound) {
       // Still light: keep attached.
-      residual.edges.push_back(graph::TreeEdge{node, child, edge_weight});
+      residual.edges.push_back(edge);
       residual.edges.insert(residual.edges.end(), below.edges.begin(),
                             below.edges.end());
       residual.weight += contribution;
@@ -37,7 +40,7 @@ Residual SplitBelow(const graph::RootedTree& tree, int node, double bound,
       // The child branch alone is a valid subtree in (bound, 2*bound];
       // carve it and keep the current residual bundle.
       std::vector<graph::TreeEdge> carved = std::move(below.edges);
-      carved.push_back(graph::TreeEdge{node, child, edge_weight});
+      carved.push_back(edge);
       Result<graph::RootedTree> subtree =
           graph::RootedTree::FromOrientedEdges(node, carved);
       TENET_CHECK(subtree.ok()) << subtree.status();
@@ -48,7 +51,7 @@ Residual SplitBelow(const graph::RootedTree& tree, int node, double bound,
     // and contribution <= bound): carve the bundle together with this
     // branch as one subtree rooted at `node`.
     std::vector<graph::TreeEdge> carved = std::move(residual.edges);
-    carved.push_back(graph::TreeEdge{node, child, edge_weight});
+    carved.push_back(edge);
     carved.insert(carved.end(), below.edges.begin(), below.edges.end());
     Result<graph::RootedTree> subtree =
         graph::RootedTree::FromOrientedEdges(node, carved);
@@ -77,8 +80,7 @@ Result<SplitResult> SplitTree(const graph::RootedTree& tree, double bound) {
     result.leftover = tree;
     return result;
   }
-  Residual residual =
-      SplitBelow(tree, tree.root(), bound, &result.subtrees);
+  Residual residual = SplitBelow(tree, /*pos=*/0, bound, &result.subtrees);
   Result<graph::RootedTree> leftover =
       graph::RootedTree::FromOrientedEdges(tree.root(), residual.edges);
   TENET_CHECK(leftover.ok()) << leftover.status();

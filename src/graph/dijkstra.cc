@@ -25,8 +25,8 @@ std::vector<int> ShortestPaths::PathTo(const WeightedGraph& g,
   return path;
 }
 
-ShortestPaths DijkstraBounded(const WeightedGraph& g, int source,
-                              double bound) {
+ShortestPaths Dijkstra(const WeightedGraph& g, int source,
+                       double max_edge_weight) {
   TENET_CHECK(source >= 0 && source < g.num_nodes());
   ShortestPaths result;
   result.distance.assign(g.num_nodes(), ShortestPaths::kUnreachable);
@@ -42,7 +42,7 @@ ShortestPaths DijkstraBounded(const WeightedGraph& g, int source,
     if (dist > result.distance[node]) continue;  // stale entry
     for (int edge_index : g.IncidentEdges(node)) {
       const Edge& e = g.edges()[edge_index];
-      if (e.weight > bound) continue;
+      if (!(e.weight <= max_edge_weight)) continue;
       TENET_DCHECK(e.weight >= 0.0);
       int other = g.OtherEndpoint(edge_index, node);
       double candidate = dist + e.weight;
@@ -54,11 +54,6 @@ ShortestPaths DijkstraBounded(const WeightedGraph& g, int source,
     }
   }
   return result;
-}
-
-ShortestPaths Dijkstra(const WeightedGraph& g, int source) {
-  return DijkstraBounded(g, source,
-                         std::numeric_limits<double>::infinity());
 }
 
 }  // namespace graph

@@ -25,15 +25,14 @@ struct ShortestPaths {
   std::vector<int> PathTo(const WeightedGraph& g, int target) const;
 };
 
-/// Dijkstra from `source`.  All edge weights must be >= 0 (semantic
-/// distances in the coherence graph are by construction in [0, 2]).
-ShortestPaths Dijkstra(const WeightedGraph& g, int source);
-
-/// Dijkstra restricted to edges with weight <= `bound`; used when computing
-/// mention-to-subtree distances in the maximum-matching step of Algorithm 1,
-/// where only edges surviving the pruning may be traversed.
-ShortestPaths DijkstraBounded(const WeightedGraph& g, int source,
-                              double bound);
+/// Dijkstra from `source` over the edges of weight <= `max_edge_weight`
+/// (all of them by default).  Edge weights must be >= 0 (semantic distances
+/// in the coherence graph are by construction in [0, 2]).  The matching
+/// step of Algorithm 1 passes its bound B: the search then sees exactly the
+/// graph step (a) pruned, without a pruned copy.
+ShortestPaths Dijkstra(
+    const WeightedGraph& g, int source,
+    double max_edge_weight = std::numeric_limits<double>::infinity());
 
 }  // namespace graph
 }  // namespace tenet

@@ -1,65 +1,86 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
-#include "graph/union_find.h"
 
 namespace tenet {
 namespace graph {
 
-WeightedGraph::WeightedGraph(int num_nodes)
-    : num_nodes_(num_nodes), incident_(num_nodes) {
+WeightedGraph::WeightedGraph(int num_nodes, std::vector<Edge> edges)
+    : num_nodes_(num_nodes), edges_(std::move(edges)) {
   TENET_CHECK_GE(num_nodes, 0);
-}
-
-uint64_t WeightedGraph::EdgeKey(int u, int v) const {
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  return (hi << 32) | lo;
-}
-
-int WeightedGraph::AddEdge(int u, int v, double weight) {
-  TENET_CHECK(u >= 0 && u < num_nodes_) << "bad node " << u;
-  TENET_CHECK(v >= 0 && v < num_nodes_) << "bad node " << v;
-  if (u == v) return -1;
-  uint64_t key = EdgeKey(u, v);
-  auto it = edge_index_by_key_.find(key);
-  if (it != edge_index_by_key_.end()) {
-    Edge& existing = edges_[it->second];
-    existing.weight = std::min(existing.weight, weight);
-    return it->second;
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    const Edge& e = edges_[i];
+    TENET_CHECK(e.u >= 0 && e.u < num_nodes_) << "bad node " << e.u;
+    TENET_CHECK(e.v >= 0 && e.v < num_nodes_) << "bad node " << e.v;
+    canonical_ = canonical_ && e.u < e.v &&
+                 (i == 0 || std::pair(edges_[i - 1].u, edges_[i - 1].v) <
+                                std::pair(e.u, e.v));
   }
-  int index = static_cast<int>(edges_.size());
-  edges_.push_back(Edge{u, v, weight});
-  incident_[u].push_back(index);
-  incident_[v].push_back(index);
-  edge_index_by_key_.emplace(key, index);
-  return index;
-}
+  if (!canonical_) MergeParallelEdges();
 
-double WeightedGraph::EdgeWeight(int u, int v, double missing) const {
-  if (u == v || u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
-    return missing;
+  // CSR incidence: count, prefix-sum, then fill in edge-index order.
+  incident_begin_.assign(num_nodes_ + 1, 0);
+  for (const Edge& e : edges_) {
+    ++incident_begin_[e.u + 1];
+    ++incident_begin_[e.v + 1];
   }
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  auto it = edge_index_by_key_.find((hi << 32) | lo);
-  return it == edge_index_by_key_.end() ? missing : edges_[it->second].weight;
-}
-
-bool WeightedGraph::HasEdge(int u, int v) const {
-  if (u == v || u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
-    return false;
+  for (int node = 0; node < num_nodes_; ++node) {
+    incident_begin_[node + 1] += incident_begin_[node];
   }
-  uint64_t lo = static_cast<uint64_t>(std::min(u, v));
-  uint64_t hi = static_cast<uint64_t>(std::max(u, v));
-  return edge_index_by_key_.count((hi << 32) | lo) > 0;
+  incident_.resize(incident_begin_[num_nodes_]);
+  std::vector<int> next(incident_begin_.begin(), incident_begin_.end() - 1);
+  for (int i = 0; i < num_edges(); ++i) {
+    incident_[next[edges_[i].u]++] = i;
+    incident_[next[edges_[i].v]++] = i;
+  }
 }
 
-const std::vector<int>& WeightedGraph::IncidentEdges(int node) const {
+void WeightedGraph::MergeParallelEdges() {
+  // Bucket the edges by their smaller endpoint, index order kept within a
+  // bucket (a counting sort).  In a bucket, the first edge to reach a
+  // larger endpoint is the one kept; later ones fold their weight into it.
+  const int num_input = num_edges();
+  std::vector<int> bucket_begin(num_nodes_ + 1, 0);
+  for (const Edge& e : edges_) ++bucket_begin[std::min(e.u, e.v) + 1];
+  for (int node = 0; node < num_nodes_; ++node) {
+    bucket_begin[node + 1] += bucket_begin[node];
+  }
+  std::vector<int> by_low(num_input);
+  std::vector<int> next(bucket_begin.begin(), bucket_begin.end() - 1);
+  for (int i = 0; i < num_input; ++i) {
+    by_low[next[std::min(edges_[i].u, edges_[i].v)]++] = i;
+  }
+
+  std::vector<bool> keep(num_input, false);
+  std::vector<int> first(num_nodes_, -1);  // kept edge last seen per node
+  for (int low = 0; low < num_nodes_; ++low) {
+    for (int k = bucket_begin[low]; k < bucket_begin[low + 1]; ++k) {
+      const int i = by_low[k];
+      const int high = std::max(edges_[i].u, edges_[i].v);
+      if (high == low) continue;  // self-loop
+      Edge* kept = first[high] >= 0 ? &edges_[first[high]] : nullptr;
+      if (kept != nullptr && std::min(kept->u, kept->v) == low) {
+        kept->weight = std::min(kept->weight, edges_[i].weight);
+        continue;
+      }
+      first[high] = i;
+      keep[i] = true;
+    }
+  }
+  int kept_count = 0;
+  for (int i = 0; i < num_input; ++i) {
+    if (keep[i]) edges_[kept_count++] = edges_[i];
+  }
+  edges_.resize(kept_count);
+}
+
+std::span<const int> WeightedGraph::IncidentEdges(int node) const {
   TENET_CHECK(node >= 0 && node < num_nodes_);
-  return incident_[node];
+  return std::span<const int>(incident_).subspan(
+      incident_begin_[node], incident_begin_[node + 1] - incident_begin_[node]);
 }
 
 int WeightedGraph::OtherEndpoint(int edge_index, int node) const {
@@ -68,18 +89,31 @@ int WeightedGraph::OtherEndpoint(int edge_index, int node) const {
   return e.u == node ? e.v : e.u;
 }
 
-WeightedGraph WeightedGraph::PrunedCopy(double bound) const {
-  WeightedGraph pruned(num_nodes_);
-  for (const Edge& e : edges_) {
-    if (e.weight <= bound) pruned.AddEdge(e.u, e.v, e.weight);
+int WeightedGraph::FindEdge(int u, int v) const {
+  if (u == v || u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) {
+    return -1;
   }
-  return pruned;
+  // Search the shorter incidence list.
+  if (incident_begin_[u + 1] - incident_begin_[u] >
+      incident_begin_[v + 1] - incident_begin_[v]) {
+    std::swap(u, v);
+  }
+  std::span<const int> incident = IncidentEdges(u);
+  if (canonical_) {
+    auto it = std::partition_point(
+        incident.begin(), incident.end(),
+        [this, u, v](int edge) { return OtherEndpoint(edge, u) < v; });
+    return it != incident.end() && OtherEndpoint(*it, u) == v ? *it : -1;
+  }
+  for (int edge : incident) {
+    if (OtherEndpoint(edge, u) == v) return edge;
+  }
+  return -1;
 }
 
-int WeightedGraph::NumConnectedComponents() const {
-  UnionFind uf(num_nodes_);
-  for (const Edge& e : edges_) uf.Union(e.u, e.v);
-  return uf.num_sets();
+double WeightedGraph::EdgeWeight(int u, int v, double missing) const {
+  const int index = FindEdge(u, v);
+  return index < 0 ? missing : edges_[index].weight;
 }
 
 }  // namespace graph

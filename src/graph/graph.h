@@ -1,71 +1,66 @@
 #ifndef TENET_GRAPH_GRAPH_H_
 #define TENET_GRAPH_GRAPH_H_
 
-#include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace tenet {
 namespace graph {
 
-// One undirected weighted edge.  `u < v` is not required at insertion but
-// edges are canonicalized internally so (u,v) and (v,u) are the same edge.
+// One undirected weighted edge.  `u < v` is not required: (u, v) and
+// (v, u) are the same edge.
 struct Edge {
   int u = 0;
   int v = 0;
   double weight = 0.0;
 };
 
-// A simple undirected weighted graph over dense integer node ids [0, n).
+// An immutable undirected weighted graph over dense integer node ids
+// [0, n), built once from an edge list into a flat edge array plus CSR
+// incidence lists.
 //
-// Parallel edge inserts keep the minimum weight — the knowledge coherence
-// graph needs this when contracting all mention nodes into the major root r
-// (Algorithm 1, step (b)): several mention–candidate edges can collapse onto
-// the same (r, c) pair and only the cheapest survives.
+// Construction drops self-loops and merges parallel edges — (u, v) and
+// (v, u) alike — into their first occurrence, which keeps its orientation
+// and the minimum weight.  Edge indices follow the order of first
+// occurrence, and every incidence list is in index order.  An edge list
+// that is already canonical (u < v, strictly increasing (u, v), the order
+// the coherence graph builder emits) skips the merge, and its incidence
+// lists come out sorted by neighbor, so FindEdge binary-searches them.
 //
 // Example:
-//   WeightedGraph g(4);
-//   g.AddEdge(0, 1, 0.3);
-//   g.AddEdge(1, 0, 0.1);          // keeps 0.1
+//   WeightedGraph g(4, {{0, 1, 0.3}, {1, 0, 0.1}});  // one edge, 0.1
 //   for (const Edge& e : g.edges()) ...
 class WeightedGraph {
  public:
-  explicit WeightedGraph(int num_nodes);
-
-  /// Inserts or relaxes the undirected edge (u, v). Self-loops are ignored.
-  /// Returns the index of the stored edge, or -1 for an ignored self-loop.
-  int AddEdge(int u, int v, double weight);
-
-  /// Edge weight, or `missing` when (u, v) is absent.
-  double EdgeWeight(int u, int v, double missing) const;
-
-  /// True when the undirected edge (u, v) exists.
-  bool HasEdge(int u, int v) const;
+  explicit WeightedGraph(int num_nodes = 0, std::vector<Edge> edges = {});
 
   int num_nodes() const { return num_nodes_; }
   int num_edges() const { return static_cast<int>(edges_.size()); }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// Indices into edges() of the edges incident to `node`.
-  const std::vector<int>& IncidentEdges(int node) const;
+  /// Indices into edges() of the edges incident to `node`, ascending.
+  std::span<const int> IncidentEdges(int node) const;
 
   /// The endpoint of edge `edge_index` that is not `node`.
   int OtherEndpoint(int edge_index, int node) const;
 
-  /// Copy of this graph containing only edges of weight <= `bound`
-  /// (Algorithm 1, step (a): edge pruning).
-  WeightedGraph PrunedCopy(double bound) const;
+  /// Index of the undirected edge (u, v), or -1 when absent.
+  int FindEdge(int u, int v) const;
 
-  /// Number of connected components (isolated nodes count).
-  int NumConnectedComponents() const;
+  /// True when the undirected edge (u, v) exists.
+  bool HasEdge(int u, int v) const { return FindEdge(u, v) >= 0; }
+
+  /// Edge weight, or `missing` when (u, v) is absent.
+  double EdgeWeight(int u, int v, double missing) const;
 
  private:
-  uint64_t EdgeKey(int u, int v) const;
+  void MergeParallelEdges();
 
   int num_nodes_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> incident_;               // node -> edge idx
-  std::unordered_map<uint64_t, int> edge_index_by_key_;  // canonical (u,v)
+  std::vector<int> incident_begin_;  // CSR offsets into incident_, n + 1
+  std::vector<int> incident_;        // edge indices grouped by endpoint
+  bool canonical_ = true;            // see the class comment
 };
 
 }  // namespace graph

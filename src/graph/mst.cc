@@ -1,26 +1,31 @@
 #include "graph/mst.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <utility>
 
-#include "common/logging.h"
 #include "graph/union_find.h"
 
 namespace tenet {
 namespace graph {
+namespace {
+
+// The strict total order both algorithms rank edges by.
+bool Lighter(const std::vector<Edge>& edges, int a, int b) {
+  if (edges[a].weight != edges[b].weight) {
+    return edges[a].weight < edges[b].weight;
+  }
+  return a < b;
+}
+
+}  // namespace
 
 SpanningForest KruskalMst(const WeightedGraph& g) {
   SpanningForest result;
   std::vector<int> order(g.num_edges());
   for (int i = 0; i < g.num_edges(); ++i) order[i] = i;
   const std::vector<Edge>& edges = g.edges();
-  std::sort(order.begin(), order.end(), [&edges](int a, int b) {
-    if (edges[a].weight != edges[b].weight) {
-      return edges[a].weight < edges[b].weight;
-    }
-    return a < b;
-  });
+  std::sort(order.begin(), order.end(),
+            [&edges](int a, int b) { return Lighter(edges, a, b); });
 
   UnionFind uf(g.num_nodes());
   for (int idx : order) {
@@ -35,38 +40,51 @@ SpanningForest KruskalMst(const WeightedGraph& g) {
   return result;
 }
 
-SpanningForest PrimMst(const WeightedGraph& g, int root) {
-  TENET_CHECK(root >= 0 && root < g.num_nodes());
+SpanningForest PrimMst(const WeightedGraph& g) {
   SpanningForest result;
-  std::vector<bool> in_tree(g.num_nodes(), false);
-
-  // (weight, edge_index, frontier_node)
-  using Item = std::tuple<double, int, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-
-  auto push_incident = [&](int node) {
-    for (int edge_index : g.IncidentEdges(node)) {
-      int other = g.OtherEndpoint(edge_index, node);
-      if (!in_tree[other]) {
-        heap.emplace(g.edges()[edge_index].weight, edge_index, other);
+  const int n = g.num_nodes();
+  if (n == 0) {
+    result.spans_all = true;
+    return result;
+  }
+  const std::vector<Edge>& edges = g.edges();
+  auto lighter = [&edges](int a, int b) { return Lighter(edges, a, b); };
+  std::vector<int> best(n, -1);  // lightest edge seen from the tree
+  std::vector<bool> in_tree(n, false);
+  // (edge, node it reaches): a min-heap on the edge.
+  std::vector<std::pair<int, int>> heap;
+  auto heap_order = [&lighter](const std::pair<int, int>& a,
+                               const std::pair<int, int>& b) {
+    return lighter(b.first, a.first);
+  };
+  auto attach = [&](int node) {
+    in_tree[node] = true;
+    for (int edge : g.IncidentEdges(node)) {
+      const int other = g.OtherEndpoint(edge, node);
+      if (in_tree[other] ||
+          (best[other] >= 0 && !lighter(edge, best[other]))) {
+        continue;
       }
+      best[other] = edge;
+      heap.emplace_back(edge, other);
+      std::push_heap(heap.begin(), heap.end(), heap_order);
     }
   };
-
-  in_tree[root] = true;
-  int covered = 1;
-  push_incident(root);
+  attach(0);
   while (!heap.empty()) {
-    auto [weight, edge_index, node] = heap.top();
-    heap.pop();
-    if (in_tree[node]) continue;
-    in_tree[node] = true;
-    ++covered;
-    result.edge_indices.push_back(edge_index);
-    result.total_weight += weight;
-    push_incident(node);
+    std::pop_heap(heap.begin(), heap.end(), heap_order);
+    const auto [edge, node] = heap.back();
+    heap.pop_back();
+    if (in_tree[node]) continue;  // superseded by a lighter edge
+    result.edge_indices.push_back(edge);
+    attach(node);
   }
-  result.spans_all = covered == g.num_nodes();
+  // Kruskal accepts the tree's edges lightest first.
+  std::sort(result.edge_indices.begin(), result.edge_indices.end(), lighter);
+  for (int edge : result.edge_indices) {
+    result.total_weight += edges[edge].weight;
+  }
+  result.spans_all = static_cast<int>(result.edge_indices.size()) == n - 1;
   return result;
 }
 

@@ -22,13 +22,21 @@ struct SpanningForest {
 /// order — cheapest edges globally first — so that low-confidence choices are
 /// forced to be consistent with confident ones (Sec. 4.2 discussion); the
 /// tree-cover solver and Algorithm 5 both rely on this edge ordering.
-/// Ties are broken by edge index, making the result deterministic.
+/// Ties are broken by edge index, making the result deterministic.  Sorts
+/// all E edges; kept as the reference PrimMst is tested against.
 SpanningForest KruskalMst(const WeightedGraph& g);
 
-/// Prim's minimum spanning tree grown from `root` over root's component.
-/// Provided for the Kruskal-vs-Prim ablation (see DESIGN.md §7); both
-/// algorithms yield a forest of equal total weight on the same component.
-SpanningForest PrimMst(const WeightedGraph& g, int root);
+/// The tree KruskalMst accepts, in KruskalMst's order, without sorting all
+/// E edges (Algorithm 1's step (c)).  Both algorithms only compare edges,
+/// by (weight, index); that order is strict, so the minimum spanning tree
+/// under it is unique and Prim's algorithm, grown here from node 0, picks
+/// the same edges.  A heap entry is pushed only when an edge improves a
+/// node's lightest known link to the tree: O(E log V) time, O(V + E)
+/// memory.  The V - 1 picked edges are then sorted into Kruskal's
+/// acceptance order, so edge_indices and total_weight equal KruskalMst's on
+/// a connected graph.  On a disconnected graph only node 0's component is
+/// spanned, and spans_all is false.
+SpanningForest PrimMst(const WeightedGraph& g);
 
 }  // namespace graph
 }  // namespace tenet

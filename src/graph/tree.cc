@@ -1,80 +1,51 @@
 #include "graph/tree.h"
 
-#include <deque>
-#include <unordered_set>
-
-#include "common/logging.h"
+#include <algorithm>
+#include <numeric>
 
 namespace tenet {
 namespace graph {
 
-Result<RootedTree> RootedTree::FromEdges(
-    int root, const std::vector<std::pair<std::pair<int, int>, double>>&
-                  undirected_edges) {
-  // Orient the edges away from the root with a BFS.
-  std::unordered_map<int, std::vector<std::pair<int, double>>> adj;
-  for (const auto& [uv, weight] : undirected_edges) {
-    adj[uv.first].emplace_back(uv.second, weight);
-    adj[uv.second].emplace_back(uv.first, weight);
-  }
-  std::vector<TreeEdge> oriented;
-  oriented.reserve(undirected_edges.size());
-  std::unordered_set<int> visited{root};
-  std::deque<int> frontier{root};
-  while (!frontier.empty()) {
-    int node = frontier.front();
-    frontier.pop_front();
-    auto it = adj.find(node);
-    if (it == adj.end()) continue;
-    for (const auto& [next, weight] : it->second) {
-      if (visited.insert(next).second) {
-        oriented.push_back(TreeEdge{node, next, weight});
-        frontier.push_back(next);
-      }
-    }
-  }
-  if (oriented.size() != undirected_edges.size()) {
-    return Status::InvalidArgument(
-        "edge list is not a tree rooted at the given root (cycle or "
-        "disconnected component)");
-  }
-  return FromOrientedEdges(root, oriented);
-}
-
 Result<RootedTree> RootedTree::FromOrientedEdges(
     int root, const std::vector<TreeEdge>& edges) {
-  RootedTree tree;
-  tree.root_ = root;
-  tree.children_[root] = {};
-  tree.parent_[root] = -1;
-  tree.nodes_.push_back(root);
-  // Index edges by parent so we can attach them in BFS order regardless of
-  // the order they were supplied in.
-  std::unordered_map<int, std::vector<const TreeEdge*>> by_parent;
-  for (const TreeEdge& e : edges) by_parent[e.parent].push_back(&e);
+  // A tree names every node but the root exactly once as a child.
+  std::vector<int> named;
+  named.reserve(edges.size() + 1);
+  named.push_back(root);
+  for (const TreeEdge& e : edges) named.push_back(e.child);
+  std::sort(named.begin(), named.end());
+  if (std::adjacent_find(named.begin(), named.end()) != named.end()) {
+    return Status::InvalidArgument("duplicate node in tree edges");
+  }
+  // Edges grouped by parent, the supplied order kept within a group.
+  std::vector<int> by_parent(edges.size());
+  std::iota(by_parent.begin(), by_parent.end(), 0);
+  std::stable_sort(by_parent.begin(), by_parent.end(),
+                   [&edges](int a, int b) {
+                     return edges[a].parent < edges[b].parent;
+                   });
 
-  std::deque<int> frontier{root};
-  size_t attached = 0;
-  while (!frontier.empty()) {
-    int node = frontier.front();
-    frontier.pop_front();
-    auto it = by_parent.find(node);
-    if (it == by_parent.end()) continue;
-    for (const TreeEdge* e : it->second) {
-      if (tree.children_.count(e->child) > 0) {
-        return Status::InvalidArgument("duplicate node in tree edges");
-      }
-      tree.children_[node].emplace_back(e->child, e->weight);
-      tree.children_[e->child] = {};
-      tree.parent_[e->child] = node;
-      tree.nodes_.push_back(e->child);
-      tree.edges_.push_back(*e);
-      tree.total_weight_ += e->weight;
-      frontier.push_back(e->child);
-      ++attached;
+  RootedTree tree;
+  tree.nodes_.reserve(edges.size() + 1);
+  tree.edges_.reserve(edges.size());
+  tree.child_begin_.reserve(edges.size() + 2);
+  tree.nodes_.push_back(root);
+  // Breadth-first; nodes_ doubles as the queue.
+  for (size_t pos = 0; pos < tree.nodes_.size(); ++pos) {
+    tree.child_begin_.push_back(static_cast<int>(tree.nodes_.size()));
+    const int node = tree.nodes_[pos];
+    auto it = std::partition_point(
+        by_parent.begin(), by_parent.end(),
+        [&edges, node](int i) { return edges[i].parent < node; });
+    for (; it != by_parent.end() && edges[*it].parent == node; ++it) {
+      const TreeEdge& e = edges[*it];
+      tree.nodes_.push_back(e.child);
+      tree.edges_.push_back(e);
+      tree.total_weight_ += e.weight;
     }
   }
-  if (attached != edges.size()) {
+  tree.child_begin_.push_back(static_cast<int>(tree.nodes_.size()));
+  if (tree.edges_.size() != edges.size()) {
     return Status::InvalidArgument(
         "oriented edges do not form a tree reachable from the root");
   }
@@ -83,63 +54,9 @@ Result<RootedTree> RootedTree::FromOrientedEdges(
 
 RootedTree RootedTree::Singleton(int root) {
   RootedTree tree;
-  tree.root_ = root;
-  tree.children_[root] = {};
-  tree.parent_[root] = -1;
   tree.nodes_.push_back(root);
+  tree.child_begin_ = {1, 1};
   return tree;
-}
-
-const std::vector<std::pair<int, double>>& RootedTree::Children(
-    int node) const {
-  auto it = children_.find(node);
-  TENET_CHECK(it != children_.end()) << "node " << node << " not in tree";
-  return it->second;
-}
-
-int RootedTree::Parent(int node) const {
-  auto it = parent_.find(node);
-  TENET_CHECK(it != parent_.end()) << "node " << node << " not in tree";
-  return it->second;
-}
-
-void RootedTree::PostOrderVisit(int node, std::vector<int>& out) const {
-  for (const auto& [child, weight] : Children(node)) {
-    (void)weight;
-    PostOrderVisit(child, out);
-  }
-  out.push_back(node);
-}
-
-std::vector<int> RootedTree::PostOrderNodes() const {
-  std::vector<int> out;
-  out.reserve(nodes_.size());
-  PostOrderVisit(root_, out);
-  return out;
-}
-
-double RootedTree::SubtreeWeight(int node) const {
-  double weight = 0.0;
-  for (const auto& [child, edge_weight] : Children(node)) {
-    weight += edge_weight + SubtreeWeight(child);
-  }
-  return weight;
-}
-
-RootedTree RootedTree::Subtree(int node) const {
-  std::vector<TreeEdge> edges;
-  std::deque<int> frontier{node};
-  while (!frontier.empty()) {
-    int current = frontier.front();
-    frontier.pop_front();
-    for (const auto& [child, weight] : Children(current)) {
-      edges.push_back(TreeEdge{current, child, weight});
-      frontier.push_back(child);
-    }
-  }
-  Result<RootedTree> subtree = FromOrientedEdges(node, edges);
-  TENET_CHECK(subtree.ok());
-  return std::move(subtree).value();
 }
 
 }  // namespace graph

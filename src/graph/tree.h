@@ -1,7 +1,6 @@
 #ifndef TENET_GRAPH_TREE_H_
 #define TENET_GRAPH_TREE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -17,71 +16,49 @@ struct TreeEdge {
   double weight = 0.0;
 };
 
-// A rooted tree over arbitrary (sparse) integer node ids — typically node
-// ids of a knowledge coherence graph.  Trees produced by Algorithm 1 are
-// small (tens of nodes), so adjacency is kept in hash maps keyed by node id
-// rather than dense arrays.
+// A rooted tree over arbitrary integer node ids — typically node ids of a
+// knowledge coherence graph — stored flat in breadth-first order: nodes()
+// starts with the root, edges()[k] attaches nodes()[k + 1] to its parent,
+// and the children of each node fill one contiguous run of nodes().
+// Traversals address nodes by position, so nothing is keyed by node id.
 //
 // Invariants: connected, acyclic, every node reachable from root().
 class RootedTree {
  public:
-  /// Builds a tree from an unordered, unoriented edge list.  Fails with
-  /// InvalidArgument when the edges do not form a tree containing `root`
-  /// (cycle, disconnected, or duplicate edge).  A tree may be a single
-  /// isolated `root` with no edges.
-  static Result<RootedTree> FromEdges(
-      int root, const std::vector<std::pair<std::pair<int, int>, double>>&
-                    undirected_edges);
-
-  /// Builds from already-oriented edges; same validation.
+  /// Builds from oriented edges; the breadth-first order visits each
+  /// node's children in the order their edges are supplied.  Fails with
+  /// InvalidArgument when the edges do not form a tree rooted at `root`
+  /// (a node with two parents, a cycle, or an edge unreachable from the
+  /// root).  A tree may be a single isolated `root` with no edges.
   static Result<RootedTree> FromOrientedEdges(
       int root, const std::vector<TreeEdge>& edges);
 
   /// Single-node tree.
   static RootedTree Singleton(int root);
 
-  int root() const { return root_; }
+  int root() const { return nodes_.front(); }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
-  bool empty_of_edges() const { return edges_.empty(); }
 
-  /// All node ids, root first, in BFS order of discovery.
+  /// All node ids in breadth-first order, root first.
   const std::vector<int>& nodes() const { return nodes_; }
+  /// edges()[k] is the edge from its parent to nodes()[k + 1].
   const std::vector<TreeEdge>& edges() const { return edges_; }
 
-  bool Contains(int node) const { return children_.count(node) > 0; }
-
-  /// Children of `node` as (child id, edge weight) pairs; `node` must be in
-  /// the tree.
-  const std::vector<std::pair<int, double>>& Children(int node) const;
-
-  /// Parent of `node`, or -1 for the root.  `node` must be in the tree.
-  int Parent(int node) const;
+  /// The children of nodes()[pos] sit at positions
+  /// [ChildBegin(pos), ChildEnd(pos)) of nodes().
+  int ChildBegin(int pos) const { return child_begin_[pos]; }
+  int ChildEnd(int pos) const { return child_begin_[pos + 1]; }
 
   /// Sum of all edge weights — the paper's tree weight omega(T).
   double TotalWeight() const { return total_weight_; }
 
-  /// Nodes in post-order (children before parents); the traversal order used
-  /// by the tree-splitting algorithms (Algorithms 2 and 3).
-  std::vector<int> PostOrderNodes() const;
-
-  /// Weight of the subtree hanging below `node` (inclusive of `node`,
-  /// exclusive of the edge to its parent).
-  double SubtreeWeight(int node) const;
-
-  /// Extracts the full subtree rooted at `node` as a new tree.
-  RootedTree Subtree(int node) const;
-
  private:
   RootedTree() = default;
 
-  void PostOrderVisit(int node, std::vector<int>& out) const;
-
-  int root_ = -1;
   std::vector<int> nodes_;
   std::vector<TreeEdge> edges_;
-  std::unordered_map<int, std::vector<std::pair<int, double>>> children_;
-  std::unordered_map<int, int> parent_;
+  std::vector<int> child_begin_;  // num_nodes() + 1 offsets into nodes_
   double total_weight_ = 0.0;
 };
 

@@ -9,10 +9,7 @@ namespace graph {
 namespace {
 
 TEST(DijkstraTest, LineGraphDistances) {
-  WeightedGraph g(4);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 2.0);
-  g.AddEdge(2, 3, 4.0);
+  WeightedGraph g(4, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 4.0}});
   ShortestPaths sp = Dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(sp.distance[0], 0.0);
   EXPECT_DOUBLE_EQ(sp.distance[1], 1.0);
@@ -21,10 +18,7 @@ TEST(DijkstraTest, LineGraphDistances) {
 }
 
 TEST(DijkstraTest, PrefersCheaperIndirectPath) {
-  WeightedGraph g(3);
-  g.AddEdge(0, 2, 10.0);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 1.0);
+  WeightedGraph g(3, {{0, 2, 10.0}, {0, 1, 1.0}, {1, 2, 1.0}});
   ShortestPaths sp = Dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(sp.distance[2], 2.0);
   std::vector<int> path = sp.PathTo(g, 2);
@@ -32,27 +26,25 @@ TEST(DijkstraTest, PrefersCheaperIndirectPath) {
 }
 
 TEST(DijkstraTest, UnreachableNodes) {
-  WeightedGraph g(3);
-  g.AddEdge(0, 1, 1.0);
+  WeightedGraph g(3, {{0, 1, 1.0}});
   ShortestPaths sp = Dijkstra(g, 0);
   EXPECT_EQ(sp.distance[2], ShortestPaths::kUnreachable);
   EXPECT_TRUE(sp.PathTo(g, 2).empty());
 }
 
 TEST(DijkstraTest, PathToSourceIsItself) {
-  WeightedGraph g(2);
-  g.AddEdge(0, 1, 1.0);
+  WeightedGraph g(2, {{0, 1, 1.0}});
   ShortestPaths sp = Dijkstra(g, 0);
   EXPECT_EQ(sp.PathTo(g, 0), std::vector<int>{0});
 }
 
 TEST(DijkstraBoundedTest, HeavyEdgesAreNotTraversed) {
-  WeightedGraph g(3);
-  g.AddEdge(0, 1, 5.0);
-  g.AddEdge(1, 2, 1.0);
-  ShortestPaths sp = DijkstraBounded(g, 0, 2.0);
+  WeightedGraph g(3, {{0, 1, 5.0}, {1, 2, 1.0}});
+  ShortestPaths sp = Dijkstra(g, 0, 2.0);
   EXPECT_EQ(sp.distance[1], ShortestPaths::kUnreachable);
   EXPECT_EQ(sp.distance[2], ShortestPaths::kUnreachable);
+  // The bound is inclusive, like Algorithm 1's step (a) pruning.
+  EXPECT_DOUBLE_EQ(Dijkstra(g, 0, 5.0).distance[2], 6.0);
   ShortestPaths unbounded = Dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(unbounded.distance[2], 6.0);
 }
@@ -65,12 +57,15 @@ class DijkstraPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DijkstraPropertyTest, MatchesBellmanFord) {
   Rng rng(GetParam());
   const int n = 2 + static_cast<int>(rng.NextUint64(25));
-  WeightedGraph g(n);
+  std::vector<Edge> edges;
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
-      if (rng.NextBool(0.25)) g.AddEdge(u, v, rng.NextDouble(0.0, 2.0));
+      if (rng.NextBool(0.25)) {
+        edges.push_back(Edge{u, v, rng.NextDouble(0.0, 2.0)});
+      }
     }
   }
+  WeightedGraph g(n, std::move(edges));
   ShortestPaths sp = Dijkstra(g, 0);
 
   // Bellman-Ford reference.

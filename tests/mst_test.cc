@@ -11,71 +11,69 @@ namespace tenet {
 namespace graph {
 namespace {
 
+WeightedGraph Triangle() {
+  return WeightedGraph(3, {{0, 1, 1.0}, {1, 2, 2.0}, {0, 2, 3.0}});
+}
+
 TEST(KruskalTest, SimpleTriangle) {
-  WeightedGraph g(3);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 2.0);
-  g.AddEdge(0, 2, 3.0);
-  SpanningForest mst = KruskalMst(g);
+  SpanningForest mst = KruskalMst(Triangle());
   EXPECT_TRUE(mst.spans_all);
   EXPECT_EQ(mst.edge_indices.size(), 2u);
   EXPECT_DOUBLE_EQ(mst.total_weight, 3.0);
 }
 
 TEST(KruskalTest, DisconnectedGraphReportsNotSpanning) {
-  WeightedGraph g(4);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(2, 3, 1.0);
+  WeightedGraph g(4, {{0, 1, 1.0}, {2, 3, 1.0}});
   SpanningForest forest = KruskalMst(g);
   EXPECT_FALSE(forest.spans_all);
   EXPECT_EQ(forest.edge_indices.size(), 2u);
 }
 
 TEST(KruskalTest, SingleNodeSpansTrivially) {
-  WeightedGraph g(1);
-  SpanningForest mst = KruskalMst(g);
+  SpanningForest mst = KruskalMst(WeightedGraph(1));
   EXPECT_TRUE(mst.spans_all);
   EXPECT_TRUE(mst.edge_indices.empty());
 }
 
 TEST(PrimTest, MatchesKruskalOnTriangle) {
-  WeightedGraph g(3);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 2.0);
-  g.AddEdge(0, 2, 3.0);
-  SpanningForest prim = PrimMst(g, 0);
+  SpanningForest prim = PrimMst(Triangle());
   EXPECT_TRUE(prim.spans_all);
   EXPECT_DOUBLE_EQ(prim.total_weight, 3.0);
+  EXPECT_EQ(prim.edge_indices, (std::vector<int>{0, 1}));
 }
 
-TEST(PrimTest, CoversOnlyRootComponent) {
-  WeightedGraph g(5);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(3, 4, 1.0);
-  SpanningForest prim = PrimMst(g, 0);
+TEST(PrimTest, SingleNodeSpansTrivially) {
+  SpanningForest mst = PrimMst(WeightedGraph(1));
+  EXPECT_TRUE(mst.spans_all);
+  EXPECT_TRUE(mst.edge_indices.empty());
+}
+
+TEST(PrimTest, CoversOnlyNodeZerosComponent) {
+  WeightedGraph g(5, {{0, 1, 1.0}, {3, 4, 1.0}});
+  SpanningForest prim = PrimMst(g);
   EXPECT_FALSE(prim.spans_all);
-  EXPECT_EQ(prim.edge_indices.size(), 1u);
+  EXPECT_EQ(prim.edge_indices, std::vector<int>{0});
 }
 
 WeightedGraph RandomConnectedGraph(Rng& rng, int n, double extra_edge_prob) {
-  WeightedGraph g(n);
+  std::vector<Edge> edges;
   // Random spanning path first to guarantee connectivity.
   for (int i = 1; i < n; ++i) {
-    g.AddEdge(i - 1, i, rng.NextDouble(0.01, 1.0));
+    edges.push_back(Edge{i - 1, i, rng.NextDouble(0.01, 1.0)});
   }
   for (int u = 0; u < n; ++u) {
     for (int v = u + 2; v < n; ++v) {
       if (rng.NextBool(extra_edge_prob)) {
-        g.AddEdge(u, v, rng.NextDouble(0.01, 1.0));
+        edges.push_back(Edge{u, v, rng.NextDouble(0.01, 1.0)});
       }
     }
   }
-  return g;
+  return WeightedGraph(n, std::move(edges));
 }
 
-// Property test: Kruskal and Prim agree on total MST weight, the MST is
-// acyclic and spanning, and removing any MST edge disconnects the MST
-// (tree property) on random connected graphs.
+// Property test: Prim returns Kruskal's tree in Kruskal's order, the MST is
+// acyclic and spanning, and removing any MST edge disconnects the MST (tree
+// property) on random connected graphs.
 class MstPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MstPropertyTest, KruskalEqualsPrimAndIsTree) {
@@ -84,12 +82,12 @@ TEST_P(MstPropertyTest, KruskalEqualsPrimAndIsTree) {
   WeightedGraph g = RandomConnectedGraph(rng, n, 0.3);
 
   SpanningForest kruskal = KruskalMst(g);
-  SpanningForest prim = PrimMst(g, 0);
+  SpanningForest prim = PrimMst(g);
   ASSERT_TRUE(kruskal.spans_all);
   ASSERT_TRUE(prim.spans_all);
   EXPECT_EQ(kruskal.edge_indices.size(), static_cast<size_t>(n - 1));
-  EXPECT_EQ(prim.edge_indices.size(), static_cast<size_t>(n - 1));
-  EXPECT_NEAR(kruskal.total_weight, prim.total_weight, 1e-9);
+  EXPECT_EQ(prim.edge_indices, kruskal.edge_indices);
+  EXPECT_EQ(prim.total_weight, kruskal.total_weight);
 
   // MST edges form a spanning tree: n-1 edges, no cycles.
   UnionFind uf(n);

@@ -48,7 +48,7 @@ TEST(TreeSplitTest, HeavyPathIsCarved) {
   Result<SplitResult> split = SplitTree(tree, 1.0);
   ASSERT_TRUE(split.ok());
   EXPECT_LE(split->leftover.TotalWeight(), 1.0);
-  EXPECT_TRUE(split->leftover.Contains(0));
+  EXPECT_EQ(split->leftover.root(), 0);
   ASSERT_FALSE(split->subtrees.empty());
   for (const RootedTree& s : split->subtrees) {
     EXPECT_GT(s.TotalWeight(), 1.0);
@@ -119,7 +119,6 @@ TEST_P(TreeSplitPropertyTest, InvariantsOnRandomTrees) {
   ASSERT_TRUE(split.ok()) << split.status();
 
   // Leftover invariant: contains root, weight <= bound.
-  EXPECT_TRUE(split->leftover.Contains(0));
   EXPECT_EQ(split->leftover.root(), 0);
   EXPECT_LE(split->leftover.TotalWeight(), bound + 1e-9);
 

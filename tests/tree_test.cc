@@ -1,6 +1,5 @@
 #include "graph/tree.h"
 
-#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -11,138 +10,98 @@ namespace tenet {
 namespace graph {
 namespace {
 
-using UndirectedEdges = std::vector<std::pair<std::pair<int, int>, double>>;
-
 TEST(RootedTreeTest, SingletonTree) {
   RootedTree t = RootedTree::Singleton(42);
   EXPECT_EQ(t.root(), 42);
   EXPECT_EQ(t.num_nodes(), 1);
   EXPECT_EQ(t.num_edges(), 0);
-  EXPECT_TRUE(t.empty_of_edges());
   EXPECT_DOUBLE_EQ(t.TotalWeight(), 0.0);
-  EXPECT_TRUE(t.Contains(42));
-  EXPECT_FALSE(t.Contains(0));
-  EXPECT_EQ(t.Parent(42), -1);
-  EXPECT_EQ(t.PostOrderNodes(), std::vector<int>{42});
+  EXPECT_EQ(t.nodes(), std::vector<int>{42});
+  EXPECT_EQ(t.ChildBegin(0), t.ChildEnd(0));
 }
 
-TEST(RootedTreeTest, FromUndirectedEdgesOrientsAwayFromRoot) {
-  // 5 is root; edges given in arbitrary orientation.
-  UndirectedEdges edges = {
-      {{7, 5}, 1.0},  // root child
-      {{9, 7}, 2.0},
-      {{5, 3}, 0.5},
-  };
-  Result<RootedTree> result = RootedTree::FromEdges(5, edges);
+TEST(RootedTreeTest, StoresNodesBreadthFirst) {
+  // 5 is root; edges supplied deepest first.
+  Result<RootedTree> result = RootedTree::FromOrientedEdges(
+      5, {TreeEdge{7, 9, 2.0}, TreeEdge{5, 7, 1.0}, TreeEdge{5, 3, 0.5}});
   ASSERT_TRUE(result.ok()) << result.status();
   const RootedTree& t = result.value();
   EXPECT_EQ(t.root(), 5);
-  EXPECT_EQ(t.num_nodes(), 4);
-  EXPECT_EQ(t.Parent(7), 5);
-  EXPECT_EQ(t.Parent(9), 7);
-  EXPECT_EQ(t.Parent(3), 5);
+  EXPECT_EQ(t.nodes(), (std::vector<int>{5, 7, 3, 9}));
+  // Children contiguous, in supplied order: 7 and 3 under 5, 9 under 7.
+  EXPECT_EQ(t.ChildBegin(0), 1);
+  EXPECT_EQ(t.ChildEnd(0), 3);
+  EXPECT_EQ(t.ChildBegin(1), 3);
+  EXPECT_EQ(t.ChildEnd(1), 4);
+  EXPECT_EQ(t.ChildBegin(2), t.ChildEnd(2));
+  EXPECT_EQ(t.edges()[2].parent, 7);
   EXPECT_DOUBLE_EQ(t.TotalWeight(), 3.5);
 }
 
 TEST(RootedTreeTest, RejectsCycle) {
-  UndirectedEdges edges = {{{0, 1}, 1.0}, {{1, 2}, 1.0}, {{2, 0}, 1.0}};
-  EXPECT_FALSE(RootedTree::FromEdges(0, edges).ok());
+  EXPECT_FALSE(RootedTree::FromOrientedEdges(
+                   0, {TreeEdge{0, 1, 1.0}, TreeEdge{1, 2, 1.0},
+                       TreeEdge{2, 0, 1.0}})
+                   .ok());
+  // A cycle beside the root's own tree.
+  EXPECT_FALSE(RootedTree::FromOrientedEdges(
+                   0, {TreeEdge{0, 1, 1.0}, TreeEdge{2, 3, 1.0},
+                       TreeEdge{3, 2, 1.0}})
+                   .ok());
+}
+
+TEST(RootedTreeTest, RejectsNodeWithTwoParents) {
+  EXPECT_FALSE(RootedTree::FromOrientedEdges(
+                   0, {TreeEdge{0, 1, 1.0}, TreeEdge{0, 2, 1.0},
+                       TreeEdge{1, 3, 1.0}, TreeEdge{2, 3, 1.0}})
+                   .ok());
 }
 
 TEST(RootedTreeTest, RejectsDisconnected) {
-  UndirectedEdges edges = {{{0, 1}, 1.0}, {{2, 3}, 1.0}};
-  EXPECT_FALSE(RootedTree::FromEdges(0, edges).ok());
+  EXPECT_FALSE(RootedTree::FromOrientedEdges(
+                   0, {TreeEdge{0, 1, 1.0}, TreeEdge{2, 3, 1.0}})
+                   .ok());
 }
 
 TEST(RootedTreeTest, RejectsEdgesNotContainingRoot) {
-  UndirectedEdges edges = {{{1, 2}, 1.0}};
-  EXPECT_FALSE(RootedTree::FromEdges(0, edges).ok());
+  EXPECT_FALSE(RootedTree::FromOrientedEdges(0, {TreeEdge{1, 2, 1.0}}).ok());
 }
 
-TEST(RootedTreeTest, PostOrderVisitsChildrenBeforeParents) {
-  UndirectedEdges edges = {
-      {{0, 1}, 1.0}, {{0, 2}, 1.0}, {{1, 3}, 1.0}, {{1, 4}, 1.0}};
-  RootedTree t = RootedTree::FromEdges(0, edges).value();
-  std::vector<int> order = t.PostOrderNodes();
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order.back(), 0);  // root last
-  auto position = [&](int node) {
-    return std::find(order.begin(), order.end(), node) - order.begin();
-  };
-  EXPECT_LT(position(3), position(1));
-  EXPECT_LT(position(4), position(1));
-  EXPECT_LT(position(1), position(0));
-  EXPECT_LT(position(2), position(0));
-}
-
-TEST(RootedTreeTest, SubtreeWeightAndExtraction) {
-  UndirectedEdges edges = {
-      {{0, 1}, 1.0}, {{1, 2}, 2.0}, {{1, 3}, 3.0}, {{0, 4}, 4.0}};
-  RootedTree t = RootedTree::FromEdges(0, edges).value();
-  EXPECT_DOUBLE_EQ(t.SubtreeWeight(1), 5.0);
-  EXPECT_DOUBLE_EQ(t.SubtreeWeight(0), 10.0);
-  EXPECT_DOUBLE_EQ(t.SubtreeWeight(4), 0.0);
-
-  RootedTree sub = t.Subtree(1);
-  EXPECT_EQ(sub.root(), 1);
-  EXPECT_EQ(sub.num_nodes(), 3);
-  EXPECT_TRUE(sub.Contains(2));
-  EXPECT_TRUE(sub.Contains(3));
-  EXPECT_FALSE(sub.Contains(0));
-  EXPECT_DOUBLE_EQ(sub.TotalWeight(), 5.0);
-}
-
-TEST(RootedTreeTest, ChildrenListsAreAccurate) {
-  UndirectedEdges edges = {{{10, 20}, 1.0}, {{10, 30}, 2.0}};
-  RootedTree t = RootedTree::FromEdges(10, edges).value();
-  const auto& children = t.Children(10);
-  ASSERT_EQ(children.size(), 2u);
-  std::set<int> ids;
-  for (const auto& [child, weight] : children) {
-    ids.insert(child);
-    EXPECT_GT(weight, 0.0);
-  }
-  EXPECT_EQ(ids, (std::set<int>{20, 30}));
-  EXPECT_TRUE(t.Children(20).empty());
-}
-
-// Property: on random trees, nodes() has no duplicates, TotalWeight equals
-// the sum of SubtreeWeight over the root, post-order is a permutation, and
-// Subtree(root) reproduces the whole tree.
+// Property: on random trees supplied in random order, nodes() holds every
+// id once, the child ranges tile positions 1..n-1 in order, each child's
+// edge names its parent, and TotalWeight sums the edges.
 class TreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TreePropertyTest, RandomTreeInvariants) {
   Rng rng(GetParam());
   const int n = 2 + static_cast<int>(rng.NextUint64(40));
-  UndirectedEdges edges;
+  std::vector<TreeEdge> edges;
   double expected_weight = 0.0;
   // Random recursive tree: node i attaches to a random earlier node.
   for (int i = 1; i < n; ++i) {
     int parent = static_cast<int>(rng.NextUint64(i));
     double weight = rng.NextDouble(0.1, 1.0);
     expected_weight += weight;
-    edges.push_back({{parent, i}, weight});
+    edges.push_back(TreeEdge{parent, i, weight});
   }
-  RootedTree t = RootedTree::FromEdges(0, edges).value();
+  rng.Shuffle(edges);
+  RootedTree t = RootedTree::FromOrientedEdges(0, edges).value();
   EXPECT_EQ(t.num_nodes(), n);
   EXPECT_NEAR(t.TotalWeight(), expected_weight, 1e-9);
-  EXPECT_NEAR(t.SubtreeWeight(0), expected_weight, 1e-9);
-
-  std::vector<int> post = t.PostOrderNodes();
-  std::set<int> unique(post.begin(), post.end());
+  std::set<int> unique(t.nodes().begin(), t.nodes().end());
   EXPECT_EQ(unique.size(), static_cast<size_t>(n));
 
-  RootedTree clone = t.Subtree(0);
-  EXPECT_EQ(clone.num_nodes(), n);
-  EXPECT_NEAR(clone.TotalWeight(), expected_weight, 1e-9);
-
-  // Parent/child relations are mutually consistent.
-  for (int node : t.nodes()) {
-    for (const auto& [child, weight] : t.Children(node)) {
-      (void)weight;
-      EXPECT_EQ(t.Parent(child), node);
+  EXPECT_EQ(t.ChildBegin(0), 1);
+  for (int pos = 0; pos < t.num_nodes(); ++pos) {
+    if (pos > 0) {
+      EXPECT_EQ(t.ChildBegin(pos), t.ChildEnd(pos - 1));
+    }
+    for (int child = t.ChildBegin(pos); child < t.ChildEnd(pos); ++child) {
+      EXPECT_EQ(t.edges()[child - 1].parent, t.nodes()[pos]);
+      EXPECT_EQ(t.edges()[child - 1].child, t.nodes()[child]);
     }
   }
+  EXPECT_EQ(t.ChildEnd(t.num_nodes() - 1), t.num_nodes());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreePropertyTest,
