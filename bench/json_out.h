@@ -17,15 +17,12 @@ namespace bench {
 // One published measurement.  `pairs_per_sec` is the bench's natural
 // throughput unit: concept pairs for the similarity kernels, documents for
 // the end-to-end scaling benches.  `speedup` > 0 adds a
-// "speedup_vs_scalar" key (the kernel-vs-baseline ratio CI tracks);
-// `shards` > 0 adds a "shards" key (the sharded-load rows of
-// BENCH_kb_load.json).
+// "speedup_vs_scalar" key (the kernel-vs-baseline ratio CI tracks).
 struct JsonRecord {
   std::string bench;
   double ns_per_op = 0.0;
   double pairs_per_sec = 0.0;
   double speedup = 0.0;
-  int shards = 0;
 };
 
 inline bool WriteJsonRecords(const std::string& path,
@@ -43,9 +40,6 @@ inline bool WriteJsonRecords(const std::string& path,
                  r.bench.c_str(), r.ns_per_op, r.pairs_per_sec);
     if (r.speedup > 0.0) {
       std::fprintf(f, ", \"speedup_vs_scalar\": %.2f", r.speedup);
-    }
-    if (r.shards > 0) {
-      std::fprintf(f, ", \"shards\": %d", r.shards);
     }
     std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
   }

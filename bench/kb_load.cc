@@ -1,29 +1,23 @@
-// Snapshot-load benchmark: the legacy TENETKB v1 text container vs the
-// TENETKB2 binary snapshot, loaded buffered and zero-copy (mmap), plus the
-// TENETEMB1 embedding container streamed vs mapped.  This is the number
-// behind the README loading-time table and the >= 5x binary-vs-text
-// acceptance bar of the snapshot format.
+// Snapshot-load benchmark: the TENETKB2 snapshot loaded buffered and
+// zero-copy (mmap), the same snapshot with a stack of TENETDELTA1 segments
+// replayed on top, and the TENETEMB1 embedding container streamed vs
+// mapped.  This is the number behind the README loading-time table.
 //
-// `--json <path>` writes {bench, ns_per_op, pairs_per_sec, speedup} records
-// (the BENCH_kb_load.json trajectory CI archives); `--smoke` shrinks the
-// sizes and repetitions for the tier-1 CI job.  Timings are best-of-N to
-// shed scheduler noise; speedup is relative to the text load of the same
-// KB.
+// `--json <path>` writes {bench, ns_per_op, pairs_per_sec} records (the
+// BENCH_kb_load.json trajectory CI archives); `--smoke` shrinks the sizes
+// and repetitions for the tier-1 CI job.  Timings are best-of-N to shed
+// scheduler noise.
 #include <cstdio>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "embedding/trainer.h"
 #include "json_out.h"
 #include "kb/delta.h"
 #include "kb/io.h"
-#include "kb/sharded_kb.h"
 #include "kb/synthetic_kb.h"
 
 namespace {
@@ -75,13 +69,8 @@ int main(int argc, char** argv) {
     reps = 2;
   }
 
-  ThreadPool::Options pool_options;
-  pool_options.num_threads = 4;
-  ThreadPool pool(pool_options);
-
   std::vector<bench::JsonRecord> records;
-  std::printf("%-8s %-16s %12s %12s %10s\n", "size", "variant", "ms",
-              "items/s", "speedup");
+  std::printf("%-8s %-16s %12s %12s\n", "size", "variant", "ms", "items/s");
   for (const SizeSpec& size : sizes) {
     kb::SyntheticKbOptions kb_options;
     kb_options.num_domains = size.num_domains;
@@ -89,16 +78,11 @@ int main(int argc, char** argv) {
     Rng rng(2021);
     kb::SyntheticKb world = kb::SyntheticKbGenerator(kb_options).Generate(rng);
 
-    const std::string text_path =
-        std::string("bench_kb_load_") + size.name + ".text.tenetkb";
     const std::string bin_path =
         std::string("bench_kb_load_") + size.name + ".tenetkb";
     const std::string emb_path =
         std::string("bench_kb_load_") + size.name + ".tenetemb";
-    if (!kb::SaveKnowledgeBase(world.kb, text_path, kb::KbFormat::kTextV1)
-             .ok() ||
-        !kb::SaveKnowledgeBase(world.kb, bin_path, kb::KbFormat::kBinaryV2)
-             .ok()) {
+    if (!kb::SaveKnowledgeBase(world.kb, bin_path).ok()) {
       std::fprintf(stderr, "saving %s KB failed\n", size.name);
       return 1;
     }
@@ -112,31 +96,19 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    struct Variant {
-      const char* name;
-      kb::KbLoadOptions options;
-      const std::string* path;
-    };
-    const Variant variants[] = {
-        {"text", {}, &text_path},
-        {"binary", {/*prefer_mmap=*/false, nullptr}, &bin_path},
-        {"binary_mmap", {/*prefer_mmap=*/true, nullptr}, &bin_path},
-        {"binary_mmap_pool", {/*prefer_mmap=*/true, &pool}, &bin_path},
-    };
     const double items = ItemCount(world.kb);
-    double text_ms = 0.0;
-    for (const Variant& variant : variants) {
-      double ms = BestMillis(reps, [&variant] {
-        return kb::LoadKnowledgeBase(*variant.path, variant.options);
+    for (bool prefer_mmap : {false, true}) {
+      kb::KbLoadOptions options;
+      options.prefer_mmap = prefer_mmap;
+      double ms = BestMillis(reps, [&bin_path, &options] {
+        return kb::LoadKnowledgeBase(bin_path, options);
       });
-      if (variant.name == std::string("text")) text_ms = ms;
-      double speedup = text_ms > 0.0 ? text_ms / ms : 0.0;
-      std::printf("%-8s %-16s %12.3f %12.0f %9.2fx\n", size.name,
-                  variant.name, ms, items / (ms / 1e3), speedup);
+      const char* name = prefer_mmap ? "binary_mmap" : "binary";
+      std::printf("%-8s %-16s %12.3f %12.0f\n", size.name, name, ms,
+                  items / (ms / 1e3));
       records.push_back(bench::JsonRecord{
-          std::string("kb_load/") + variant.name + "/" + size.name,
-          ms * 1e6, items / (ms / 1e3),
-          variant.name == std::string("text") ? 0.0 : speedup});
+          std::string("kb_load/") + name + "/" + size.name, ms * 1e6,
+          items / (ms / 1e3)});
     }
 
     // Delta replay (DESIGN.md §12): the live-update cold-start path —
@@ -177,12 +149,10 @@ int main(int argc, char** argv) {
     }
     {
       double ms = BestMillis(reps, [&]() -> Result<kb::AppliedDelta> {
-        kb::KbLoadOptions options;
-        options.prefer_mmap = true;
         TENET_ASSIGN_OR_RETURN(kb::KnowledgeBase kb,
-                               kb::LoadKnowledgeBase(bin_path, options));
+                               kb::LoadKnowledgeBase(bin_path));
         TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore store,
-                               kb::LoadEmbeddings(emb_path, options));
+                               kb::LoadEmbeddings(emb_path));
         std::vector<kb::DeltaSegment> segments;
         segments.reserve(delta_paths.size());
         for (const std::string& path : delta_paths) {
@@ -192,12 +162,11 @@ int main(int argc, char** argv) {
         }
         return kb::ApplyDeltas(kb, store, segments);
       });
-      double speedup = text_ms > 0.0 ? text_ms / ms : 0.0;
-      std::printf("%-8s %-16s %12.3f %12.0f %9.2fx\n", size.name,
-                  "delta_replay", ms, items / (ms / 1e3), speedup);
+      std::printf("%-8s %-16s %12.3f %12.0f\n", size.name, "delta_replay",
+                  ms, items / (ms / 1e3));
       records.push_back(bench::JsonRecord{
           std::string("kb_load/delta_replay/") + size.name, ms * 1e6,
-          items / (ms / 1e3), speedup});
+          items / (ms / 1e3)});
     }
 
     const double emb_items = static_cast<double>(world.kb.num_entities()) +
@@ -209,129 +178,17 @@ int main(int argc, char** argv) {
         return kb::LoadEmbeddings(emb_path, options);
       });
       const char* name = prefer_mmap ? "emb_mmap" : "emb_stream";
-      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", size.name, name, ms,
-                  emb_items / (ms / 1e3), "-");
+      std::printf("%-8s %-16s %12.3f %12.0f\n", size.name, name, ms,
+                  emb_items / (ms / 1e3));
       records.push_back(bench::JsonRecord{
           std::string("emb_load/") + (prefer_mmap ? "mmap" : "stream") + "/" +
               size.name,
-          ms * 1e6, emb_items / (ms / 1e3), 0.0});
+          ms * 1e6, emb_items / (ms / 1e3)});
     }
 
-    std::remove(text_path.c_str());
     std::remove(bin_path.c_str());
     std::remove(emb_path.c_str());
     for (const std::string& path : delta_paths) std::remove(path.c_str());
-  }
-
-  // ---- Sharded layouts (DESIGN.md §14) ----------------------------------
-  // The same KB partitioned into 1/4/16 hash shards, saved as a
-  // TENETKBSHARDS1 layout and loaded back through ShardedKb::Load.  Two
-  // rows per shard count:
-  //
-  //   sharded_wall     best-of-N wall time of the (serial) loader.
-  //   sharded_critical best-of-N critical path: the loader's serial
-  //                    prologue (manifest parse, assembly) plus the
-  //                    *slowest single shard's* load time.  Shard loads
-  //                    are independent, so this is the wall time a loader
-  //                    with >= N-way I/O parallelism would pay — reported
-  //                    separately because this bench host may be serial
-  //                    (a 1-core box loads shards back to back, and its
-  //                    wall clock cannot show the scaling).
-  //
-  // The critical-path speedup column is relative to the 1-shard layout;
-  // >= 2x at 4 shards is the acceptance bar of the sharded substrate.
-  // Runs at the "huge" synthetic tier (~58k entities), where shard
-  // payloads dwarf the fixed per-shard overheads; --smoke shrinks it to
-  // the small tier and 1/4 shards.
-  {
-    kb::SyntheticKbOptions kb_options = kb::SyntheticKbOptions::Huge();
-    const char* tier = "huge";
-    std::vector<int> shard_counts = {1, 4, 16};
-    if (json_args.smoke) {
-      kb_options = kb::SyntheticKbOptions{};
-      kb_options.num_domains = 4;
-      kb_options.entities_per_domain = 50;
-      tier = "small";
-      shard_counts = {1, 4};
-    }
-    Rng rng(2021);
-    kb::SyntheticKb world = kb::SyntheticKbGenerator(kb_options).Generate(rng);
-    embedding::TrainerOptions trainer_options;
-    Rng emb_rng(7);
-    embedding::EmbeddingStore embeddings =
-        embedding::StructuralEmbeddingTrainer(trainer_options)
-            .Train(world.kb, emb_rng);
-    const double items = ItemCount(world.kb);
-
-    double critical_1shard_ms = 0.0;
-    for (int num_shards : shard_counts) {
-      kb::ShardedKb sharded =
-          kb::ShardedKb::Partition(world.kb, embeddings, num_shards);
-      const std::string manifest = std::string("bench_kb_load_") + tier +
-                                   ".s" + std::to_string(num_shards) +
-                                   ".tenetshards";
-      if (!sharded.Save(manifest).ok()) {
-        std::fprintf(stderr, "saving %d-shard layout failed\n", num_shards);
-        return 1;
-      }
-
-      double wall_ms = 0.0;
-      double critical_ms = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        WallTimer timer;
-        Result<kb::ShardedKb> loaded = kb::ShardedKb::Load(manifest);
-        double ms = timer.ElapsedMillis();
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "loading %s failed: %s\n", manifest.c_str(),
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        double max_shard_ms = 0.0;
-        double sum_shard_ms = 0.0;
-        for (int s = 0; s < loaded->num_shards(); ++s) {
-          max_shard_ms = std::max(max_shard_ms, loaded->shard(s).load_ms);
-          sum_shard_ms += loaded->shard(s).load_ms;
-        }
-        const double crit = ms - sum_shard_ms + max_shard_ms;
-        if (r == 0 || ms < wall_ms) wall_ms = ms;
-        if (r == 0 || crit < critical_ms) critical_ms = crit;
-      }
-      if (num_shards == shard_counts.front()) {
-        critical_1shard_ms = critical_ms;
-      }
-      const double scaling =
-          critical_ms > 0.0 ? critical_1shard_ms / critical_ms : 0.0;
-
-      std::string wall_name = std::string("sharded_wall/s") +
-                              std::to_string(num_shards);
-      std::printf("%-8s %-16s %12.3f %12.0f %10s\n", tier, wall_name.c_str(),
-                  wall_ms, items / (wall_ms / 1e3), "-");
-      bench::JsonRecord wall_record{
-          std::string("kb_load/sharded_wall/") + tier + "/s" +
-              std::to_string(num_shards),
-          wall_ms * 1e6, items / (wall_ms / 1e3), 0.0};
-      wall_record.shards = num_shards;
-      records.push_back(wall_record);
-
-      std::string crit_name = std::string("sharded_critical/s") +
-                              std::to_string(num_shards);
-      std::printf("%-8s %-16s %12.3f %12.0f %9.2fx\n", tier,
-                  crit_name.c_str(), critical_ms,
-                  items / (critical_ms / 1e3), scaling);
-      bench::JsonRecord crit_record{
-          std::string("kb_load/sharded_critical/") + tier + "/s" +
-              std::to_string(num_shards),
-          critical_ms * 1e6, items / (critical_ms / 1e3),
-          num_shards == shard_counts.front() ? 0.0 : scaling};
-      crit_record.shards = num_shards;
-      records.push_back(crit_record);
-
-      std::remove(manifest.c_str());
-      for (int s = 0; s < num_shards; ++s) {
-        std::remove((manifest + ".s" + std::to_string(s) + ".kb2").c_str());
-        std::remove((manifest + ".s" + std::to_string(s) + ".emb").c_str());
-      }
-    }
   }
 
   if (!json_args.json_path.empty() &&

@@ -128,7 +128,7 @@ core::MentionSet BuildCoarseMentionSet(
 std::shared_ptr<const kb::KbView> ResolveView(
     const BaselineSubstrate& substrate) {
   if (substrate.view != nullptr) return substrate.view;
-  return std::make_shared<kb::FlatKbView>(substrate.kb, substrate.embeddings);
+  return std::make_shared<kb::KbView>(substrate.kb, substrate.embeddings);
 }
 
 core::CoherenceGraph BuildGraph(const BaselineSubstrate& substrate,
@@ -180,12 +180,11 @@ std::unordered_set<kb::EntityId> KbNeighborhood(const kb::KbView& view,
   if (ref.is_entity()) {
     for (kb::EntityId n : view.NeighborEntities(ref.id)) out.insert(n);
   } else {
-    view.VisitFactsOfPredicate(
-        ref.id, [&out](int64_t /*fact_id*/, const kb::Triple& t) {
-          out.insert(t.subject);
-          if (t.object_is_entity) out.insert(t.object_entity);
-          return true;
-        });
+    for (int32_t fact_id : view.FactsOfPredicate(ref.id)) {
+      const kb::Triple& t = view.fact(fact_id);
+      out.insert(t.subject);
+      if (t.object_is_entity) out.insert(t.object_entity);
+    }
   }
   return out;
 }

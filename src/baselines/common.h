@@ -17,9 +17,8 @@ namespace tenet {
 namespace baselines {
 
 // Shared substrate handles of all baseline linkers.  Either populate the
-// flat pair (`kb` + `embeddings`) or set `view` directly; every consumer
-// goes through ResolveView, so the systems run unchanged on a sharded
-// substrate.
+// `kb` + `embeddings` pair or set `view` to share an existing KbView (as a
+// KbGeneration does); every consumer goes through ResolveView.
 struct BaselineSubstrate {
   const kb::KnowledgeBase* kb = nullptr;
   const embedding::EmbeddingStore* embeddings = nullptr;
@@ -29,7 +28,7 @@ struct BaselineSubstrate {
   std::shared_ptr<const kb::KbView> view;
 };
 
-/// The substrate's KbView: `substrate.view` when set, else a FlatKbView
+/// The substrate's KbView: `substrate.view` when set, else a KbView
 /// wrapping the kb/embeddings pair (which must then be non-null and
 /// outlive the returned view).
 std::shared_ptr<const kb::KbView> ResolveView(

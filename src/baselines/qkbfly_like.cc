@@ -83,23 +83,17 @@ Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     if (!options_.require_fact_support) return true;
     if (!cg.concept_node(current[m]).ref.is_entity()) return false;
     kb::EntityId self = cg.concept_node(current[m]).ref.id;
-    bool supported = false;
-    view->VisitFactsOfEntity(
-        self, [&](int64_t /*fact_id*/, const kb::Triple& t) {
-          if (!t.object_is_entity) return true;
-          kb::EntityId other =
-              t.subject == self ? t.object_entity : t.subject;
-          for (int n : noun_mentions) {
-            if (n == m || current[n] < 0) continue;
-            const kb::ConceptRef& ref = cg.concept_node(current[n]).ref;
-            if (ref.is_entity() && ref.id == other) {
-              supported = true;
-              return false;  // found a vouching fact; stop the walk
-            }
-          }
-          return true;
-        });
-    return supported;
+    for (int32_t fact_id : view->FactsOfEntity(self)) {
+      const kb::Triple& t = view->fact(fact_id);
+      if (!t.object_is_entity) continue;
+      kb::EntityId other = t.subject == self ? t.object_entity : t.subject;
+      for (int n : noun_mentions) {
+        if (n == m || current[n] < 0) continue;
+        const kb::ConceptRef& ref = cg.concept_node(current[n]).ref;
+        if (ref.is_entity() && ref.id == other) return true;  // vouched
+      }
+    }
+    return false;
   };
   std::unordered_map<int, int> chosen;
   std::vector<int> isolated;

@@ -57,9 +57,8 @@ Result<MmapFile> MmapFile::Open(const std::string& path, bool prefer_mmap) {
     int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
     // Pre-fault the whole mapping in one sweep: the loader touches nearly
-    // every page anyway, and scattered minor faults (worse: concurrent ones
-    // from shard-restore workers serializing on the mmap lock) cost more
-    // than eager population of an already-cached snapshot.
+    // every page anyway, and scattered minor faults cost more than eager
+    // population of an already-cached snapshot.
     flags |= MAP_POPULATE;
 #endif
     void* addr = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);

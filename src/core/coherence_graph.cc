@@ -52,7 +52,7 @@ CoherenceGraphBuilder::CoherenceGraphBuilder(
 CoherenceGraphBuilder::CoherenceGraphBuilder(
     const kb::KnowledgeBase* kb, const embedding::EmbeddingStore* embeddings,
     CoherenceGraphOptions options)
-    : CoherenceGraphBuilder(std::make_shared<kb::FlatKbView>(kb, embeddings),
+    : CoherenceGraphBuilder(std::make_shared<kb::KbView>(kb, embeddings),
                             options) {}
 
 CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {

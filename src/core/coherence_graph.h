@@ -109,14 +109,13 @@ class CoherenceGraph {
 // is built from it without a merge (see graph::WeightedGraph).
 class CoherenceGraphBuilder {
  public:
-  /// Builds against any KB substrate behind the KbView contract — flat or
-  /// sharded; the view is shared-owned so generations can retire while a
-  /// builder is mid-flight.
+  /// Builds against the KB substrate behind `view`; the view is
+  /// shared-owned so generations can retire while a builder is mid-flight.
   CoherenceGraphBuilder(std::shared_ptr<const kb::KbView> view,
                         CoherenceGraphOptions options = {});
 
-  /// Convenience over the flat substrate: wraps `kb` + `embeddings` (which
-  /// must outlive the builder and be finalized) in a FlatKbView.
+  /// Convenience: wraps `kb` + `embeddings` (which must outlive the
+  /// builder and be finalized) in a KbView.
   CoherenceGraphBuilder(const kb::KnowledgeBase* kb,
                         const embedding::EmbeddingStore* embeddings,
                         CoherenceGraphOptions options = {});

@@ -419,7 +419,7 @@ TenetPipeline::TenetPipeline(const kb::KnowledgeBase* kb,
                              const embedding::EmbeddingStore* embeddings,
                              const text::Gazetteer* gazetteer,
                              TenetOptions options)
-    : TenetPipeline(std::make_shared<kb::FlatKbView>(kb, embeddings),
+    : TenetPipeline(std::make_shared<kb::KbView>(kb, embeddings),
                     gazetteer, std::move(options)) {}
 
 Deadline TenetPipeline::DefaultDeadline() const {

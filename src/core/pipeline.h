@@ -175,14 +175,13 @@ struct LinkingResult {
 // must simply not be mutated while linking is in flight.
 class TenetPipeline {
  public:
-  /// Links against any KB substrate behind the KbView contract (flat or
-  /// sharded).  The view is shared-owned; `gazetteer` must be non-null and
-  /// outlive the pipeline.
+  /// Links against the KB substrate behind `view`.  The view is
+  /// shared-owned; `gazetteer` must be non-null and outlive the pipeline.
   TenetPipeline(std::shared_ptr<const kb::KbView> view,
                 const text::Gazetteer* gazetteer, TenetOptions options = {});
 
-  /// Convenience over the flat substrate.  All pointers must be non-null,
-  /// finalized, and outlive the pipeline.
+  /// Convenience: wraps `kb` + `embeddings` in a KbView.  All pointers
+  /// must be non-null, finalized, and outlive the pipeline.
   TenetPipeline(const kb::KnowledgeBase* kb,
                 const embedding::EmbeddingStore* embeddings,
                 const text::Gazetteer* gazetteer, TenetOptions options = {});

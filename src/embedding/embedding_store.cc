@@ -16,7 +16,8 @@ EmbeddingStore::EmbeddingStore(int dimension, int32_t num_entities,
     : dimension_(dimension),
       num_entities_(num_entities),
       num_predicates_(num_predicates),
-      data_(static_cast<size_t>(dimension) * (num_entities + num_predicates),
+      data_(static_cast<size_t>(dimension) *
+                (static_cast<size_t>(num_entities) + num_predicates),
             0.0f),
       ops_("embedding/fetch") {
   TENET_CHECK_GT(dimension, 0);

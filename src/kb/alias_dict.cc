@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "common/checksum.h"
@@ -17,21 +16,18 @@ namespace kb {
 namespace {
 
 // Section payload header, after the leading u64 payload checksum.
-constexpr uint32_t kDictVersion = 1;
+// Version 1 payloads, which also carried a hash-bucket table, are
+// rejected.
+constexpr uint32_t kDictVersion = 2;
 constexpr size_t kDictHeaderBytes = 56;  // checksum + fixed fields
 constexpr size_t kPostingRecordBytes = 16;  // {i32 id, i32 pad, f64 prior}
 
-uint64_t HashFoldedKey(std::string_view folded) {
-  return Fnv1a64(folded.data(), folded.size());
-}
-
 // --- probe hashing ----------------------------------------------------------
 // The in-memory probe table hashes keys 8 bytes per multiply with a SWAR
-// case fold, instead of the byte-serial FNV-1a the serialized bucket table
-// keeps (whose xor-multiply dependency chain costs ~4 cycles per byte and
-// dominated lookup latency).  These hashes are derived state, recomputed by
-// BuildProbeTables() on every load — the serialized layout still carries
-// FNV-1a hashes and is unaffected.
+// case fold; a byte-serial hash such as FNV-1a (whose xor-multiply
+// dependency chain costs ~4 cycles per byte) would dominate lookup
+// latency.  These hashes are derived state, recomputed by
+// BuildProbeTables() on every load and never serialized.
 
 constexpr uint64_t kProbeHashMul = 0x2545f4914f6cdd1dull;
 constexpr uint64_t kProbeHashSeed = 0x9e3779b97f4a7c15ull;
@@ -80,11 +76,6 @@ inline uint64_t HashProbeChunked(const char* data, size_t len,
     h = (h ^ chunk) * kProbeHashMul;
   }
   return MixProbeHash(h);
-}
-
-uint32_t NumBucketsFor(uint64_t num_surfaces) {
-  uint64_t want = std::max<uint64_t>(1, num_surfaces);
-  return static_cast<uint32_t>(std::bit_ceil(want));
 }
 
 void PutVarint(std::string* out, uint32_t value) {
@@ -151,8 +142,9 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
   TENET_CHECK(d.num_surfaces_ == 0 || prev_key_ < folded_surface)
       << "surfaces must be added in strictly ascending folded order";
   // The serialized format stores surface ids, posting offsets and key-blob
-  // offsets as u32 (and NumBucketsFor must fit u32, capping surfaces at
-  // 2^31); fail loudly rather than freeze a silently corrupt dictionary.
+  // offsets as u32 (and the probe table, twice the surface count, must fit
+  // a u32 mask, capping surfaces at 2^31); fail loudly rather than freeze a
+  // silently corrupt dictionary.
   TENET_CHECK_LT(d.num_surfaces_, uint64_t{1} << 31)
       << "surface count overflows the dictionary format";
   const uint32_t sid = static_cast<uint32_t>(d.num_surfaces_);
@@ -179,7 +171,6 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
   raw_key_bytes_ += folded_surface.size();
   d.max_key_bytes_ = std::max(
       d.max_key_bytes_, static_cast<uint32_t>(folded_surface.size()));
-  hashes_.push_back(HashFoldedKey(folded_surface));
 
   // Postings: record the original interleave in kind_bits_, store grouped
   // entities-first (within-kind order preserved).
@@ -210,35 +201,9 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
 
 std::shared_ptr<const FrozenAliasDict> FrozenAliasDict::Builder::Build() && {
   FrozenAliasDict& d = *dict_;
-  const uint32_t num_surfaces = static_cast<uint32_t>(d.num_surfaces_);
   if (d.posting_offsets_.empty()) d.posting_offsets_.push_back(0);
   d.block_offsets_.push_back(static_cast<uint32_t>(d.key_blob_.size()));
   d.raw_key_bytes_ = raw_key_bytes_;
-
-  const uint32_t num_buckets = NumBucketsFor(num_surfaces);
-  d.bucket_mask_ = num_buckets - 1;
-
-  d.hash_order_.resize(num_surfaces);
-  std::iota(d.hash_order_.begin(), d.hash_order_.end(), 0u);
-  std::sort(d.hash_order_.begin(), d.hash_order_.end(),
-            [&](uint32_t a, uint32_t b) {
-              const uint32_t ba = hashes_[a] & d.bucket_mask_;
-              const uint32_t bb = hashes_[b] & d.bucket_mask_;
-              if (ba != bb) return ba < bb;
-              if (hashes_[a] != hashes_[b]) return hashes_[a] < hashes_[b];
-              return a < b;
-            });
-  d.bucket_hashes_.resize(num_surfaces);
-  for (uint32_t i = 0; i < num_surfaces; ++i) {
-    d.bucket_hashes_[i] = hashes_[d.hash_order_[i]];
-  }
-  d.bucket_offsets_.assign(num_buckets + 1, 0);
-  for (uint32_t i = 0; i < num_surfaces; ++i) {
-    ++d.bucket_offsets_[(d.bucket_hashes_[i] & d.bucket_mask_) + 1];
-  }
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    d.bucket_offsets_[b + 1] += d.bucket_offsets_[b];
-  }
   d.BuildProbeTables();
   return std::shared_ptr<const FrozenAliasDict>(std::move(dict_));
 }
@@ -454,7 +419,6 @@ FrozenAliasDict::Stats FrozenAliasDict::stats() const {
 std::vector<unsigned char> FrozenAliasDict::Serialize() const {
   std::vector<unsigned char> out;
   const uint32_t num_surfaces = static_cast<uint32_t>(num_surfaces_);
-  const uint32_t num_buckets = bucket_mask_ + 1;
   const uint32_t num_blocks =
       static_cast<uint32_t>(block_offsets_.size()) - 1;
   const uint64_t num_posting_records = num_postings();
@@ -463,21 +427,14 @@ std::vector<unsigned char> FrozenAliasDict::Serialize() const {
   AppendScalar<uint32_t>(&out, kDictVersion);
   AppendScalar<uint32_t>(&out, kBlockSize);
   AppendScalar<uint32_t>(&out, num_surfaces);
-  AppendScalar<uint32_t>(&out, num_buckets);
   AppendScalar<uint32_t>(&out, num_blocks);
   AppendScalar<uint32_t>(&out, max_key_bytes_);
+  AppendScalar<uint32_t>(&out, 0);  // pad to the u64 fields
   AppendScalar<uint64_t>(&out, num_posting_records);
   AppendScalar<uint64_t>(&out, static_cast<uint64_t>(key_blob_.size()));
   AppendScalar<uint64_t>(&out, raw_key_bytes_);
   TENET_CHECK_EQ(out.size(), kDictHeaderBytes);
 
-  AppendPod(&out, bucket_offsets_.data(),
-            bucket_offsets_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, hash_order_.data(), hash_order_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, bucket_hashes_.data(),
-            bucket_hashes_.size() * sizeof(uint64_t));
   AppendPod(&out, block_offsets_.data(),
             block_offsets_.size() * sizeof(uint32_t));
   PadTo8(&out);
@@ -506,13 +463,10 @@ namespace {
 // Byte size of the serialized payload with the given header counts — the
 // exact-arithmetic companion of Serialize(), used to reject any payload
 // whose length disagrees with its own header.
-uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_buckets,
-                              uint64_t num_blocks, uint64_t num_postings,
+uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_blocks,
+                              uint64_t num_postings,
                               uint64_t key_blob_bytes) {
   uint64_t size = kDictHeaderBytes;
-  size += Aligned8((num_buckets + 1) * sizeof(uint32_t));  // bucket_offsets
-  size += Aligned8(num_surfaces * sizeof(uint32_t));       // hash_order
-  size += num_surfaces * sizeof(uint64_t);                 // bucket_hashes
   size += Aligned8((num_blocks + 1) * sizeof(uint32_t));   // block_offsets
   size += Aligned8((num_surfaces + 1) * sizeof(uint32_t));  // posting_offsets
   size += Aligned8(num_surfaces * sizeof(uint32_t));       // entity_splits
@@ -566,9 +520,9 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   const uint32_t version = ReadScalar<uint32_t>(p + 8);
   const uint32_t block_size = ReadScalar<uint32_t>(p + 12);
   const uint32_t num_surfaces = ReadScalar<uint32_t>(p + 16);
-  const uint32_t num_buckets = ReadScalar<uint32_t>(p + 20);
-  const uint32_t num_blocks = ReadScalar<uint32_t>(p + 24);
-  const uint32_t max_key_bytes = ReadScalar<uint32_t>(p + 28);
+  const uint32_t num_blocks = ReadScalar<uint32_t>(p + 20);
+  const uint32_t max_key_bytes = ReadScalar<uint32_t>(p + 24);
+  const uint32_t header_pad = ReadScalar<uint32_t>(p + 28);
   const uint64_t num_postings = ReadScalar<uint64_t>(p + 32);
   const uint64_t key_blob_bytes = ReadScalar<uint64_t>(p + 40);
   const uint64_t raw_key_bytes = ReadScalar<uint64_t>(p + 48);
@@ -580,15 +534,18 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   if (block_size != kBlockSize) {
     return DictError("unsupported block size " + std::to_string(block_size));
   }
-  if (num_buckets != NumBucketsFor(num_surfaces)) {
-    return DictError("bucket count is not the canonical power of two");
+  if (header_pad != 0) {
+    return DictError("header has a nonzero pad word");
+  }
+  if (num_surfaces > (uint32_t{1} << 31)) {
+    return DictError("surface count overflows the probe table");
   }
   if (num_blocks !=
       (num_surfaces + kBlockSize - 1) / kBlockSize) {
     return DictError("block count disagrees with surface count");
   }
-  // num_surfaces/num_buckets/num_blocks are u32 and mutually constrained
-  // above, but num_postings and key_blob_bytes are free u64 header fields.
+  // num_surfaces/num_blocks are u32 and mutually constrained above, but
+  // num_postings and key_blob_bytes are free u64 header fields.
   // Bound them against the section itself before any size arithmetic so
   // the sum in ExpectedPayloadBytes cannot wrap mod 2^64 and make a small
   // crafted payload alias a huge declared layout.
@@ -596,8 +553,8 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
       key_blob_bytes > payload.size()) {
     return DictError("header counts exceed section size");
   }
-  if (ExpectedPayloadBytes(num_surfaces, num_buckets, num_blocks,
-                           num_postings, key_blob_bytes) != payload.size()) {
+  if (ExpectedPayloadBytes(num_surfaces, num_blocks, num_postings,
+                           key_blob_bytes) != payload.size()) {
     return DictError("section size disagrees with header counts");
   }
 
@@ -606,7 +563,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   d.num_surfaces_ = num_surfaces;
   d.max_key_bytes_ = max_key_bytes;
   d.raw_key_bytes_ = raw_key_bytes;
-  d.bucket_mask_ = num_buckets - 1;
 
   size_t pos = kDictHeaderBytes;
   auto read_u32s = [&](std::vector<uint32_t>* out, size_t count) {
@@ -623,9 +579,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
     pos += count * sizeof(uint64_t);
   };
-  read_u32s(&d.bucket_offsets_, num_buckets + 1);
-  read_u32s(&d.hash_order_, num_surfaces);
-  read_u64s(&d.bucket_hashes_, num_surfaces);
   read_u32s(&d.block_offsets_, num_blocks + 1);
   read_u32s(&d.posting_offsets_, static_cast<size_t>(num_surfaces) + 1);
   read_u32s(&d.entity_splits_, num_surfaces);
@@ -634,11 +587,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
   pos = Aligned8(pos + key_blob_bytes);
 
   // Offset tables: monotone, exact endpoints.
-  if (d.bucket_offsets_.front() != 0 ||
-      d.bucket_offsets_.back() != num_surfaces ||
-      !std::is_sorted(d.bucket_offsets_.begin(), d.bucket_offsets_.end())) {
-    return DictError("corrupt bucket offsets");
-  }
   if (d.block_offsets_.front() != 0 ||
       d.block_offsets_.back() != key_blob_bytes ||
       !std::is_sorted(d.block_offsets_.begin(), d.block_offsets_.end())) {
@@ -651,33 +599,8 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     return DictError("corrupt posting offsets");
   }
 
-  // hash_order_ must be a permutation of [0, num_surfaces), sorted by
-  // (bucket, hash, sid) with every entry in its own bucket's range.
-  std::vector<bool> seen(num_surfaces, false);
-  std::vector<uint32_t> pos_of_sid(num_surfaces, 0);
-  for (uint32_t b = 0; b < num_buckets; ++b) {
-    for (uint32_t i = d.bucket_offsets_[b]; i < d.bucket_offsets_[b + 1];
-         ++i) {
-      const uint32_t sid = d.hash_order_[i];
-      if (sid >= num_surfaces || seen[sid]) {
-        return DictError("hash order is not a permutation");
-      }
-      seen[sid] = true;
-      pos_of_sid[sid] = i;
-      if ((d.bucket_hashes_[i] & d.bucket_mask_) != b) {
-        return DictError("hash entry in the wrong bucket");
-      }
-      if (i > d.bucket_offsets_[b] &&
-          (d.bucket_hashes_[i - 1] > d.bucket_hashes_[i] ||
-           (d.bucket_hashes_[i - 1] == d.bucket_hashes_[i] &&
-            d.hash_order_[i - 1] >= sid))) {
-        return DictError("hash entries out of order within a bucket");
-      }
-    }
-  }
-
   // Decode every key: strictly ascending, non-empty, folded, within
-  // max_key_bytes, hashes agreeing with the bucket table.
+  // max_key_bytes.
   std::string prev_key;
   std::string key;
   uint64_t raw_sum = 0;
@@ -731,11 +654,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     raw_sum += key.size();
     observed_max = std::max(observed_max,
                             static_cast<uint32_t>(key.size()));
-    const uint64_t hash = HashFoldedKey(key);
-    const uint32_t at = pos_of_sid[sid];
-    if (d.bucket_hashes_[at] != hash) {
-      return DictError("key hash disagrees with the bucket table");
-    }
   }
   if (raw_sum != raw_key_bytes) {
     return DictError("raw key byte count disagrees with header");
@@ -779,8 +697,8 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
   }
 
-  // Posting records: ids in range (and homed on this shard when sharded),
-  // priors finite and positive, pad words zero.
+  // Posting records: ids in range, priors finite and positive, pad words
+  // zero.
   d.postings_.resize(num_postings);
   for (uint64_t i = 0; i < num_postings; ++i) {
     const unsigned char* rec = p + pos + i * kPostingRecordBytes;
@@ -809,12 +727,6 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
           is_entity ? limits.num_entities : limits.num_predicates;
       if (posting.concept_ref.id < 0 || posting.concept_ref.id >= limit) {
         return DictError("posting names a concept id out of range");
-      }
-      if (limits.num_shards > 0 &&
-          static_cast<uint32_t>(posting.concept_ref.id) %
-                  limits.num_shards !=
-              limits.shard_index) {
-        return DictError("posting names a concept not homed on this shard");
       }
     }
   }

@@ -35,10 +35,7 @@ namespace kb {
 //     themselves (keys <= kInlineKeyBytes; longer keys spill to a
 //     decoded-key arena).  A hit therefore costs one random cache line in
 //     the common case, a miss usually ends at the first, empty, slot, and
-//     nothing allocates: the probe is folded on the fly.  The serialized
-//     form additionally carries a bucketed FNV-1a hash table
-//     (bucket_offsets / hash_order / bucket_hashes) that Parse()
-//     cross-validates against the keys.
+//     nothing allocates: the probe is folded on the fly.
 //   - Postings live in one arena, grouped entities-first per surface, so
 //     Entities()/Predicates() each return one contiguous borrowed span in
 //     CanonicalPostingOrder (delta-touched lists: stable by-prior order).
@@ -55,13 +52,10 @@ class FrozenAliasDict {
   static constexpr uint32_t kBlockSize = 16;
 
   /// Bounds checked by Parse(): every posting's concept id must be in
-  /// [0, num_entities) / [0, num_predicates), and when `num_shards` > 0
-  /// additionally homed on `shard_index` (id % num_shards == shard_index).
+  /// [0, num_entities) / [0, num_predicates).
   struct ParseLimits {
     int64_t num_entities = 0;
     int64_t num_predicates = 0;
-    uint32_t num_shards = 0;  // 0 = flat snapshot, no homing check
-    uint32_t shard_index = 0;
   };
 
   /// Summary for `kb inspect`: footprint of the encoded key blob vs the
@@ -89,7 +83,6 @@ class FrozenAliasDict {
     std::unique_ptr<FrozenAliasDict> dict_ =
         std::make_unique<FrozenAliasDict>();
     std::string prev_key_;
-    std::vector<uint64_t> hashes_;  // per-sid key hashes, bucketed in Build
     uint64_t raw_key_bytes_ = 0;
   };
 
@@ -139,9 +132,9 @@ class FrozenAliasDict {
   std::vector<unsigned char> Serialize() const;
 
   /// Deserializes and fully validates a section payload: checksum, exact
-  /// size arithmetic, offset monotonicity, key ordering/folding, hash and
-  /// bucket consistency, posting id ranges and prior positivity.  Any
-  /// defect yields kInvalidArgument — never a partially usable dictionary.
+  /// size arithmetic, offset monotonicity, key ordering/folding, posting
+  /// structure, posting id ranges and prior positivity.  Any defect yields
+  /// kInvalidArgument — never a partially usable dictionary.
   static Result<std::shared_ptr<const FrozenAliasDict>> Parse(
       std::span<const unsigned char> payload, const ParseLimits& limits);
 
@@ -161,8 +154,8 @@ class FrozenAliasDict {
   // hash interleaved with everything a confirmed hit needs — including the
   // key bytes themselves for keys up to kInlineKeyBytes — so Find() and
   // Entities()/Predicates() resolve most probes with a single random
-  // access and never touch hash_order_ / posting_offsets_ /
-  // entity_splits_ on the hot path.  key_len == 0 marks an empty slot
+  // access and never touch posting_offsets_ / entity_splits_ on the hot
+  // path.  key_len == 0 marks an empty slot
   // (keys are non-empty by construction).  Derived state — rebuilt from
   // the serialized arrays by BuildProbeTables(), never persisted.
   struct alignas(64) ProbeSlot {
@@ -180,17 +173,10 @@ class FrozenAliasDict {
   // Rebuilds probe_slots_ / decoded_keys_ from the serialized arrays.
   void BuildProbeTables();
 
-  // Bucket-scan lookup; nullptr when the surface is absent.
+  // Probe-table lookup; nullptr when the surface is absent.
   const ProbeSlot* FindSlot(std::string_view probe) const;
 
-  // --- lookup tables ---
-  // Prefix ranges into hash_order_, one per bucket (+ end sentinel).
-  std::vector<uint32_t> bucket_offsets_;
-  // Surface ids sorted by (bucket, hash, sid).
-  std::vector<uint32_t> hash_order_;
-  // 64-bit key hashes, stored in hash_order_ order (contiguous bucket scan).
-  std::vector<uint64_t> bucket_hashes_;
-  uint32_t bucket_mask_ = 0;  // num_buckets - 1
+  // --- lookup table ---
   // Derived probe acceleration (see ProbeSlot): a power-of-two
   // linear-probing table at load factor <= 1/2, plus every key decoded
   // once into a flat arena for direct compares.

@@ -1,25 +1,17 @@
 #include "kb/alias_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
-#include <latch>
 #include <utility>
 
 #include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace tenet {
 namespace kb {
-size_t AliasIndex::ShardOf(std::string_view folded_surface) {
-  static_assert((kNumShards & (kNumShards - 1)) == 0,
-                "shard count must be a power of two");
-  return std::hash<std::string_view>{}(folded_surface) & (kNumShards - 1);
-}
 
 void AliasIndex::Add(std::string_view surface, ConceptRef concept_ref,
                      double weight) {
@@ -28,7 +20,7 @@ void AliasIndex::Add(std::string_view surface, ConceptRef concept_ref,
   TENET_CHECK(concept_ref.valid());
   std::string key = AsciiToLower(surface);
   if (key.empty()) return;
-  std::vector<AliasPosting>& list = (*shards_)[ShardOf(key)].postings[key];
+  std::vector<AliasPosting>& list = building_[key];
   for (AliasPosting& posting : list) {
     if (posting.concept_ref == concept_ref) {
       posting.prior += weight;
@@ -38,12 +30,16 @@ void AliasIndex::Add(std::string_view surface, ConceptRef concept_ref,
   list.push_back(AliasPosting{concept_ref, weight});
 }
 
-void AliasIndex::FinalizeShard(Shard& shard, FinalizeMode mode) {
-  // kRestorePriors leaves every list untouched: stored priors come back
-  // bit-exact, and serialization preserved the finalized (descending-prior)
-  // order, so both the division and the sort would be identities anyway.
-  if (mode == FinalizeMode::kRestorePriors) return;
-  for (auto& [surface, list] : shard.postings) {
+void AliasIndex::Finalize() {
+  TENET_CHECK(!finalized_) << "AliasIndex::Finalize called twice";
+  // Normalize per (surface, kind), then sort into the canonical order.
+  // The order is total, so the result is deterministic regardless of
+  // insertion order.  The dictionary wants surfaces in sorted order.
+  std::vector<std::pair<const std::string, std::vector<AliasPosting>>*>
+      surfaces;
+  surfaces.reserve(building_.size());
+  for (auto& entry : building_) {
+    std::vector<AliasPosting>& list = entry.second;
     double entity_total = 0.0;
     double predicate_total = 0.0;
     for (const AliasPosting& posting : list) {
@@ -58,105 +54,8 @@ void AliasIndex::FinalizeShard(Shard& shard, FinalizeMode mode) {
           posting.concept_ref.is_entity() ? entity_total : predicate_total;
       posting.prior = total > 0.0 ? posting.prior / total : 0.0;
     }
-    // The canonical order is total, so std::sort suffices and the result
-    // is deterministic regardless of insertion order — a prerequisite for
-    // sharded loads to reproduce flat candidate lists exactly.
     std::sort(list.begin(), list.end(), CanonicalPostingOrder);
-  }
-}
-
-void AliasIndex::RestoreShardRanges(Shard& shard,
-                                    std::span<const RestoreEntry> entries,
-                                    const std::vector<GroupRange>& ranges) {
-  // One up-front rehash; without it the map rehashes every key log(n)
-  // times as it grows.  All per-surface allocation (key string, posting
-  // list) happens here, inside the shard's own task.
-  shard.postings.reserve(shard.postings.size() + ranges.size());
-  for (const GroupRange& range : ranges) {
-    auto [it, inserted] = shard.postings.try_emplace(
-        AsciiToLower(entries[range.first].surface));
-    std::vector<AliasPosting>& list = it->second;
-    list.reserve(list.size() + (range.second - range.first));
-    for (size_t k = range.first; k < range.second; ++k) {
-      list.push_back(entries[k].posting);
-    }
-  }
-}
-
-void AliasIndex::RestorePostings(std::span<const RestoreEntry> entries,
-                                 ThreadPool* pool) {
-  TENET_CHECK(!finalized_) << "AliasIndex::RestorePostings after Finalize";
-  // Serial pass: group boundaries + shard routing.  Hashes the borrowed
-  // view directly — snapshots store folded keys, so ShardOf(view) equals
-  // ShardOf(folded key) without materializing a string.  (An unfolded
-  // surface still lands correctly: fold it for routing only.)
-  std::array<std::vector<GroupRange>, kNumShards> by_shard;
-  std::string folded;
-  size_t i = 0;
-  while (i < entries.size()) {
-    size_t j = i + 1;
-    while (j < entries.size() && entries[j].surface == entries[i].surface) {
-      ++j;
-    }
-    std::string_view key = entries[i].surface;
-    if (!key.empty()) {
-      size_t shard;
-      if (std::any_of(key.begin(), key.end(),
-                      [](char c) { return c != AsciiFoldChar(c); })) {
-        folded = AsciiToLower(key);
-        shard = ShardOf(folded);
-      } else {
-        shard = ShardOf(key);
-      }
-      by_shard[shard].emplace_back(i, j);
-    }
-    i = j;
-  }
-  std::array<Shard, kNumShards>& shards = *shards_;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // Work-stealing over a shared counter, and the calling thread drains
-    // shards too — it just wrote `entries`, so its cache is the hottest,
-    // and parking it at the latch would make the pooled path slower than
-    // the serial one for snapshot-sized batches.
-    std::atomic<size_t> next{0};
-    auto drain = [&shards, entries, &by_shard, &next] {
-      size_t s;
-      while ((s = next.fetch_add(1, std::memory_order_relaxed)) <
-             shards.size()) {
-        RestoreShardRanges(shards[s], entries, by_shard[s]);
-      }
-    };
-    size_t helpers = std::min<size_t>(pool->num_threads(), shards.size());
-    std::latch done(static_cast<ptrdiff_t>(helpers));
-    for (size_t h = 0; h < helpers; ++h) {
-      Status submitted = pool->Submit([&drain, &done] {
-        drain();
-        done.count_down();
-      });
-      if (!submitted.ok()) done.count_down();  // pool shut down: main drains
-    }
-    drain();
-    done.wait();
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) {
-      RestoreShardRanges(shards[s], entries, by_shard[s]);
-    }
-  }
-}
-
-void AliasIndex::BuildDictFromShards() {
-  // Keys are unique across shards (one shard owns each folded key), so a
-  // flat sort of per-surface pointers yields the dictionary's global
-  // sorted order.
-  std::vector<const std::pair<const std::string,
-                              std::vector<AliasPosting>>*> surfaces;
-  size_t total = 0;
-  for (const Shard& shard : *shards_) total += shard.postings.size();
-  surfaces.reserve(total);
-  for (const Shard& shard : *shards_) {
-    for (const auto& entry : shard.postings) {
-      surfaces.push_back(&entry);
-    }
+    surfaces.push_back(&entry);
   }
   std::sort(surfaces.begin(), surfaces.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
@@ -165,33 +64,7 @@ void AliasIndex::BuildDictFromShards() {
     builder.Add(entry->first, entry->second);
   }
   dict_ = std::move(builder).Build();
-  shards_.reset();  // the build tier is dead weight from here on
-}
-
-void AliasIndex::Finalize(FinalizeMode mode, ThreadPool* pool) {
-  TENET_CHECK(!finalized_) << "AliasIndex::Finalize called twice";
-  std::array<Shard, kNumShards>& shards = *shards_;
-  if (mode != FinalizeMode::kRestorePriors) {
-    // (kRestorePriors has nothing to compute — see FinalizeShard — so it
-    // skips straight to the dictionary build.)
-    if (pool != nullptr && pool->num_threads() > 1) {
-      std::latch done(static_cast<ptrdiff_t>(shards.size()));
-      for (Shard& shard : shards) {
-        Status submitted = pool->Submit([&shard, mode, &done] {
-          FinalizeShard(shard, mode);
-          done.count_down();
-        });
-        if (!submitted.ok()) {  // pool shut down mid-build: do it here
-          FinalizeShard(shard, mode);
-          done.count_down();
-        }
-      }
-      done.wait();
-    } else {
-      for (Shard& shard : shards) FinalizeShard(shard, mode);
-    }
-  }
-  BuildDictFromShards();
+  building_ = {};  // the build tier is dead weight from here on
   finalized_ = true;
 }
 
@@ -201,16 +74,12 @@ void AliasIndex::AdoptFrozen(std::shared_ptr<const FrozenAliasDict> dict,
   TENET_CHECK(dict != nullptr);
   dict_ = std::move(dict);
   overlay_ = std::move(overlay);
-  shards_.reset();
+  building_ = {};
   finalized_ = true;
 }
 
 size_t AliasIndex::num_surfaces() const {
-  if (!finalized_) {
-    size_t total = 0;
-    for (const Shard& shard : *shards_) total += shard.postings.size();
-    return total;
-  }
+  if (!finalized_) return building_.size();
   // Overlay entries either shadow a dictionary surface (tombstones subtract
   // it, replacements are a wash) or introduce a new one.
   size_t total = dict_->num_surfaces();
@@ -272,9 +141,8 @@ bool AliasIndex::ContainsSurface(std::string_view surface,
                                  ConceptRef::Kind kind) const {
   std::string key = AsciiToLower(surface);
   if (!finalized_) {
-    const Shard& shard = (*shards_)[ShardOf(key)];
-    auto it = shard.postings.find(key);
-    if (it == shard.postings.end()) return false;
+    auto it = building_.find(key);
+    if (it == building_.end()) return false;
     for (const AliasPosting& posting : it->second) {
       if (posting.concept_ref.kind == kind) return true;
     }
@@ -316,11 +184,9 @@ void AliasIndex::VisitPostings(
     const std::function<void(std::string_view, const AliasPosting&)>&
         visitor) const {
   if (!finalized_) {
-    for (const Shard& shard : *shards_) {
-      for (const auto& [surface, list] : shard.postings) {
-        for (const AliasPosting& posting : list) {
-          visitor(surface, posting);
-        }
+    for (const auto& [surface, list] : building_) {
+      for (const AliasPosting& posting : list) {
+        visitor(surface, posting);
       }
     }
     return;

@@ -1,7 +1,6 @@
 #ifndef TENET_KB_ALIAS_INDEX_H_
 #define TENET_KB_ALIAS_INDEX_H_
 
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -15,9 +14,6 @@
 #include "kb/types.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace kb {
 
 // Case-insensitive inverted index from surface forms (labels and aliases)
@@ -26,43 +22,25 @@ namespace kb {
 // Candidate Entities and Predicates").
 //
 // Two-tier layout (DESIGN.md §15).  While the KB is being built, postings
-// accumulate in hash-map shards keyed by the case-folded surface; at
-// Finalize() the shards are compiled into an immutable FrozenAliasDict
-// (front-coded sorted keys, bucketed hash lookup, one posting arena) and
-// freed.  Deltas never mutate the dictionary: delta-added aliases, prior
-// adjustments, and tombstones live in a small mutable *overlay* map that
-// wins over the dictionary per surface.  Lookups return borrowed spans into
-// the arena (or the overlay) — no per-lookup copy — and both tiers are
-// immutable during serving, so reads stay lock-free across RCU generation
-// swaps.
+// accumulate in a hash map keyed by the case-folded surface; at Finalize()
+// the map is compiled into an immutable FrozenAliasDict (front-coded sorted
+// keys, probe-table lookup, one posting arena) and freed.  Deltas never
+// mutate the dictionary: delta-added aliases, prior adjustments, and
+// tombstones live in a small mutable *overlay* map that wins over the
+// dictionary per surface.  Lookups return borrowed spans into the arena
+// (or the overlay) — no per-lookup copy — and both tiers are immutable
+// during serving, so reads stay lock-free across RCU generation swaps.
 //
 // Case folding is the explicit ASCII fold (AsciiFoldChar) — never
 // std::tolower, whose locale dependence would corrupt keys holding UTF-8
 // bytes.
 //
-// Usage: Add() postings while loading the KB, then Finalize() once to
+// Usage: Add() postings while building the KB, then Finalize() once to
 // normalize popularity weights into prior probabilities per (surface, kind)
-// and freeze the dictionary.
+// and freeze the dictionary.  Snapshot loads skip both and AdoptFrozen()
+// the persisted dictionary, whose priors come back bit-exact.
 class AliasIndex {
  public:
-  /// Build-time posting-list shards; a power of two, sized so that parallel
-  /// Finalize saturates typical core counts without fragmenting small KBs.
-  static constexpr size_t kNumShards = 16;
-
-  /// What Finalize() does with the accumulated weights.
-  enum class FinalizeMode {
-    /// Normalize weights to probabilities: within each surface form, entity
-    /// postings sum to 1 and predicate postings sum to 1 (entities and
-    /// predicates are disambiguated against their own candidate sets).
-    kNormalizeWeights,
-    /// Trust the added weights as already-finalized priors and restore them
-    /// bit-exactly — the deserialization mode.  Renormalizing on reload is
-    /// NOT idempotent in floating point (priors summing to 1-1ulp shift by
-    /// an ulp each round trip, enough to flip near-tie disambiguation), so
-    /// loaders must restore, not re-derive.
-    kRestorePriors,
-  };
-
   /// One surface's worth of overlay state.  `interleaved` is the posting
   /// list in its original (serialization) order; `grouped` holds the same
   /// records entities-first so kind-filtered lookups return one contiguous
@@ -92,40 +70,17 @@ class AliasIndex {
   /// `weight` (> 0).  Duplicate (surface, concept) pairs accumulate weight.
   void Add(std::string_view surface, ConceptRef concept_ref, double weight);
 
-  /// One decoded alias record of the bulk restore path.  Records of one
-  /// surface must be consecutive and already in finalized
-  /// (descending-prior) order; `surface` is borrowed — it typically points
-  /// into a mapped snapshot and must stay valid for the duration of
-  /// RestorePostings.
-  struct RestoreEntry {
-    std::string_view surface;  // case-folded (folded here if not)
-    AliasPosting posting;
-  };
+  /// Freezes the index: normalizes the accumulated weights to
+  /// probabilities — within each surface form, entity postings sum to 1
+  /// and predicate postings sum to 1 (entities and predicates are
+  /// disambiguated against their own candidate sets) — sorts every list
+  /// into CanonicalPostingOrder, compiles the frozen dictionary, and frees
+  /// the build map.  Must be called exactly once.
+  void Finalize();
 
-  /// Bulk restore — the deserialization fast path.  Consecutive entries of
-  /// one surface become one posting list, inserted with a single
-  /// exact-sized hash insert (Add pays one hash and possible growth per
-  /// posting).  All allocation happens inside the per-shard work, which
-  /// runs in parallel when `pool` is given (shards are independent, so the
-  /// result is identical at any thread count).  A repeated surface appends
-  /// to the earlier list.  Must precede Finalize(), which should then run
-  /// in kRestorePriors mode — the lists arrive in their final order.
-  void RestorePostings(std::span<const RestoreEntry> entries,
-                       ThreadPool* pool = nullptr);
-
-  /// Freezes the index: normalizes (kNormalizeWeights) or trusts
-  /// (kRestorePriors) the accumulated weights, compiles the shards into the
-  /// frozen dictionary, and frees them.  Postings end up in
-  /// CanonicalPostingOrder within each surface under kNormalizeWeights and
-  /// verbatim under kRestorePriors.  Must be called exactly once.  With
-  /// `pool`, shard normalization runs in parallel (the result is identical
-  /// at any thread count — shards are independent).
-  void Finalize(FinalizeMode mode = FinalizeMode::kNormalizeWeights,
-                ThreadPool* pool = nullptr);
-
-  /// Adopts an already-built dictionary plus overlay — the
-  /// snapshot-with-dictionary load path and the delta compose path.  The
-  /// index becomes finalized; the build shards are never touched.
+  /// Adopts an already-built dictionary plus overlay — the snapshot load
+  /// path and the delta compose path.  The index becomes finalized; the
+  /// build map is never touched.
   void AdoptFrozen(std::shared_ptr<const FrozenAliasDict> dict,
                    OverlayMap overlay);
 
@@ -148,16 +103,12 @@ class AliasIndex {
   /// Number of distinct (case-folded) surface forms.
   size_t num_surfaces() const;
 
-  /// Shard index of the (case-folded) surface — the routing key a future
-  /// replica partitioning would use (and the build-time shard key).
-  static size_t ShardOf(std::string_view folded_surface);
-
   /// Invokes `visitor(surface, posting)` for every posting.  After
   /// Finalize: surfaces arrive in sorted folded-byte order (the overlay
   /// merged over the dictionary), so serialization is deterministic; all
   /// postings of one surface are consecutive, in their original
-  /// (serialization) order.  Before Finalize: build-shard order,
-  /// unspecified across surfaces.  The surface view is only valid during
+  /// (serialization) order.  Before Finalize: hash-map order, unspecified
+  /// across surfaces.  The surface view is only valid during
   /// the callback — copy it to keep it.
   void VisitPostings(
       const std::function<void(std::string_view, const AliasPosting&)>&
@@ -188,30 +139,11 @@ class AliasIndex {
   bool finalized() const { return finalized_; }
 
  private:
-  // Cache-line aligned: parallel restore/finalize mutates adjacent shards
-  // from different threads, and an unpadded map header (~56 bytes) would
-  // false-share its neighbor's line on every insert.
-  struct alignas(64) Shard {
-    std::unordered_map<std::string, std::vector<AliasPosting>> postings;
-  };
-
-  // A [begin, end) run of RestoreEntry indexes sharing one surface.
-  using GroupRange = std::pair<size_t, size_t>;
-
-  static void FinalizeShard(Shard& shard, FinalizeMode mode);
-  static void RestoreShardRanges(Shard& shard,
-                                 std::span<const RestoreEntry> entries,
-                                 const std::vector<GroupRange>& ranges);
-
-  // Compiles the (finalized) shards into dict_ and frees them.
-  void BuildDictFromShards();
-
   std::span<const AliasPosting> Lookup(std::string_view surface,
                                        ConceptRef::Kind kind) const;
 
-  // Build tier; emptied by Finalize/AdoptFrozen.
-  std::unique_ptr<std::array<Shard, kNumShards>> shards_ =
-      std::make_unique<std::array<Shard, kNumShards>>();
+  // Build tier, keyed by folded surface; emptied by Finalize/AdoptFrozen.
+  std::unordered_map<std::string, std::vector<AliasPosting>> building_;
   // Frozen tier + overlay; set by Finalize/AdoptFrozen.
   std::shared_ptr<const FrozenAliasDict> dict_;
   OverlayMap overlay_;

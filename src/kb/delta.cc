@@ -358,6 +358,14 @@ Result<DeltaSegment> LoadDeltaSegment(const std::string& path) {
         ": declared payload size disagrees with the file size (truncated "
         "or trailing garbage)");
   }
+  // Every record carries at least its header, so the payload bounds the
+  // count — checked before the count sizes an allocation.
+  if (record_count > payload_bytes / kRecordHeaderBytes) {
+    return Status::InvalidArgument(
+        "delta segment " + path + ": record count " +
+        std::to_string(record_count) + " exceeds what " +
+        std::to_string(payload_bytes) + " payload bytes can hold");
+  }
 
   DeltaSegment segment;
   segment.path = path;
@@ -429,7 +437,7 @@ Status BadRecord(size_t segment, size_t record, const std::string& why) {
 Result<AppliedDelta> ApplyDeltas(
     const KnowledgeBase& base,
     const embedding::EmbeddingStore& base_embeddings,
-    std::span<const DeltaSegment> segments, ThreadPool* pool) {
+    std::span<const DeltaSegment> segments) {
   if (TENET_FAULT_POINT("kb/delta/apply")) {
     return Status::DataLoss("injected fault: delta apply aborted");
   }
@@ -728,9 +736,10 @@ Result<AppliedDelta> ApplyDeltas(
         composed.end());
 
     // Touched surfaces renormalize over the composed weights — the base's
-    // finalized priors count as the existing weights — exactly the way
-    // FinalizeShard would: per-kind totals, divide, descending stable
-    // sort.  A surface composed down to nothing becomes a tombstone.
+    // finalized priors count as the existing weights — the way
+    // AliasIndex::Finalize does: per-kind totals, divide, then a
+    // descending stable sort.  A surface composed down to nothing becomes
+    // a tombstone.
     AliasIndex::OverlayEntry entry;
     if (!composed.empty()) {
       double entity_total = 0.0;
@@ -763,9 +772,7 @@ Result<AppliedDelta> ApplyDeltas(
   }
 
   kb.AdoptAliasState(base.alias_index().frozen_dict(), std::move(overlay));
-  KnowledgeBase::FinalizeOptions finalize;
-  finalize.pool = pool;
-  kb.Finalize(finalize);
+  kb.Finalize();
 
   // ---- Embeddings: base rows copied, delta rows zero unless set -----------
   embedding::EmbeddingStore store(dim, num_entities, num_predicates);

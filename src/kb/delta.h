@@ -13,9 +13,6 @@
 #include "kb/types.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace kb {
 
 // "TENETDELTA1": the append-only KB delta segment layered on TENETKB2
@@ -46,8 +43,8 @@ namespace kb {
 //    base KB's finalized priors count as the existing weights, a delta
 //    posting adds (or, for adjustments, replaces) a weight in those units,
 //    and only the touched surfaces are renormalized + re-sorted.
-//    Untouched surfaces keep their priors BIT-EXACT (the same
-//    kRestorePriors contract the snapshot round trip honors), so a delta
+//    Untouched surfaces keep their priors BIT-EXACT (the same contract
+//    the snapshot round trip honors), so a delta
 //    can never flip a near-tie disambiguation it didn't mention.
 //  - Tombstones keep the concept's record (ids stay dense) but strip all
 //    of its alias postings and drop every fact touching it — the concept
@@ -190,12 +187,10 @@ struct AppliedDelta {
 /// be serving live traffic); the result is a fresh, finalized substrate.
 /// Records are validated against the running id space; any invalid record
 /// fails the whole apply with InvalidArgument and nothing is returned.
-/// `pool` parallelizes the alias-index restore, as in the snapshot
-/// loader.
 Result<AppliedDelta> ApplyDeltas(
     const KnowledgeBase& base,
     const embedding::EmbeddingStore& base_embeddings,
-    std::span<const DeltaSegment> segments, ThreadPool* pool = nullptr);
+    std::span<const DeltaSegment> segments);
 
 }  // namespace kb
 }  // namespace tenet

@@ -1,15 +1,12 @@
 #include "kb/io.h"
 
-#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
@@ -20,21 +17,19 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/mmap_file.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "kb/alias_dict.h"
-#include "kb/kb_view.h"
-#include "kb/sharded_kb.h"
 #include "obs/metrics.h"
 
 namespace tenet {
 namespace kb {
 namespace {
 
-constexpr char kKbMagicV1[] = "TENETKB v1";
-constexpr char kKbMagicV2[8] = {'T', 'E', 'N', 'E', 'T', 'K', 'B', '2'};
+constexpr char kKbMagic[8] = {'T', 'E', 'N', 'E', 'T', 'K', 'B', '2'};
 constexpr char kEmbMagic[] = "TENETEMB1";
-constexpr char kShardManifestMagic[] = "TENETKBSHARDS1";
+// 9-byte magic + {dim, entities, predicates} as int32.
+constexpr size_t kEmbHeaderBytes =
+    (sizeof(kEmbMagic) - 1) + 3 * sizeof(int32_t);
 
 // ---- TENETKB2 binary layout (DESIGN.md §11) -------------------------------
 // All integers are fixed-width little-endian; the endian tag rejects
@@ -45,40 +40,31 @@ constexpr char kShardManifestMagic[] = "TENETKBSHARDS1";
 constexpr uint32_t kEndianTag = 0x32424B54;  // "TKB2" when little-endian
 constexpr size_t kHeaderBytes = 32;          // magic+tag+count+size+checksum
 constexpr size_t kSectionEntryBytes = 32;    // id+pad+offset+bytes+items
-constexpr size_t kRecordBytes = 24;          // entity/predicate/alias/fact
+constexpr size_t kRecordBytes = 24;          // entity/predicate/fact
 
+// Ids 4 and 6 are unused.
 enum SectionId : uint32_t {
   kSectionStrings = 1,
   kSectionEntities = 2,
   kSectionPredicates = 3,
-  kSectionAliases = 4,
   kSectionFacts = 5,
-  // Present only in per-shard snapshots of a sharded layout: one 32-byte
-  // record {u32 num_shards, u32 shard_index, i64 global_entities,
-  // i64 global_predicates, i64 global_facts}.  Unknown to (and therefore
-  // rejected by) the flat loader, which keeps `kb delta`/`kb merge` from
-  // silently treating one shard as a whole KB.
-  kSectionShardInfo = 6,
   // Frozen alias dictionary (kb/alias_dict.h, DESIGN.md §15): front-coded
-  // sorted surfaces + posting arena, self-checksummed.  Snapshots carrying
-  // it leave the legacy aliases section present but EMPTY, which keeps the
-  // all-five-known-sections invariant intact for the table parser while
-  // making old and new alias storage mutually exclusive.
+  // sorted surfaces + posting arena, self-checksummed.
   kSectionAliasDict = 7,
 };
-constexpr uint32_t kNumKnownSections = 5;
-constexpr size_t kShardInfoBytes = 32;
+// A snapshot carries each section exactly once, so exactly this many.
+constexpr uint32_t kNumSections = 5;
+constexpr uint32_t kMaxSectionId = kSectionAliasDict;
 
+// Null for ids that name no section.
 const char* SectionName(uint32_t id) {
   switch (id) {
     case kSectionStrings: return "string_table";
     case kSectionEntities: return "entities";
     case kSectionPredicates: return "predicates";
-    case kSectionAliases: return "aliases";
     case kSectionFacts: return "facts";
-    case kSectionShardInfo: return "shard_info";
     case kSectionAliasDict: return "alias_dict";
-    default: return "unknown";
+    default: return nullptr;
   }
 }
 
@@ -177,10 +163,12 @@ struct SectionEntry {
 
 // Header + section table of a mapped snapshot, validated: magic, endian
 // tag, declared-vs-actual file size, checksum, per-section bounds, and the
-// presence of each known section exactly once.
+// presence of each section exactly once.
 struct SnapshotLayout {
-  std::array<SectionEntry, kNumKnownSections> known;  // by id - 1
-  std::vector<SectionEntry> all;
+  std::array<SectionEntry, kNumSections> table;  // file order
+  std::array<SectionEntry, kMaxSectionId + 1> by_id;
+
+  const SectionEntry& section(SectionId id) const { return by_id[id]; }
 };
 
 Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
@@ -188,7 +176,7 @@ Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
     return Status::InvalidArgument("truncated TENETKB2 header");
   }
   const std::byte* p = bytes.data();
-  if (std::memcmp(p, kKbMagicV2, sizeof(kKbMagicV2)) != 0) {
+  if (std::memcmp(p, kKbMagic, sizeof(kKbMagic)) != 0) {
     return Status::InvalidArgument("not a TENETKB2 snapshot");
   }
   uint32_t endian_tag;
@@ -209,10 +197,13 @@ Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
         std::to_string(file_size) + ", actual " +
         std::to_string(bytes.size()));
   }
-  if (section_count < kNumKnownSections || section_count > 64) {
-    return Status::InvalidArgument("implausible TENETKB2 section count");
+  if (section_count != kNumSections) {
+    return Status::InvalidArgument("TENETKB2 section count " +
+                                   std::to_string(section_count) +
+                                   ", expected " +
+                                   std::to_string(kNumSections));
   }
-  size_t table_bytes = kSectionEntryBytes * section_count;
+  const size_t table_bytes = kSectionEntryBytes * kNumSections;
   if (bytes.size() < kHeaderBytes + table_bytes) {
     return Status::InvalidArgument("truncated TENETKB2 section table");
   }
@@ -222,37 +213,33 @@ Result<SnapshotLayout> ParseSnapshotLayout(std::span<const std::byte> bytes) {
     return Status::InvalidArgument("TENETKB2 header checksum mismatch");
   }
   SnapshotLayout layout;
-  std::array<bool, kNumKnownSections> seen{};
-  for (uint32_t i = 0; i < section_count; ++i) {
+  std::array<bool, kMaxSectionId + 1> seen{};
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     const unsigned char* e = table + i * kSectionEntryBytes;
     SectionEntry entry;
     std::memcpy(&entry.id, e, sizeof(entry.id));
     std::memcpy(&entry.offset, e + 8, sizeof(entry.offset));
     std::memcpy(&entry.byte_size, e + 16, sizeof(entry.byte_size));
     std::memcpy(&entry.item_count, e + 24, sizeof(entry.item_count));
+    const char* name = SectionName(entry.id);
+    if (name == nullptr) {
+      return Status::InvalidArgument("unknown TENETKB2 section id " +
+                                     std::to_string(entry.id));
+    }
     if (entry.offset < kHeaderBytes + table_bytes ||
         entry.offset > bytes.size() ||
         entry.byte_size > bytes.size() - entry.offset) {
       return Status::InvalidArgument(
-          std::string("TENETKB2 section out of bounds: ") +
-          SectionName(entry.id));
+          std::string("TENETKB2 section out of bounds: ") + name);
     }
-    layout.all.push_back(entry);
-    if (entry.id >= 1 && entry.id <= kNumKnownSections) {
-      if (seen[entry.id - 1]) {
-        return Status::InvalidArgument(
-            std::string("duplicate TENETKB2 section: ") +
-            SectionName(entry.id));
-      }
-      seen[entry.id - 1] = true;
-      layout.known[entry.id - 1] = entry;
-    }
-  }
-  for (uint32_t id = 1; id <= kNumKnownSections; ++id) {
-    if (!seen[id - 1]) {
+    // Five entries, each a distinct known id: every section is present.
+    if (seen[entry.id]) {
       return Status::InvalidArgument(
-          std::string("missing TENETKB2 section: ") + SectionName(id));
+          std::string("duplicate TENETKB2 section: ") + name);
     }
+    seen[entry.id] = true;
+    layout.table[i] = entry;
+    layout.by_id[entry.id] = entry;
   }
   return layout;
 }
@@ -290,69 +277,6 @@ Result<std::vector<std::string_view>> ParseStringTable(
   return strings;
 }
 
-// Decoded shard_info section of a per-shard snapshot.
-struct ShardInfo {
-  uint32_t num_shards = 0;
-  uint32_t shard_index = 0;
-  int64_t global_entities = 0;
-  int64_t global_predicates = 0;
-  int64_t global_facts = 0;
-};
-
-const SectionEntry* FindSection(const SnapshotLayout& layout, uint32_t id) {
-  for (const SectionEntry& entry : layout.all) {
-    if (entry.id == id) return &entry;
-  }
-  return nullptr;
-}
-
-Result<ShardInfo> ParseShardInfo(std::span<const std::byte> bytes,
-                                 const SectionEntry& entry) {
-  if (entry.byte_size != kShardInfoBytes || entry.item_count != 1) {
-    return Status::InvalidArgument("malformed shard_info section");
-  }
-  RecordReader reader(bytes.subspan(entry.offset));
-  ShardInfo info;
-  info.num_shards = reader.Read<uint32_t>();
-  info.shard_index = reader.Read<uint32_t>();
-  info.global_entities = reader.Read<int64_t>();
-  info.global_predicates = reader.Read<int64_t>();
-  info.global_facts = reader.Read<int64_t>();
-  if (info.num_shards < 1 || info.shard_index >= info.num_shards ||
-      info.global_entities < 0 ||
-      info.global_entities > std::numeric_limits<int32_t>::max() ||
-      info.global_predicates < 0 ||
-      info.global_predicates > std::numeric_limits<int32_t>::max() ||
-      info.global_facts < 0) {
-    return Status::InvalidArgument("implausible shard_info values");
-  }
-  return info;
-}
-
-// Locates the optional alias_dict section, enforcing the invariants the
-// table parser doesn't know about: at most one occurrence, and mutual
-// exclusion with legacy alias records (a file carrying both has two
-// authorities for the same data — reject rather than pick one).
-Result<const SectionEntry*> FindAliasDictSection(
-    const SnapshotLayout& layout) {
-  const SectionEntry* found = nullptr;
-  for (const SectionEntry& entry : layout.all) {
-    if (entry.id != kSectionAliasDict) continue;
-    if (found != nullptr) {
-      return Status::InvalidArgument(
-          "duplicate TENETKB2 section: alias_dict");
-    }
-    found = &entry;
-  }
-  if (found != nullptr &&
-      layout.known[kSectionAliases - 1].item_count != 0) {
-    return Status::InvalidArgument(
-        "snapshot carries both an alias dictionary and legacy alias "
-        "records");
-  }
-  return found;
-}
-
 // The alias_dict payload as the unsigned-char span FrozenAliasDict::Parse
 // consumes.
 std::span<const unsigned char> AliasDictPayload(
@@ -360,26 +284,6 @@ std::span<const unsigned char> AliasDictPayload(
   return {reinterpret_cast<const unsigned char*>(bytes.data()) +
               entry.offset,
           static_cast<size_t>(entry.byte_size)};
-}
-
-/// How many global ids < `global` are homed on shard `s` of `n` (strided
-/// layout: id % n == s).
-int64_t LocalShardCount(int64_t global, uint32_t n, uint32_t s) {
-  if (global <= s) return 0;
-  return (global - s + n - 1) / n;
-}
-
-// Directory prefix of `path` including the trailing separator ("" when the
-// path has no directory component).  Manifest entries are stored relative
-// and resolved against this.
-std::string DirPrefix(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash + 1);
-}
-
-std::string BaseName(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 Status CheckRecordSection(const SectionEntry& entry, const char* what) {
@@ -393,56 +297,6 @@ Status CheckRecordSection(const SectionEntry& entry, const char* what) {
         what);
   }
   return Status::Ok();
-}
-
-// ---- text (v1) helpers ----------------------------------------------------
-
-bool HasForbiddenChars(const std::string& s) {
-  return s.find('\t') != std::string::npos ||
-         s.find('\n') != std::string::npos;
-}
-
-// Reads one line, failing with context when the stream is exhausted.
-Result<std::string> ReadLine(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument(std::string("unexpected end of file: ") +
-                                   what);
-  }
-  return line;
-}
-
-std::vector<std::string> SplitTabs(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-  return fields;
-}
-
-Result<int64_t> ParseInt(const std::string& s, const char* what) {
-  Result<int64_t> value = ParseInt64(s);
-  if (!value.ok()) {
-    return Status::InvalidArgument(std::string("bad integer in ") + what +
-                                   ": " + s);
-  }
-  return value;
-}
-
-Result<double> ParseDouble(const std::string& s, const char* what) {
-  Result<double> value = ParseFloat64(s);
-  if (!value.ok()) {
-    return Status::InvalidArgument(std::string("bad number in ") + what +
-                                   ": " + s);
-  }
-  return value;
 }
 
 // ---- load metrics ---------------------------------------------------------
@@ -465,124 +319,41 @@ void RecordLoad(const char* store, const char* format, double ms,
   }
 }
 
-// ---- TENETKB2 writer ------------------------------------------------------
 
-Status SaveKnowledgeBaseBinary(const KnowledgeBase& kb,
-                               const std::string& path) {
-  StringTableBuilder strings;
-
-  ByteWriter entities;
-  for (EntityId id = 0; id < kb.num_entities(); ++id) {
-    const EntityRecord& rec = kb.entity(id);
-    entities.Append<uint32_t>(strings.Intern(rec.label));
-    entities.Append<int32_t>(static_cast<int32_t>(rec.type));
-    entities.Append<int32_t>(rec.domain);
-    entities.Append<int32_t>(0);
-    entities.Append<double>(rec.popularity);
+// The float count a TENETEMB1 header {dim, entities, predicates} declares,
+// validated against the file size.  The concept count is bounded by the
+// payload before it is multiplied by the dimension, so a crafted header
+// cannot wrap the size arithmetic mod 2^64 into a plausible file size.
+Result<uint64_t> CheckEmbeddingHeader(const int32_t header[3],
+                                      uint64_t file_bytes) {
+  if (header[0] <= 0 || header[1] < 0 || header[2] < 0) {
+    return Status::InvalidArgument("bad embedding header");
   }
-
-  ByteWriter predicates;
-  for (PredicateId id = 0; id < kb.num_predicates(); ++id) {
-    const PredicateRecord& rec = kb.predicate(id);
-    predicates.Append<uint32_t>(strings.Intern(rec.label));
-    predicates.Append<int32_t>(rec.domain);
-    predicates.Append<int32_t>(0);
-    predicates.Append<int32_t>(0);
-    predicates.Append<double>(rec.popularity);
+  const uint64_t dimension = static_cast<uint64_t>(header[0]);
+  const uint64_t concepts = static_cast<uint64_t>(header[1]) +
+                            static_cast<uint64_t>(header[2]);
+  const uint64_t payload_floats =
+      (file_bytes - kEmbHeaderBytes) / sizeof(float);
+  if (concepts > payload_floats / dimension ||
+      kEmbHeaderBytes + dimension * concepts * sizeof(float) != file_bytes) {
+    // A truncated write or trailing bytes; either way, nothing is
+    // populated.
+    return Status::InvalidArgument(
+        "embedding payload disagrees with its header: " +
+        std::to_string(file_bytes) + " bytes for dim " +
+        std::to_string(dimension) + " x " + std::to_string(concepts) +
+        " concepts");
   }
-
-  // Postings are persisted as the frozen alias dictionary (section id 7):
-  // finalized priors in their finalized (descending-prior) order, surfaces
-  // sorted by folded bytes — so two builds of the same KB emit
-  // byte-identical snapshots.  The loader restores bit-exactly instead of
-  // renormalizing (see AliasIndex::FinalizeMode::kRestorePriors).  The
-  // legacy aliases section stays in the table, empty.
-  ByteWriter aliases;
-  std::shared_ptr<const FrozenAliasDict> dict =
-      kb.alias_index().SerializableDict();
-  std::vector<unsigned char> dict_bytes = dict->Serialize();
-  ByteWriter alias_dict;
-  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
-
-  ByteWriter facts;
-  for (const Triple& t : kb.facts()) {
-    facts.Append<int32_t>(t.subject);
-    facts.Append<int32_t>(t.predicate);
-    facts.Append<int32_t>(t.object_is_entity ? 0 : 1);
-    facts.Append<int32_t>(t.object_is_entity ? t.object_entity : 0);
-    facts.Append<uint32_t>(
-        t.object_is_entity ? 0 : strings.Intern(t.object_literal));
-    facts.Append<uint32_t>(0);
-  }
-
-  ByteWriter string_table;
-  strings.Serialize(&string_table);
-
-  struct Pending {
-    uint32_t id;
-    const ByteWriter* payload;
-    uint64_t item_count;
-  };
-  constexpr uint32_t kNumFlatSections = kNumKnownSections + 1;
-  const Pending sections[kNumFlatSections] = {
-      {kSectionStrings, &string_table, strings.size()},
-      {kSectionEntities, &entities,
-       static_cast<uint64_t>(kb.num_entities())},
-      {kSectionPredicates, &predicates,
-       static_cast<uint64_t>(kb.num_predicates())},
-      {kSectionAliases, &aliases, 0},
-      {kSectionFacts, &facts, static_cast<uint64_t>(kb.num_facts())},
-      {kSectionAliasDict, &alias_dict, dict->num_postings()},
-  };
-
-  ByteWriter table;
-  uint64_t offset = kHeaderBytes + kNumFlatSections * kSectionEntryBytes;
-  for (const Pending& s : sections) {
-    table.Append<uint32_t>(s.id);
-    table.Append<uint32_t>(0);
-    table.Append<uint64_t>(offset);
-    table.Append<uint64_t>(static_cast<uint64_t>(s.payload->size()));
-    table.Append<uint64_t>(s.item_count);
-    offset += (s.payload->size() + 7) & ~uint64_t{7};  // 8-byte aligned
-  }
-  const uint64_t file_size = offset;
-
-  // The whole snapshot is assembled in memory and lands on disk through
-  // AtomicWriteFile (temp + fsync + rename): a crash mid-write can no
-  // longer tear `path` — the previous snapshot stays readable until the
-  // rename, and the rename is atomic.
-  ByteWriter file;
-  file.AppendBytes(kKbMagicV2, sizeof(kKbMagicV2));
-  file.Append<uint32_t>(kEndianTag);
-  file.Append<uint32_t>(kNumFlatSections);
-  file.Append<uint64_t>(file_size);
-  file.Append<uint64_t>(Fnv1a64(table.data(), table.size()));
-  file.AppendBytes(table.data(), table.size());
-  for (const Pending& s : sections) {
-    file.AppendBytes(s.payload->data(), s.payload->size());
-    file.PadTo8();
-  }
-  TENET_CHECK_EQ(file.size(), file_size);
-
-  if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(path, file.data(), file.size(), "snapshot");
-  }
-  return AtomicWriteFile(path, file.data(), file.size());
+  return dimension * concepts;
 }
 
 // ---- TENETKB2 reader ------------------------------------------------------
 
-Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
-                                              const KbLoadOptions& options) {
+Result<KnowledgeBase> DecodeKnowledgeBase(std::span<const std::byte> bytes) {
   TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
-  if (FindSection(layout, kSectionShardInfo) != nullptr) {
-    return Status::InvalidArgument(
-        "snapshot is one shard of a sharded KB; load the whole layout via "
-        "its TENETKBSHARDS1 manifest (ShardedKb::Load)");
-  }
   TENET_ASSIGN_OR_RETURN(
       std::vector<std::string_view> strings,
-      ParseStringTable(bytes, layout.known[kSectionStrings - 1]));
+      ParseStringTable(bytes, layout.section(kSectionStrings)));
 
   auto string_at = [&strings](uint32_t ref,
                               const char* what) -> Result<std::string_view> {
@@ -593,19 +364,17 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
     return strings[ref];
   };
 
-  KnowledgeBase kb;
-
-  const SectionEntry& entities = layout.known[kSectionEntities - 1];
+  const SectionEntry& entities = layout.section(kSectionEntities);
+  const SectionEntry& predicates = layout.section(kSectionPredicates);
+  const SectionEntry& facts = layout.section(kSectionFacts);
   TENET_RETURN_IF_ERROR(CheckRecordSection(entities, "entities"));
-  {
-    const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-    const SectionEntry& facts = layout.known[kSectionFacts - 1];
-    TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
-    TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
-    kb.Reserve(static_cast<int32_t>(entities.item_count),
-               static_cast<int32_t>(predicates.item_count),
-               static_cast<int32_t>(facts.item_count));
-  }
+  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
+  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
+  KnowledgeBase kb;
+  kb.Reserve(static_cast<int32_t>(entities.item_count),
+             static_cast<int32_t>(predicates.item_count),
+             static_cast<int32_t>(facts.item_count));
+
   RecordReader entity_reader(bytes.subspan(entities.offset));
   for (uint64_t i = 0; i < entities.item_count; ++i) {
     uint32_t label_ref = entity_reader.Read<uint32_t>();
@@ -625,8 +394,6 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
                  /*register_label_alias=*/false);
   }
 
-  const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
   RecordReader predicate_reader(bytes.subspan(predicates.offset));
   for (uint64_t i = 0; i < predicates.item_count; ++i) {
     uint32_t label_ref = predicate_reader.Read<uint32_t>();
@@ -643,69 +410,22 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
                     /*register_label_alias=*/false);
   }
 
-  // Alias storage: snapshots of the dictionary era carry a frozen
-  // alias_dict section, parsed and adopted wholesale (the legacy section is
-  // then required empty — see FindAliasDictSection).  Older snapshots keep
-  // their alias records in the legacy section; decoding builds one flat
-  // RestoreEntry array whose views borrow the mapped string table, and the
-  // whole batch moves into the index via the bulk restore path — the
-  // dictionary is then compiled in memory by Finalize.
-  TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                         FindAliasDictSection(layout));
-  const SectionEntry& aliases = layout.known[kSectionAliases - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(aliases, "aliases"));
-  if (dict_entry != nullptr) {
-    FrozenAliasDict::ParseLimits limits;
-    limits.num_entities = kb.num_entities();
-    limits.num_predicates = kb.num_predicates();
-    TENET_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FrozenAliasDict> dict,
-        FrozenAliasDict::Parse(AliasDictPayload(bytes, *dict_entry),
-                               limits));
-    if (dict->num_postings() != dict_entry->item_count) {
-      return Status::InvalidArgument(
-          "alias_dict item count disagrees with its payload");
-    }
-    kb.AdoptAliasState(std::move(dict), {});
-  } else {
-    RecordReader alias_reader(bytes.subspan(aliases.offset));
-    std::vector<AliasIndex::RestoreEntry> restore_entries;
-    restore_entries.reserve(static_cast<size_t>(aliases.item_count));
-    for (uint64_t i = 0; i < aliases.item_count; ++i) {
-      uint32_t surface_ref = alias_reader.Read<uint32_t>();
-      int32_t concept_id = alias_reader.Read<int32_t>();
-      int32_t kind = alias_reader.Read<int32_t>();
-      alias_reader.Read<int32_t>();  // padding
-      double prior = alias_reader.Read<double>();
-      TENET_ASSIGN_OR_RETURN(std::string_view surface,
-                             string_at(surface_ref, "aliases"));
-      if (!std::isfinite(prior) || prior <= 0.0) {
-        return Status::InvalidArgument("non-positive alias prior");
-      }
-      if (kind == 0) {
-        if (concept_id < 0 || concept_id >= kb.num_entities()) {
-          return Status::InvalidArgument("alias refers to unknown entity");
-        }
-      } else if (kind == 1) {
-        if (concept_id < 0 || concept_id >= kb.num_predicates()) {
-          return Status::InvalidArgument("alias refers to unknown predicate");
-        }
-      } else {
-        return Status::InvalidArgument("bad alias concept kind");
-      }
-      restore_entries.push_back(AliasIndex::RestoreEntry{
-          surface,
-          AliasPosting{kind == 0 ? ConceptRef::Entity(concept_id)
-                                 : ConceptRef::Predicate(concept_id),
-                       prior}});
-    }
-    // The views borrow the mapped string table, valid until `file` dies —
-    // well past this call.
-    kb.RestoreAliasPostings(restore_entries, options.pool);
+  // The alias dictionary is parsed (and fully validated against the
+  // concept counts just loaded) and adopted wholesale: its priors are the
+  // finalized ones, restored bit-exactly instead of renormalized.
+  const SectionEntry& dict_entry = layout.section(kSectionAliasDict);
+  TENET_ASSIGN_OR_RETURN(
+      std::shared_ptr<const FrozenAliasDict> dict,
+      FrozenAliasDict::Parse(
+          AliasDictPayload(bytes, dict_entry),
+          FrozenAliasDict::ParseLimits{kb.num_entities(),
+                                       kb.num_predicates()}));
+  if (dict->num_postings() != dict_entry.item_count) {
+    return Status::InvalidArgument(
+        "alias_dict item count disagrees with its payload");
   }
+  kb.AdoptAliasState(std::move(dict), {});
 
-  const SectionEntry& facts = layout.known[kSectionFacts - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
   RecordReader fact_reader(bytes.subspan(facts.offset));
   for (uint64_t i = 0; i < facts.item_count; ++i) {
     int32_t subject = fact_reader.Read<int32_t>();
@@ -725,26 +445,23 @@ Result<KnowledgeBase> LoadKnowledgeBaseBinary(std::span<const std::byte> bytes,
     }
   }
 
-  kb.Finalize(KnowledgeBase::FinalizeOptions{
-      AliasIndex::FinalizeMode::kRestorePriors, options.pool});
+  kb.Finalize();
   return kb;
 }
 
-// ---- sharded layout (TENETKB2 shards + TENETKBSHARDS1 manifest) -----------
-//
-// Each shard is a self-contained TENETKB2 snapshot carrying the standard
-// five sections — entity/predicate sections hold the shard's *local* record
-// subsequence, alias and fact sections hold *global* concept ids, and each
-// fact record's trailing word (padding in flat snapshots) holds the fact's
-// global id — plus a shard_info section (id 6) naming the layout.  A text
-// manifest ties the shard files together and records the global counts.
+}  // namespace
 
-Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
-                       const std::string& path) {
+// ---- TENETKB2 writer ------------------------------------------------------
+
+Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
+  if (!kb.finalized()) {
+    return Status::FailedPrecondition("KB must be finalized before saving");
+  }
   StringTableBuilder strings;
 
   ByteWriter entities;
-  for (const EntityRecord& rec : shard.entities) {
+  for (EntityId id = 0; id < kb.num_entities(); ++id) {
+    const EntityRecord& rec = kb.entity(id);
     entities.Append<uint32_t>(strings.Intern(rec.label));
     entities.Append<int32_t>(static_cast<int32_t>(rec.type));
     entities.Append<int32_t>(rec.domain);
@@ -753,7 +470,8 @@ Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
   }
 
   ByteWriter predicates;
-  for (const PredicateRecord& rec : shard.predicates) {
+  for (PredicateId id = 0; id < kb.num_predicates(); ++id) {
+    const PredicateRecord& rec = kb.predicate(id);
     predicates.Append<uint32_t>(strings.Intern(rec.label));
     predicates.Append<int32_t>(rec.domain);
     predicates.Append<int32_t>(0);
@@ -761,33 +479,25 @@ Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
     predicates.Append<double>(rec.popularity);
   }
 
-  // Per-shard snapshots carry their own frozen dictionary over the shard's
-  // homed postings; the legacy aliases section stays present but empty.
-  ByteWriter aliases;
-  std::shared_ptr<const FrozenAliasDict> dict =
-      shard.alias_index.SerializableDict();
-  std::vector<unsigned char> dict_bytes = dict->Serialize();
-  ByteWriter alias_dict;
-  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
-
   ByteWriter facts;
-  for (size_t pos = 0; pos < shard.facts.size(); ++pos) {
-    const Triple& t = shard.facts[pos];
+  for (const Triple& t : kb.facts()) {
     facts.Append<int32_t>(t.subject);
     facts.Append<int32_t>(t.predicate);
     facts.Append<int32_t>(t.object_is_entity ? 0 : 1);
     facts.Append<int32_t>(t.object_is_entity ? t.object_entity : 0);
     facts.Append<uint32_t>(
         t.object_is_entity ? 0 : strings.Intern(t.object_literal));
-    facts.Append<uint32_t>(static_cast<uint32_t>(shard.fact_ids[pos]));
+    facts.Append<uint32_t>(0);
   }
 
-  ByteWriter shard_info;
-  shard_info.Append<uint32_t>(info.num_shards);
-  shard_info.Append<uint32_t>(info.shard_index);
-  shard_info.Append<int64_t>(info.global_entities);
-  shard_info.Append<int64_t>(info.global_predicates);
-  shard_info.Append<int64_t>(info.global_facts);
+  // Postings persist as the frozen alias dictionary: finalized priors in
+  // their finalized (descending-prior) order, surfaces sorted by folded
+  // bytes — so two saves of the same KB emit byte-identical snapshots.
+  std::shared_ptr<const FrozenAliasDict> dict =
+      kb.alias_index().SerializableDict();
+  std::vector<unsigned char> dict_bytes = dict->Serialize();
+  ByteWriter alias_dict;
+  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
 
   ByteWriter string_table;
   strings.Serialize(&string_table);
@@ -797,35 +507,36 @@ Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
     const ByteWriter* payload;
     uint64_t item_count;
   };
-  constexpr uint32_t kNumShardSections = kNumKnownSections + 2;
-  const Pending sections[kNumShardSections] = {
+  const Pending sections[kNumSections] = {
       {kSectionStrings, &string_table, strings.size()},
       {kSectionEntities, &entities,
-       static_cast<uint64_t>(shard.entities.size())},
+       static_cast<uint64_t>(kb.num_entities())},
       {kSectionPredicates, &predicates,
-       static_cast<uint64_t>(shard.predicates.size())},
-      {kSectionAliases, &aliases, 0},
-      {kSectionFacts, &facts, static_cast<uint64_t>(shard.facts.size())},
-      {kSectionShardInfo, &shard_info, 1},
+       static_cast<uint64_t>(kb.num_predicates())},
+      {kSectionFacts, &facts, static_cast<uint64_t>(kb.num_facts())},
       {kSectionAliasDict, &alias_dict, dict->num_postings()},
   };
 
   ByteWriter table;
-  uint64_t offset = kHeaderBytes + kNumShardSections * kSectionEntryBytes;
+  uint64_t offset = kHeaderBytes + kNumSections * kSectionEntryBytes;
   for (const Pending& s : sections) {
     table.Append<uint32_t>(s.id);
     table.Append<uint32_t>(0);
     table.Append<uint64_t>(offset);
     table.Append<uint64_t>(static_cast<uint64_t>(s.payload->size()));
     table.Append<uint64_t>(s.item_count);
-    offset += (s.payload->size() + 7) & ~uint64_t{7};
+    offset += (s.payload->size() + 7) & ~uint64_t{7};  // 8-byte aligned
   }
   const uint64_t file_size = offset;
 
+  // The whole snapshot is assembled in memory and lands on disk through
+  // AtomicWriteFile (temp + fsync + rename): a crash mid-write can no
+  // longer tear `path` — the previous snapshot stays readable until the
+  // rename, and the rename is atomic.
   ByteWriter file;
-  file.AppendBytes(kKbMagicV2, sizeof(kKbMagicV2));
+  file.AppendBytes(kKbMagic, sizeof(kKbMagic));
   file.Append<uint32_t>(kEndianTag);
-  file.Append<uint32_t>(kNumShardSections);
+  file.Append<uint32_t>(kNumSections);
   file.Append<uint64_t>(file_size);
   file.Append<uint64_t>(Fnv1a64(table.data(), table.size()));
   file.AppendBytes(table.data(), table.size());
@@ -836,468 +547,9 @@ Status SaveShardBinary(const ShardedKb::Shard& shard, const ShardInfo& info,
   TENET_CHECK_EQ(file.size(), file_size);
 
   if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(path, file.data(), file.size(), "shard");
+    return SimulateTornWrite(path, file.data(), file.size(), "snapshot");
   }
   return AtomicWriteFile(path, file.data(), file.size());
-}
-
-Result<ShardedKb::Shard> LoadShardBinary(std::span<const std::byte> bytes,
-                                         const KbLoadOptions& options,
-                                         uint32_t expected_shards,
-                                         uint32_t expected_index,
-                                         ShardInfo* out_info) {
-  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout, ParseSnapshotLayout(bytes));
-  const SectionEntry* info_entry = FindSection(layout, kSectionShardInfo);
-  if (info_entry == nullptr) {
-    return Status::InvalidArgument(
-        "snapshot named by a shard manifest has no shard_info section");
-  }
-  TENET_ASSIGN_OR_RETURN(ShardInfo info, ParseShardInfo(bytes, *info_entry));
-  if (info.num_shards != expected_shards ||
-      info.shard_index != expected_index) {
-    return Status::InvalidArgument(
-        "shard_info disagrees with the manifest: file claims shard " +
-        std::to_string(info.shard_index) + "/" +
-        std::to_string(info.num_shards) + ", manifest expects " +
-        std::to_string(expected_index) + "/" +
-        std::to_string(expected_shards));
-  }
-  const uint32_t n = info.num_shards;
-  const uint32_t s = info.shard_index;
-  TENET_ASSIGN_OR_RETURN(
-      std::vector<std::string_view> strings,
-      ParseStringTable(bytes, layout.known[kSectionStrings - 1]));
-  auto string_at = [&strings](uint32_t ref,
-                              const char* what) -> Result<std::string_view> {
-    if (ref >= strings.size()) {
-      return Status::InvalidArgument(
-          std::string("string reference out of range in ") + what);
-    }
-    return strings[ref];
-  };
-
-  ShardedKb::Shard shard;
-
-  const SectionEntry& entities = layout.known[kSectionEntities - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(entities, "entities"));
-  if (static_cast<int64_t>(entities.item_count) !=
-      LocalShardCount(info.global_entities, n, s)) {
-    return Status::InvalidArgument(
-        "shard entity count disagrees with the strided layout");
-  }
-  shard.entities.reserve(entities.item_count);
-  RecordReader entity_reader(bytes.subspan(entities.offset));
-  for (uint64_t i = 0; i < entities.item_count; ++i) {
-    uint32_t label_ref = entity_reader.Read<uint32_t>();
-    int32_t type = entity_reader.Read<int32_t>();
-    int32_t domain = entity_reader.Read<int32_t>();
-    entity_reader.Read<int32_t>();  // padding
-    double popularity = entity_reader.Read<double>();
-    TENET_ASSIGN_OR_RETURN(std::string_view label,
-                           string_at(label_ref, "entities"));
-    if (type < 0 || type >= kNumEntityTypes) {
-      return Status::InvalidArgument("bad entity type in shard snapshot");
-    }
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive entity popularity");
-    }
-    shard.entities.push_back(EntityRecord{std::string(label),
-                                          static_cast<EntityType>(type),
-                                          domain, popularity});
-  }
-
-  const SectionEntry& predicates = layout.known[kSectionPredicates - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(predicates, "predicates"));
-  if (static_cast<int64_t>(predicates.item_count) !=
-      LocalShardCount(info.global_predicates, n, s)) {
-    return Status::InvalidArgument(
-        "shard predicate count disagrees with the strided layout");
-  }
-  shard.predicates.reserve(predicates.item_count);
-  RecordReader predicate_reader(bytes.subspan(predicates.offset));
-  for (uint64_t i = 0; i < predicates.item_count; ++i) {
-    uint32_t label_ref = predicate_reader.Read<uint32_t>();
-    int32_t domain = predicate_reader.Read<int32_t>();
-    predicate_reader.Read<int32_t>();  // padding
-    predicate_reader.Read<int32_t>();  // padding
-    double popularity = predicate_reader.Read<double>();
-    TENET_ASSIGN_OR_RETURN(std::string_view label,
-                           string_at(label_ref, "predicates"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive predicate popularity");
-    }
-    shard.predicates.push_back(
-        PredicateRecord{std::string(label), domain, popularity});
-  }
-
-  // Aliases hold GLOBAL concept ids; every posting must be homed here.
-  // Dictionary-era shards adopt their frozen alias_dict section (Parse
-  // enforces range and homing); legacy shards decode the record section
-  // and compile the dictionary in memory.
-  TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                         FindAliasDictSection(layout));
-  const SectionEntry& aliases = layout.known[kSectionAliases - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(aliases, "aliases"));
-  if (dict_entry != nullptr) {
-    FrozenAliasDict::ParseLimits limits;
-    limits.num_entities = info.global_entities;
-    limits.num_predicates = info.global_predicates;
-    limits.num_shards = n;
-    limits.shard_index = s;
-    TENET_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FrozenAliasDict> dict,
-        FrozenAliasDict::Parse(AliasDictPayload(bytes, *dict_entry),
-                               limits));
-    if (dict->num_postings() != dict_entry->item_count) {
-      return Status::InvalidArgument(
-          "alias_dict item count disagrees with its payload");
-    }
-    shard.alias_index.AdoptFrozen(std::move(dict), {});
-  } else {
-    RecordReader alias_reader(bytes.subspan(aliases.offset));
-    std::vector<AliasIndex::RestoreEntry> restore_entries;
-    restore_entries.reserve(static_cast<size_t>(aliases.item_count));
-    for (uint64_t i = 0; i < aliases.item_count; ++i) {
-      uint32_t surface_ref = alias_reader.Read<uint32_t>();
-      int32_t concept_id = alias_reader.Read<int32_t>();
-      int32_t kind = alias_reader.Read<int32_t>();
-      alias_reader.Read<int32_t>();  // padding
-      double prior = alias_reader.Read<double>();
-      TENET_ASSIGN_OR_RETURN(std::string_view surface,
-                             string_at(surface_ref, "aliases"));
-      if (!std::isfinite(prior) || prior <= 0.0) {
-        return Status::InvalidArgument("non-positive alias prior");
-      }
-      int64_t global =
-          kind == 0 ? info.global_entities : info.global_predicates;
-      if (kind != 0 && kind != 1) {
-        return Status::InvalidArgument("bad alias concept kind");
-      }
-      if (concept_id < 0 || concept_id >= global ||
-          static_cast<uint32_t>(concept_id % n) != s) {
-        return Status::InvalidArgument(
-            "alias refers to a concept not homed on this shard");
-      }
-      restore_entries.push_back(AliasIndex::RestoreEntry{
-          surface,
-          AliasPosting{kind == 0 ? ConceptRef::Entity(concept_id)
-                                 : ConceptRef::Predicate(concept_id),
-                       prior}});
-    }
-    shard.alias_index.RestorePostings(restore_entries, options.pool);
-    shard.alias_index.Finalize(AliasIndex::FinalizeMode::kRestorePriors,
-                               options.pool);
-  }
-
-  const SectionEntry& facts = layout.known[kSectionFacts - 1];
-  TENET_RETURN_IF_ERROR(CheckRecordSection(facts, "facts"));
-  shard.facts.reserve(facts.item_count);
-  shard.fact_ids.reserve(facts.item_count);
-  RecordReader fact_reader(bytes.subspan(facts.offset));
-  int64_t prev_fact_id = -1;
-  for (uint64_t i = 0; i < facts.item_count; ++i) {
-    int32_t subject = fact_reader.Read<int32_t>();
-    int32_t predicate = fact_reader.Read<int32_t>();
-    int32_t object_kind = fact_reader.Read<int32_t>();
-    int32_t object_entity = fact_reader.Read<int32_t>();
-    uint32_t literal_ref = fact_reader.Read<uint32_t>();
-    uint32_t global_fact = fact_reader.Read<uint32_t>();
-    if (subject < 0 || subject >= info.global_entities || predicate < 0 ||
-        predicate >= info.global_predicates) {
-      return Status::InvalidArgument("shard fact refers outside the KB");
-    }
-    int64_t fact_id = static_cast<int64_t>(global_fact);
-    if (fact_id >= info.global_facts || fact_id <= prev_fact_id) {
-      return Status::InvalidArgument(
-          "shard fact ids must be ascending globals");
-    }
-    prev_fact_id = fact_id;
-    Triple t;
-    t.subject = subject;
-    t.predicate = predicate;
-    if (object_kind == 0) {
-      if (object_entity < 0 || object_entity >= info.global_entities) {
-        return Status::InvalidArgument("shard fact refers outside the KB");
-      }
-      t.object_entity = object_entity;
-      t.object_is_entity = true;
-    } else if (object_kind == 1) {
-      TENET_ASSIGN_OR_RETURN(std::string_view literal,
-                             string_at(literal_ref, "facts"));
-      t.object_literal = std::string(literal);
-      t.object_is_entity = false;
-    } else {
-      return Status::InvalidArgument("bad fact object kind");
-    }
-    shard.facts.push_back(std::move(t));
-    shard.fact_ids.push_back(fact_id);
-  }
-
-  ShardedKb::BuildShardIndexes(shard, static_cast<int>(n),
-                               static_cast<int>(s));
-  if (out_info != nullptr) *out_info = info;
-  return shard;
-}
-
-// Parsed TENETKBSHARDS1 manifest: global counts + per-shard file names
-// (relative to the manifest's directory).
-struct ShardManifest {
-  int32_t num_shards = 0;
-  int64_t entities = 0;
-  int64_t predicates = 0;
-  int64_t facts = 0;
-  std::vector<std::pair<std::string, std::string>> files;  // kb, emb
-};
-
-Result<ShardManifest> ParseShardManifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  TENET_ASSIGN_OR_RETURN(std::string magic, ReadLine(in, "magic"));
-  if (magic != kShardManifestMagic) {
-    return Status::InvalidArgument("not a TENETKBSHARDS1 manifest: " + path);
-  }
-  ShardManifest manifest;
-  auto read_field = [&in](const char* tag) -> Result<int64_t> {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, tag));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 2 || fields[0] != tag) {
-      return Status::InvalidArgument(std::string("bad manifest field: ") +
-                                     tag);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t value, ParseInt(fields[1], tag));
-    if (value < 0) {
-      return Status::InvalidArgument(std::string("negative count in ") + tag);
-    }
-    return value;
-  };
-  TENET_ASSIGN_OR_RETURN(int64_t num_shards, read_field("shards"));
-  if (num_shards < 1 || num_shards > 4096) {
-    return Status::InvalidArgument("implausible manifest shard count");
-  }
-  manifest.num_shards = static_cast<int32_t>(num_shards);
-  TENET_ASSIGN_OR_RETURN(manifest.entities, read_field("entities"));
-  TENET_ASSIGN_OR_RETURN(manifest.predicates, read_field("predicates"));
-  TENET_ASSIGN_OR_RETURN(manifest.facts, read_field("facts"));
-  for (int32_t i = 0; i < manifest.num_shards; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "shard files"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 2 || fields[0].empty() || fields[1].empty()) {
-      return Status::InvalidArgument("bad manifest shard line: " + line);
-    }
-    manifest.files.emplace_back(fields[0], fields[1]);
-  }
-  std::string extra;
-  if (std::getline(in, extra)) {
-    return Status::InvalidArgument("trailing garbage after shard list");
-  }
-  return manifest;
-}
-
-// ---- TENETKB v1 (legacy text) ---------------------------------------------
-
-Status SaveKnowledgeBaseText(const KnowledgeBase& kb,
-                             const std::string& path) {
-  std::ostringstream out;
-
-  // max_digits10 so every double survives the decimal round trip bit-exact.
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << kKbMagicV1 << "\n";
-  out << "E\t" << kb.num_entities() << "\n";
-  for (EntityId id = 0; id < kb.num_entities(); ++id) {
-    const EntityRecord& rec = kb.entity(id);
-    if (HasForbiddenChars(rec.label)) {
-      return Status::InvalidArgument("label contains tab/newline: " +
-                                     rec.label);
-    }
-    out << static_cast<int>(rec.type) << '\t' << rec.domain << '\t'
-        << rec.popularity << '\t' << rec.label << "\n";
-  }
-  out << "P\t" << kb.num_predicates() << "\n";
-  for (PredicateId id = 0; id < kb.num_predicates(); ++id) {
-    const PredicateRecord& rec = kb.predicate(id);
-    if (HasForbiddenChars(rec.label)) {
-      return Status::InvalidArgument("label contains tab/newline: " +
-                                     rec.label);
-    }
-    out << rec.domain << '\t' << rec.popularity << '\t' << rec.label << "\n";
-  }
-
-  // Postings are persisted as finalized priors; the loader restores them
-  // bit-exactly (renormalization is NOT idempotent in floating point).
-  std::vector<std::string> alias_lines;
-  kb.alias_index().VisitPostings(
-      [&alias_lines](std::string_view surface, const AliasPosting& posting) {
-        std::ostringstream line;
-        line << std::setprecision(std::numeric_limits<double>::max_digits10);
-        line << (posting.concept_ref.is_entity() ? 'E' : 'P') << '\t'
-             << posting.concept_ref.id << '\t' << posting.prior << '\t'
-             << surface;
-        alias_lines.push_back(line.str());
-      });
-  out << "A\t" << alias_lines.size() << "\n";
-  for (const std::string& line : alias_lines) out << line << "\n";
-
-  out << "F\t" << kb.num_facts() << "\n";
-  for (const Triple& t : kb.facts()) {
-    if (t.object_is_entity) {
-      out << t.subject << '\t' << t.predicate << "\tE\t" << t.object_entity
-          << "\n";
-    } else {
-      if (HasForbiddenChars(t.object_literal)) {
-        return Status::InvalidArgument("literal contains tab/newline");
-      }
-      out << t.subject << '\t' << t.predicate << "\tL\t" << t.object_literal
-          << "\n";
-    }
-  }
-  const std::string bytes = out.str();
-  if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(path, bytes.data(), bytes.size(), "snapshot");
-  }
-  return AtomicWriteFile(path, bytes.data(), bytes.size());
-}
-
-Result<KnowledgeBase> LoadKnowledgeBaseText(const std::string& path,
-                                            const KbLoadOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-
-  TENET_ASSIGN_OR_RETURN(std::string magic, ReadLine(in, "magic"));
-  if (magic != kKbMagicV1) {
-    return Status::InvalidArgument("not a TENETKB v1 file: " + path);
-  }
-  KnowledgeBase kb;
-
-  auto read_section = [&in](const char* tag) -> Result<int64_t> {
-    TENET_ASSIGN_OR_RETURN(std::string header, ReadLine(in, tag));
-    std::vector<std::string> fields = SplitTabs(header);
-    if (fields.size() != 2 || fields[0] != tag) {
-      return Status::InvalidArgument(std::string("bad section header for ") +
-                                     tag);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t count, ParseInt(fields[1], tag));
-    if (count < 0) {
-      return Status::InvalidArgument(std::string("negative count in ") + tag);
-    }
-    return count;
-  };
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_entities, read_section("E"));
-  for (int64_t i = 0; i < num_entities; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "entity"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4) {
-      return Status::InvalidArgument("bad entity line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t type, ParseInt(fields[0], "entity type"));
-    if (type < 0 || type >= kNumEntityTypes) {
-      return Status::InvalidArgument("bad entity type: " + fields[0]);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t domain,
-                           ParseInt(fields[1], "entity domain"));
-    TENET_ASSIGN_OR_RETURN(double popularity,
-                           ParseDouble(fields[2], "entity popularity"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive popularity");
-    }
-    kb.AddEntity(fields[3], static_cast<EntityType>(type),
-                 static_cast<int32_t>(domain), popularity,
-                 /*register_label_alias=*/false);
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_predicates, read_section("P"));
-  for (int64_t i = 0; i < num_predicates; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "predicate"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 3) {
-      return Status::InvalidArgument("bad predicate line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t domain,
-                           ParseInt(fields[0], "predicate domain"));
-    TENET_ASSIGN_OR_RETURN(double popularity,
-                           ParseDouble(fields[1], "predicate popularity"));
-    if (!std::isfinite(popularity) || popularity <= 0.0) {
-      return Status::InvalidArgument("non-positive popularity");
-    }
-    kb.AddPredicate(fields[2], static_cast<int32_t>(domain), popularity,
-                    /*register_label_alias=*/false);
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_aliases, read_section("A"));
-  for (int64_t i = 0; i < num_aliases; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "alias"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4 || (fields[0] != "E" && fields[0] != "P")) {
-      return Status::InvalidArgument("bad alias line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t id, ParseInt(fields[1], "alias id"));
-    TENET_ASSIGN_OR_RETURN(double weight,
-                           ParseDouble(fields[2], "alias weight"));
-    if (!std::isfinite(weight) || weight <= 0.0) {
-      return Status::InvalidArgument("non-positive alias weight");
-    }
-    if (fields[0] == "E") {
-      if (id < 0 || id >= kb.num_entities()) {
-        return Status::InvalidArgument("alias refers to unknown entity");
-      }
-      kb.AddEntityAlias(static_cast<EntityId>(id), fields[3], weight);
-    } else {
-      if (id < 0 || id >= kb.num_predicates()) {
-        return Status::InvalidArgument("alias refers to unknown predicate");
-      }
-      kb.AddPredicateAlias(static_cast<PredicateId>(id), fields[3], weight);
-    }
-  }
-
-  TENET_ASSIGN_OR_RETURN(int64_t num_facts, read_section("F"));
-  for (int64_t i = 0; i < num_facts; ++i) {
-    TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "fact"));
-    std::vector<std::string> fields = SplitTabs(line);
-    if (fields.size() != 4 || (fields[2] != "E" && fields[2] != "L")) {
-      return Status::InvalidArgument("bad fact line: " + line);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t subject,
-                           ParseInt(fields[0], "fact subject"));
-    TENET_ASSIGN_OR_RETURN(int64_t predicate,
-                           ParseInt(fields[1], "fact predicate"));
-    Status status;
-    if (fields[2] == "E") {
-      TENET_ASSIGN_OR_RETURN(int64_t object,
-                             ParseInt(fields[3], "fact object"));
-      status = kb.AddFact(static_cast<EntityId>(subject),
-                          static_cast<PredicateId>(predicate),
-                          static_cast<EntityId>(object));
-    } else {
-      status = kb.AddLiteralFact(static_cast<EntityId>(subject),
-                                 static_cast<PredicateId>(predicate),
-                                 fields[3]);
-    }
-    TENET_RETURN_IF_ERROR(status);
-  }
-
-  // Declared counts consumed; anything further means the file is longer
-  // than its sections declare — a stitched or corrupt snapshot, not ours.
-  std::string extra;
-  if (std::getline(in, extra)) {
-    return Status::InvalidArgument("trailing garbage after fact section");
-  }
-
-  // The persisted priors are finalized probabilities: restore them exactly
-  // instead of renormalizing (which would drift by an ulp per round trip).
-  kb.Finalize(KnowledgeBase::FinalizeOptions{
-      AliasIndex::FinalizeMode::kRestorePriors, options.pool});
-  return kb;
-}
-
-}  // namespace
-
-Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
-                         KbFormat format) {
-  if (!kb.finalized()) {
-    return Status::FailedPrecondition("KB must be finalized before saving");
-  }
-  return format == KbFormat::kBinaryV2 ? SaveKnowledgeBaseBinary(kb, path)
-                                       : SaveKnowledgeBaseText(kb, path);
 }
 
 Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
@@ -1306,128 +558,12 @@ Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
     return Status::DataLoss("injected fault: kb load failed: " + path);
   }
   WallTimer timer;
-  // Sniff the magic: binary snapshots go through the mapped path, anything
-  // else through the v1 text parser (whose own magic check rejects
-  // garbage).
-  char magic[sizeof(kKbMagicV2)];
-  size_t sniffed = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::NotFound("cannot open " + path);
-    probe.read(magic, sizeof(magic));
-    sniffed = static_cast<size_t>(probe.gcount());
-  }
-  if (sniffed == sizeof(kKbMagicV2) &&
-      std::memcmp(magic, kKbMagicV2, sizeof(kKbMagicV2)) == 0) {
-    TENET_ASSIGN_OR_RETURN(MmapFile file,
-                           MmapFile::Open(path, options.prefer_mmap));
-    TENET_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                           LoadKnowledgeBaseBinary(file.bytes(), options));
-    RecordLoad("kb", file.zero_copy() ? "binary_mmap" : "binary",
-               timer.ElapsedMillis(), file.zero_copy() ? file.size() : 0);
-    return kb;
-  }
-  if (sniffed == sizeof(magic) &&
-      std::memcmp(magic, kShardManifestMagic, sizeof(magic)) == 0) {
-    return Status::InvalidArgument(
-        "sharded KB manifest; load via ShardedKb::Load: " + path);
-  }
-  TENET_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                         LoadKnowledgeBaseText(path, options));
-  RecordLoad("kb", "text", timer.ElapsedMillis(), 0);
+  TENET_ASSIGN_OR_RETURN(MmapFile file,
+                         MmapFile::Open(path, options.prefer_mmap));
+  TENET_ASSIGN_OR_RETURN(KnowledgeBase kb, DecodeKnowledgeBase(file.bytes()));
+  RecordLoad("kb", file.zero_copy() ? "binary_mmap" : "binary",
+             timer.ElapsedMillis(), file.zero_copy() ? file.size() : 0);
   return kb;
-}
-
-Status ShardedKb::Save(const std::string& manifest_path) const {
-  const std::string dir = DirPrefix(manifest_path);
-  const std::string base = BaseName(manifest_path);
-  std::ostringstream manifest;
-  manifest << kShardManifestMagic << "\n";
-  manifest << "shards\t" << num_shards() << "\n";
-  manifest << "entities\t" << num_entities_ << "\n";
-  manifest << "predicates\t" << num_predicates_ << "\n";
-  manifest << "facts\t" << num_facts_ << "\n";
-  for (int s = 0; s < num_shards(); ++s) {
-    ShardInfo info;
-    info.num_shards = static_cast<uint32_t>(num_shards());
-    info.shard_index = static_cast<uint32_t>(s);
-    info.global_entities = num_entities_;
-    info.global_predicates = num_predicates_;
-    info.global_facts = num_facts_;
-    const std::string kb_name = base + ".s" + std::to_string(s) + ".kb2";
-    const std::string emb_name = base + ".s" + std::to_string(s) + ".emb";
-    TENET_RETURN_IF_ERROR(SaveShardBinary(shard(s), info, dir + kb_name));
-    TENET_RETURN_IF_ERROR(SaveEmbeddings(*shard(s).embeddings,
-                                         dir + emb_name));
-    manifest << kb_name << "\t" << emb_name << "\n";
-  }
-  // The manifest lands last: a crash mid-save leaves at worst orphan shard
-  // files, never a manifest naming files that do not exist yet.
-  const std::string bytes = manifest.str();
-  if (TENET_FAULT_POINT("kb/io/write_truncation")) {
-    return SimulateTornWrite(manifest_path, bytes.data(), bytes.size(),
-                             "manifest");
-  }
-  return AtomicWriteFile(manifest_path, bytes.data(), bytes.size());
-}
-
-Result<ShardedKb> ShardedKb::Load(const std::string& manifest_path,
-                                  const KbLoadOptions& options) {
-  if (TENET_FAULT_POINT("kb/io/load_kb")) {
-    return Status::DataLoss("injected fault: kb load failed: " +
-                            manifest_path);
-  }
-  TENET_ASSIGN_OR_RETURN(ShardManifest manifest,
-                         ParseShardManifest(manifest_path));
-  const std::string dir = DirPrefix(manifest_path);
-  std::vector<Shard> shards;
-  shards.reserve(manifest.files.size());
-  for (int32_t s = 0; s < manifest.num_shards; ++s) {
-    WallTimer timer;
-    TENET_ASSIGN_OR_RETURN(
-        MmapFile file,
-        MmapFile::Open(dir + manifest.files[s].first, options.prefer_mmap));
-    ShardInfo info;
-    TENET_ASSIGN_OR_RETURN(
-        Shard shard,
-        LoadShardBinary(file.bytes(), options,
-                        static_cast<uint32_t>(manifest.num_shards),
-                        static_cast<uint32_t>(s), &info));
-    if (info.global_entities != manifest.entities ||
-        info.global_predicates != manifest.predicates ||
-        info.global_facts != manifest.facts) {
-      return Status::InvalidArgument(
-          "shard_info globals disagree with the manifest: " +
-          manifest.files[s].first);
-    }
-    TENET_ASSIGN_OR_RETURN(
-        embedding::EmbeddingStore embeddings,
-        LoadEmbeddings(dir + manifest.files[s].second, options));
-    if (embeddings.num_entities() !=
-            static_cast<int32_t>(shard.entities.size()) ||
-        embeddings.num_predicates() !=
-            static_cast<int32_t>(shard.predicates.size())) {
-      return Status::InvalidArgument(
-          "shard embedding counts disagree with the snapshot: " +
-          manifest.files[s].second);
-    }
-    if (!shards.empty() &&
-        embeddings.dimension() != shards[0].embeddings->dimension()) {
-      return Status::InvalidArgument(
-          "shard embedding dimensions disagree across shards");
-    }
-    shard.embeddings =
-        std::make_unique<embedding::EmbeddingStore>(std::move(embeddings));
-    shard.mapped_bytes = file.zero_copy() ? file.size() : 0;
-    shard.load_ms = timer.ElapsedMillis();
-    RecordLoad("kb_shard", file.zero_copy() ? "binary_mmap" : "binary",
-               shard.load_ms, shard.mapped_bytes);
-    shards.push_back(std::move(shard));
-  }
-  return ShardedKb(std::move(shards),
-                   static_cast<int32_t>(manifest.entities),
-                   static_cast<int32_t>(manifest.predicates),
-                   manifest.facts);
 }
 
 Status SaveEmbeddings(const embedding::EmbeddingStore& store,
@@ -1467,27 +603,14 @@ Result<embedding::EmbeddingStore> LoadEmbeddings(
                          MmapFile::Open(path, options.prefer_mmap));
   std::span<const std::byte> bytes = file.bytes();
   constexpr size_t kMagicBytes = sizeof(kEmbMagic) - 1;
-  constexpr size_t kEmbHeaderBytes = kMagicBytes + 3 * sizeof(int32_t);
   if (bytes.size() < kEmbHeaderBytes ||
       std::memcmp(bytes.data(), kEmbMagic, kMagicBytes) != 0) {
     return Status::InvalidArgument("not a TENETEMB1 file: " + path);
   }
   int32_t header[3];
   std::memcpy(header, bytes.data() + kMagicBytes, sizeof(header));
-  if (header[0] <= 0 || header[1] < 0 || header[2] < 0) {
-    return Status::InvalidArgument("bad embedding header");
-  }
-  const uint64_t count = static_cast<uint64_t>(header[0]) *
-                         (static_cast<uint64_t>(header[1]) +
-                          static_cast<uint64_t>(header[2]));
-  const uint64_t expected = kEmbHeaderBytes + count * sizeof(float);
-  if (bytes.size() != expected) {
-    // Declared counts disagree with the actual payload: a truncated write
-    // or trailing bytes.  Either way, nothing is populated.
-    return Status::InvalidArgument(
-        "truncated embedding file: declared " + std::to_string(expected) +
-        " bytes, actual " + std::to_string(bytes.size()));
-  }
+  TENET_ASSIGN_OR_RETURN(const uint64_t count,
+                         CheckEmbeddingHeader(header, bytes.size()));
   embedding::EmbeddingStore store(header[0], header[1], header[2]);
   // Bulk load straight from the mapped payload into the unit-normalized
   // matrix — one copy, one pass, non-finite payloads rejected as DataLoss.
@@ -1499,115 +622,29 @@ Result<embedding::EmbeddingStore> LoadEmbeddings(
 }
 
 Result<KbFileInfo> InspectKnowledgeBaseFile(const std::string& path) {
-  char magic[sizeof(kKbMagicV2)];
-  size_t sniffed = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::NotFound("cannot open " + path);
-    probe.read(magic, sizeof(magic));
-    sniffed = static_cast<size_t>(probe.gcount());
-  }
+  TENET_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+  TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
+                         ParseSnapshotLayout(file.bytes()));
   KbFileInfo info;
-  if (sniffed == sizeof(kKbMagicV2) &&
-      std::memcmp(magic, kKbMagicV2, sizeof(kKbMagicV2)) == 0) {
-    TENET_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-    TENET_ASSIGN_OR_RETURN(SnapshotLayout layout,
-                           ParseSnapshotLayout(file.bytes()));
-    info.format = "TENETKB2";
-    info.file_bytes = file.size();
-    for (const SectionEntry& entry : layout.all) {
-      info.sections.push_back(KbSectionInfo{SectionName(entry.id),
-                                            entry.byte_size,
-                                            entry.item_count});
-    }
-    info.entities =
-        static_cast<int64_t>(layout.known[kSectionEntities - 1].item_count);
-    info.predicates = static_cast<int64_t>(
-        layout.known[kSectionPredicates - 1].item_count);
-    info.aliases =
-        static_cast<int64_t>(layout.known[kSectionAliases - 1].item_count);
-    info.facts =
-        static_cast<int64_t>(layout.known[kSectionFacts - 1].item_count);
-    TENET_ASSIGN_OR_RETURN(const SectionEntry* dict_entry,
-                           FindAliasDictSection(layout));
-    if (dict_entry != nullptr) {
-      TENET_ASSIGN_OR_RETURN(
-          FrozenAliasDict::Stats stats,
-          FrozenAliasDict::ReadStats(
-              AliasDictPayload(file.bytes(), *dict_entry)));
-      info.has_alias_dict = true;
-      info.aliases = static_cast<int64_t>(stats.num_postings);
-      info.dict_surfaces = stats.num_surfaces;
-      info.dict_key_bytes = stats.key_blob_bytes;
-      info.dict_raw_key_bytes = stats.raw_key_bytes;
-    }
-    if (const SectionEntry* entry = FindSection(layout, kSectionShardInfo)) {
-      TENET_ASSIGN_OR_RETURN(ShardInfo shard_info,
-                             ParseShardInfo(file.bytes(), *entry));
-      info.num_shards = static_cast<int32_t>(shard_info.num_shards);
-      info.shard_index = static_cast<int32_t>(shard_info.shard_index);
-    }
-    return info;
+  info.file_bytes = file.size();
+  for (const SectionEntry& entry : layout.table) {
+    info.sections.push_back(KbSectionInfo{SectionName(entry.id),
+                                          entry.byte_size,
+                                          entry.item_count});
   }
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  TENET_ASSIGN_OR_RETURN(std::string line, ReadLine(in, "magic"));
-  if (line == kShardManifestMagic) {
-    TENET_ASSIGN_OR_RETURN(ShardManifest manifest, ParseShardManifest(path));
-    info.format = kShardManifestMagic;
-    {
-      std::ifstream sizer(path, std::ios::binary | std::ios::ate);
-      info.file_bytes = static_cast<uint64_t>(sizer.tellg());
-    }
-    info.num_shards = manifest.num_shards;
-    info.entities = manifest.entities;
-    info.predicates = manifest.predicates;
-    info.facts = manifest.facts;
-    const std::string dir = DirPrefix(path);
-    for (int32_t s = 0; s < manifest.num_shards; ++s) {
-      TENET_ASSIGN_OR_RETURN(
-          KbFileInfo shard_info,
-          InspectKnowledgeBaseFile(dir + manifest.files[s].first));
-      if (shard_info.num_shards != manifest.num_shards ||
-          shard_info.shard_index != s) {
-        return Status::InvalidArgument(
-            "manifest names a file that is not shard " + std::to_string(s) +
-            ": " + manifest.files[s].first);
-      }
-      info.aliases += shard_info.aliases;
-      info.shards.push_back(std::move(shard_info));
-    }
-    return info;
-  }
-  if (line != kKbMagicV1) {
-    return Status::InvalidArgument("not a TENET KB file: " + path);
-  }
-  info.format = kKbMagicV1;
-  {
-    std::ifstream sizer(path, std::ios::binary | std::ios::ate);
-    info.file_bytes = static_cast<uint64_t>(sizer.tellg());
-  }
-  for (const char* tag : {"E", "P", "A", "F"}) {
-    TENET_ASSIGN_OR_RETURN(std::string header, ReadLine(in, tag));
-    std::vector<std::string> fields = SplitTabs(header);
-    if (fields.size() != 2 || fields[0] != tag) {
-      return Status::InvalidArgument(std::string("bad section header for ") +
-                                     tag);
-    }
-    TENET_ASSIGN_OR_RETURN(int64_t count, ParseInt(fields[1], tag));
-    if (count < 0) {
-      return Status::InvalidArgument(std::string("negative count in ") + tag);
-    }
-    for (int64_t i = 0; i < count; ++i) {
-      TENET_RETURN_IF_ERROR(ReadLine(in, tag).status());
-    }
-    switch (tag[0]) {
-      case 'E': info.entities = count; break;
-      case 'P': info.predicates = count; break;
-      case 'A': info.aliases = count; break;
-      case 'F': info.facts = count; break;
-    }
-  }
+  info.entities =
+      static_cast<int64_t>(layout.section(kSectionEntities).item_count);
+  info.predicates =
+      static_cast<int64_t>(layout.section(kSectionPredicates).item_count);
+  info.facts = static_cast<int64_t>(layout.section(kSectionFacts).item_count);
+  TENET_ASSIGN_OR_RETURN(
+      FrozenAliasDict::Stats stats,
+      FrozenAliasDict::ReadStats(
+          AliasDictPayload(file.bytes(), layout.section(kSectionAliasDict))));
+  info.aliases = static_cast<int64_t>(stats.num_postings);
+  info.dict_surfaces = stats.num_surfaces;
+  info.dict_key_bytes = stats.key_blob_bytes;
+  info.dict_raw_key_bytes = stats.raw_key_bytes;
   return info;
 }
 
@@ -1621,73 +658,42 @@ Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path) {
   }
   int32_t header[3];
   in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] <= 0 || header[1] < 0 || header[2] < 0) {
-    return Status::InvalidArgument("bad embedding header");
-  }
+  if (!in) return Status::InvalidArgument("bad embedding header");
   in.seekg(0, std::ios::end);
   EmbFileInfo info;
   info.file_bytes = static_cast<uint64_t>(in.tellg());
+  TENET_RETURN_IF_ERROR(
+      CheckEmbeddingHeader(header, info.file_bytes).status());
   info.dimension = header[0];
   info.entities = header[1];
   info.predicates = header[2];
-  const uint64_t expected =
-      sizeof(magic) + sizeof(header) +
-      static_cast<uint64_t>(header[0]) *
-          (static_cast<uint64_t>(header[1]) +
-           static_cast<uint64_t>(header[2])) *
-          sizeof(float);
-  if (info.file_bytes != expected) {
-    return Status::InvalidArgument("truncated embedding file");
-  }
   return info;
 }
 
-namespace {
-
-// Shared derivation core: `visit` enumerates every posting exactly once (in
-// any order, possibly split into non-consecutive per-surface runs), `type_of`
-// maps the winning entity id to its type.  Ties on prior break toward the
-// smaller entity id so the result is independent of visitation order — the
-// flat and sharded substrates enumerate postings differently but must yield
-// the same gazetteer.
-template <typename VisitFn, typename TypeFn>
-text::Gazetteer DeriveGazetteerImpl(VisitFn&& visit, TypeFn&& type_of) {
+text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb) {
+  TENET_CHECK(kb.finalized());
   text::Gazetteer gazetteer;
   // Collect, per surface, the highest-prior entity posting.
   std::unordered_map<std::string, std::pair<double, EntityId>> best;
-  visit([&best](std::string_view surface, const AliasPosting& posting) {
-    if (!posting.concept_ref.is_entity()) return;
-    auto [it, inserted] =
-        best.emplace(std::string(surface),
-                     std::make_pair(posting.prior, posting.concept_ref.id));
-    if (!inserted && (posting.prior > it->second.first ||
-                      (posting.prior == it->second.first &&
-                       posting.concept_ref.id < it->second.second))) {
-      it->second = {posting.prior, posting.concept_ref.id};
-    }
-  });
+  kb.alias_index().VisitPostings(
+      [&best](std::string_view surface, const AliasPosting& posting) {
+        if (!posting.concept_ref.is_entity()) return;
+        auto [it, inserted] = best.emplace(
+            std::string(surface),
+            std::make_pair(posting.prior, posting.concept_ref.id));
+        if (!inserted && (posting.prior > it->second.first ||
+                          (posting.prior == it->second.first &&
+                           posting.concept_ref.id < it->second.second))) {
+          it->second = {posting.prior, posting.concept_ref.id};
+        }
+      });
   for (const auto& [surface, sense] : best) {
     bool lowercase =
         !surface.empty() &&
         std::islower(static_cast<unsigned char>(surface[0])) != 0;
-    gazetteer.AddSurface(surface, type_of(sense.second), lowercase);
+    gazetteer.AddSurface(surface, kb.entity(sense.second).type, lowercase);
   }
   return gazetteer;
-}
-
-}  // namespace
-
-text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb) {
-  TENET_CHECK(kb.finalized());
-  return DeriveGazetteerImpl(
-      [&kb](auto&& visitor) { kb.alias_index().VisitPostings(visitor); },
-      [&kb](EntityId id) { return kb.entity(id).type; });
-}
-
-text::Gazetteer DeriveGazetteer(const KbView& view) {
-  return DeriveGazetteerImpl(
-      [&view](auto&& visitor) { view.VisitAliasPostings(visitor); },
-      [&view](EntityId id) { return view.entity(id).type; });
 }
 
 }  // namespace kb

@@ -11,9 +11,6 @@
 #include "text/gazetteer.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace kb {
 
 // Serialization of the knowledge base and the embedding store — the
@@ -21,52 +18,37 @@ namespace kb {
 // JSON dump, storing PBG vectors in a memory-mapped array): build the
 // substrates once, persist them, and reload in O(size of file).
 //
-// Two KB formats are supported (DESIGN.md §11):
-//  - "TENETKB2": the binary snapshot — length-prefixed sections (string
-//    table, entities, predicates, alias postings, facts) behind a
-//    checksummed header, loaded zero-copy through common/mmap_file (with a
-//    buffered fallback) and restored without re-tokenizing a single float.
-//    This is the production format and the default for saves.
-//  - "TENETKB v1": the legacy line-oriented text container, still loaded
-//    transparently (LoadKnowledgeBase auto-detects by magic) and still
-//    writable for debugging/diffing.
-// Embeddings persist as the "TENETEMB1" binary container either way; the
-// loader maps it and bulk-loads the matrix straight into the store's
-// unit-normalized form (EmbeddingStore::LoadMatrix — one copy, no per-row
-// reads).
+// The KB persists as one "TENETKB2" binary snapshot (DESIGN.md §11):
+// length-prefixed sections (string table, entities, predicates, facts,
+// frozen alias dictionary) behind a checksummed header, loaded zero-copy
+// through common/mmap_file (with a buffered fallback) and restored without
+// re-tokenizing a single float.  Embeddings persist as the "TENETEMB1"
+// binary container; the loader maps it and bulk-loads the matrix straight
+// into the store's unit-normalized form (EmbeddingStore::LoadMatrix — one
+// copy, no per-row reads).
 //
 // Round-trip contract: alias priors are persisted as the *finalized*
-// probabilities with max_digits10 precision and restored bit-exactly
-// (AliasIndex::FinalizeMode::kRestorePriors) — a save→load cycle reproduces
-// candidate distributions to the last bit, so near-tie disambiguation never
-// flips across a restart.  All loaders validate declared counts and section
-// lengths against the actual bytes before anything is returned; malformed
-// or truncated input yields InvalidArgument (DataLoss for non-finite
-// embedding payloads), never a crash, never a partially populated store.
-
-/// On-disk format selector for SaveKnowledgeBase.
-enum class KbFormat {
-  kTextV1,    // "TENETKB v1" line-oriented text
-  kBinaryV2,  // "TENETKB2" binary snapshot (default)
-};
+// probabilities inside the alias dictionary and adopted as-is on load — a
+// save→load cycle reproduces candidate distributions to the last bit, so
+// near-tie disambiguation never flips across a restart.  All loaders
+// validate declared counts and section lengths against the actual bytes
+// before anything is returned; malformed or truncated input yields
+// InvalidArgument (DataLoss for non-finite embedding payloads), never a
+// crash, never a partially populated store.
 
 /// Knobs of the load path.
 struct KbLoadOptions {
-  /// Map binary snapshots zero-copy when the platform allows it; false
-  /// forces the buffered (streamed-read) path.
+  /// Map snapshots zero-copy when the platform allows it; false forces the
+  /// buffered (streamed-read) path.
   bool prefer_mmap = true;
-  /// Builds the alias-index shards in parallel when non-null.
-  ThreadPool* pool = nullptr;
 };
 
-/// Writes `kb` (which must be finalized) to `path` in `format`.  Alias
-/// priors are persisted as the finalized probabilities, so a reloaded KB
-/// reproduces the exact candidate distributions.
-Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
-                         KbFormat format = KbFormat::kBinaryV2);
+/// Writes `kb` (which must be finalized) to `path` as a TENETKB2 snapshot.
+/// Alias priors are persisted as the finalized probabilities, so a
+/// reloaded KB reproduces the exact candidate distributions.
+Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path);
 
-/// Reads a KB written by SaveKnowledgeBase — either format, auto-detected
-/// by magic — and finalizes it in prior-restoring mode.
+/// Reads a snapshot written by SaveKnowledgeBase; the result is finalized.
 Result<KnowledgeBase> LoadKnowledgeBase(const std::string& path,
                                         const KbLoadOptions& options = {});
 
@@ -78,8 +60,8 @@ Status SaveEmbeddings(const embedding::EmbeddingStore& store,
 Result<embedding::EmbeddingStore> LoadEmbeddings(
     const std::string& path, const KbLoadOptions& options = {});
 
-// Snapshot introspection for `tenet_cli kb inspect` and tests: format,
-// logical counts, and (for binary snapshots) the section table.
+// Snapshot introspection for `tenet_cli kb inspect` and tests: logical
+// counts, the section table, and the alias dictionary's footprint.
 struct KbSectionInfo {
   std::string name;
   uint64_t bytes = 0;
@@ -87,33 +69,20 @@ struct KbSectionInfo {
 };
 
 struct KbFileInfo {
-  std::string format;  // "TENETKB v1", "TENETKB2" or "TENETKBSHARDS1"
   uint64_t file_bytes = 0;
   int64_t entities = 0;
   int64_t predicates = 0;
-  int64_t aliases = 0;
+  int64_t aliases = 0;  // alias postings
   int64_t facts = 0;
-  std::vector<KbSectionInfo> sections;  // binary snapshots only
-  /// Sharded-layout metadata: >0 when the file is one shard of a sharded
-  /// KB (a TENETKB2 snapshot carrying a shard_info section) or a
-  /// "TENETKBSHARDS1" manifest.  0 for ordinary flat snapshots.
-  int32_t num_shards = 0;
-  /// Which shard this snapshot is (-1 for manifests and flat snapshots).
-  int32_t shard_index = -1;
-  /// Per-shard stats, populated when inspecting a manifest.
-  std::vector<KbFileInfo> shards;
-  /// Frozen alias dictionary stats (TENETKB2 alias_dict section, DESIGN.md
-  /// §15); all zero when the snapshot predates the dictionary.
-  bool has_alias_dict = false;
+  std::vector<KbSectionInfo> sections;
+  /// Frozen alias dictionary stats (alias_dict section, DESIGN.md §15).
   uint64_t dict_surfaces = 0;
   uint64_t dict_key_bytes = 0;      // front-coded key blob
   uint64_t dict_raw_key_bytes = 0;  // uncompressed folded key bytes
 };
 
-/// Reads only the metadata of a KB file (any format, including a
-/// "TENETKBSHARDS1" manifest, for which per-shard stats are gathered).
-/// Validates the same header/section invariants as the loader without
-/// materializing the KB.
+/// Reads only the metadata of a TENETKB2 snapshot.  Validates the same
+/// header/section invariants as the loader without materializing the KB.
 Result<KbFileInfo> InspectKnowledgeBaseFile(const std::string& path);
 
 struct EmbFileInfo {
@@ -133,12 +102,6 @@ Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path);
 /// spottable in lowercase text.  This is how a loaded KB becomes usable by
 /// the extraction pipeline without persisting the gazetteer separately.
 text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb);
-
-class KbView;
-
-/// Substrate-agnostic overload: same derivation over any KbView (flat or
-/// sharded), yielding an identical gazetteer for the same logical KB.
-text::Gazetteer DeriveGazetteer(const KbView& view);
 
 }  // namespace kb
 }  // namespace tenet

@@ -4,10 +4,43 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "kb/kb_view.h"
 
 namespace tenet {
 namespace kb {
+namespace {
+
+// Candidate post-processing shared by CandidateEntities and
+// CandidatePredicates: filter with `keep`, truncate at the cap (counting
+// the overflow when asked), convert with `make`, then renormalize the
+// returned set.
+template <typename Candidate, typename KeepFn, typename MakeFn>
+std::vector<Candidate> SelectCandidates(
+    std::span<const AliasPosting> postings, int max_candidates,
+    int* overflow, KeepFn&& keep, MakeFn&& make) {
+  if (overflow != nullptr) *overflow = 0;
+  std::vector<Candidate> out;
+  if (max_candidates <= 0) return out;
+  for (const AliasPosting& posting : postings) {
+    if (!keep(posting)) continue;
+    if (static_cast<int>(out.size()) == max_candidates) {
+      // Past the cap: only keep counting when the caller asked to observe
+      // truncation; the returned set and its renormalization are unchanged.
+      if (overflow == nullptr) break;
+      ++*overflow;
+      continue;
+    }
+    out.push_back(make(posting));
+  }
+  // Renormalize so the truncated/filtered set is still a distribution.
+  double total = 0.0;
+  for (const Candidate& c : out) total += c.prior;
+  if (total > 0.0) {
+    for (Candidate& c : out) c.prior /= total;
+  }
+  return out;
+}
+
+}  // namespace
 
 EntityId KnowledgeBase::AddEntity(std::string_view label, EntityType type,
                                   int32_t domain, double popularity,
@@ -62,12 +95,6 @@ void KnowledgeBase::Reserve(int32_t num_entities, int32_t num_predicates,
   facts_.reserve(num_facts);
 }
 
-void KnowledgeBase::RestoreAliasPostings(
-    std::span<const AliasIndex::RestoreEntry> entries, ThreadPool* pool) {
-  TENET_CHECK(!finalized_);
-  alias_index_.RestorePostings(entries, pool);
-}
-
 void KnowledgeBase::AdoptAliasState(
     std::shared_ptr<const FrozenAliasDict> dict,
     AliasIndex::OverlayMap overlay) {
@@ -114,13 +141,11 @@ Status KnowledgeBase::AddLiteralFact(EntityId subject, PredicateId predicate,
   return Status::Ok();
 }
 
-void KnowledgeBase::Finalize(const FinalizeOptions& options) {
+void KnowledgeBase::Finalize() {
   TENET_CHECK(!finalized_) << "KnowledgeBase::Finalize called twice";
   // AdoptAliasState may have installed the frozen dictionary already; the
   // alias index is then finalized and only the CSR build remains.
-  if (!alias_index_.finalized()) {
-    alias_index_.Finalize(options.alias_mode, options.pool);
-  }
+  if (!alias_index_.finalized()) alias_index_.Finalize();
   // Counted two-pass CSR build: degree count, prefix sums, then a fill
   // pass through cursor copies of the offsets.  Two arena allocations per
   // concept kind instead of one vector per concept — the dominant cost of

@@ -97,16 +97,10 @@ class KnowledgeBase {
   void Reserve(int32_t num_entities, int32_t num_predicates,
                int32_t num_facts);
 
-  /// Deserialization fast path: bulk-inserts decoded posting lists into
-  /// the alias index, sharded in parallel on `pool` when given (see
-  /// AliasIndex::RestorePostings).  Caller validates the concept ids.
-  void RestoreAliasPostings(std::span<const AliasIndex::RestoreEntry> entries,
-                            ThreadPool* pool = nullptr);
-
   /// Adopts an already-built frozen alias dictionary plus overlay in place
-  /// of the Add/Restore build path — the snapshot-with-dictionary load and
-  /// the delta compose both use it (see AliasIndex::AdoptFrozen).  The
-  /// alias index becomes finalized immediately; Finalize() then skips it.
+  /// of the Add build path — the snapshot load and the delta compose both
+  /// use it (see AliasIndex::AdoptFrozen).  The alias index becomes
+  /// finalized immediately; Finalize() then skips it.
   void AdoptAliasState(std::shared_ptr<const FrozenAliasDict> dict,
                        AliasIndex::OverlayMap overlay);
 
@@ -117,20 +111,10 @@ class KnowledgeBase {
   Status AddLiteralFact(EntityId subject, PredicateId predicate,
                         std::string_view literal);
 
-  // How Finalize treats the registered alias weights; see
-  // AliasIndex::FinalizeMode for why deserialization must restore rather
-  // than renormalize.
-  struct FinalizeOptions {
-    AliasIndex::FinalizeMode alias_mode =
-        AliasIndex::FinalizeMode::kNormalizeWeights;
-    /// Builds the alias-index shards in parallel when non-null.
-    ThreadPool* pool = nullptr;
-  };
-
-  /// Freezes the KB: normalizes alias priors, builds adjacency.  Must be
-  /// called exactly once before any query.
-  void Finalize() { Finalize(FinalizeOptions{}); }
-  void Finalize(const FinalizeOptions& options);
+  /// Freezes the KB: normalizes alias priors (unless AdoptAliasState
+  /// installed finalized ones), builds adjacency.  Must be called exactly
+  /// once before any query.
+  void Finalize();
   bool finalized() const { return finalized_; }
 
   // ---- Query phase -------------------------------------------------------

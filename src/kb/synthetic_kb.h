@@ -41,11 +41,11 @@ struct SyntheticKbOptions {
   /// Zipf exponent of within-domain popularity.
   double popularity_zipf = 0.6;
 
-  /// The "huge" tier: the KB sized for the sharded-substrate benchmarks
-  /// (DESIGN.md §14) — ~58k entities and ~170k facts, an order of
-  /// magnitude past the largest evaluation world, where per-shard load and
-  /// lookup costs dominate the fixed overheads.  Still generated in a few
-  /// hundred milliseconds.
+  /// The "huge" tier: ~58k entities and ~170k facts, an order of
+  /// magnitude past the largest evaluation world, where snapshot load and
+  /// lookup costs dominate the fixed overheads (the huge_docs benchmark
+  /// workload and the alias-lookup micro-benchmark).  Still generated in a
+  /// few hundred milliseconds.
   static SyntheticKbOptions Huge();
 };
 

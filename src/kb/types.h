@@ -81,10 +81,9 @@ struct AliasPosting {
 
 /// Canonical total order of the postings of one surface: descending prior,
 /// then entities before predicates, then ascending id.  Finalize() sorts
-/// every posting list this way, and because it is a *total* order (no two
-/// distinct postings compare equal), any hash-partitioned subset of a list
-/// preserves it — so a sharded KB can k-way-merge per-shard sublists with
-/// this same comparator and reproduce the flat list byte-for-byte.
+/// every posting list this way; because no two distinct postings compare
+/// equal, the order (and so every candidate list) is independent of the
+/// order in which aliases were added.
 inline bool CanonicalPostingOrder(const AliasPosting& a,
                                   const AliasPosting& b) {
   if (a.prior != b.prior) return a.prior > b.prior;

@@ -407,7 +407,6 @@ void BatchLinkingService::RunMerge(std::string kb_path,
     finish(std::move(compacted));
     return;
   }
-  // Reload serially: this worker must not fan subtasks into its own pool.
   KbGenerationOptions reload;
   reload.linker_options = current->linker().pipeline().options();
   Result<std::shared_ptr<const KbGeneration>> merged =

@@ -38,7 +38,7 @@ KbGeneration::KbGeneration(kb::KnowledgeBase kb,
   TENET_CHECK(embeddings_.finalized());
   // The members above sit at their final heap addresses (generations are
   // heap-only and never moved), so the view may capture pointers now.
-  view_ = std::make_shared<kb::FlatKbView>(&kb_, &embeddings_);
+  view_ = std::make_shared<kb::KbView>(&kb_, &embeddings_);
   baselines::BaselineSubstrate substrate;
   substrate.view = view_;
   substrate.gazetteer = &gazetteer_;
@@ -48,32 +48,6 @@ KbGeneration::KbGeneration(kb::KnowledgeBase kb,
   substrate.graph_options = options.linker_options.graph;
   linker_ = std::make_unique<baselines::TenetLinker>(substrate,
                                                      options.linker_options);
-}
-
-KbGeneration::KbGeneration(std::shared_ptr<const kb::ShardedKb> sharded,
-                           uint64_t id, const KbGenerationOptions& options)
-    : id_(id),
-      embeddings_(/*dimension=*/1, /*num_entities=*/0, /*num_predicates=*/0),
-      sharded_(std::move(sharded)),
-      view_(sharded_),
-      gazetteer_(kb::DeriveGazetteer(*view_)) {
-  TENET_CHECK(sharded_ != nullptr);
-  baselines::BaselineSubstrate substrate;
-  substrate.view = view_;
-  substrate.gazetteer = &gazetteer_;
-  substrate.graph_options = options.linker_options.graph;
-  linker_ = std::make_unique<baselines::TenetLinker>(substrate,
-                                                     options.linker_options);
-}
-
-const kb::KnowledgeBase& KbGeneration::kb() const {
-  TENET_CHECK(!sharded());
-  return kb_;
-}
-
-const embedding::EmbeddingStore& KbGeneration::embeddings() const {
-  TENET_CHECK(!sharded());
-  return embeddings_;
 }
 
 std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
@@ -86,36 +60,14 @@ std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
                        kb::DeltaApplyStats{}, options));
 }
 
-std::shared_ptr<const KbGeneration> KbGeneration::FromShardedKb(
-    std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-    const KbGenerationOptions& options) {
-  return std::shared_ptr<const KbGeneration>(
-      new KbGeneration(std::move(sharded), id, options));
-}
-
-Result<std::shared_ptr<const KbGeneration>> KbGeneration::LoadSharded(
-    const std::string& manifest_path, uint64_t id,
-    const KbGenerationOptions& options) {
-  kb::KbLoadOptions load;
-  load.prefer_mmap = options.prefer_mmap;
-  load.pool = options.pool;
-  TENET_ASSIGN_OR_RETURN(kb::ShardedKb sharded,
-                         kb::ShardedKb::Load(manifest_path, load));
-  return FromShardedKb(
-      std::make_shared<const kb::ShardedKb>(std::move(sharded)), id, options);
-}
-
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
     const std::string& kb_path, const std::string& embeddings_path,
     std::span<const std::string> delta_paths, uint64_t id,
     const KbGenerationOptions& options) {
-  kb::KbLoadOptions load;
-  load.prefer_mmap = options.prefer_mmap;
-  load.pool = options.pool;
   TENET_ASSIGN_OR_RETURN(kb::KnowledgeBase kb,
-                         kb::LoadKnowledgeBase(kb_path, load));
+                         kb::LoadKnowledgeBase(kb_path));
   TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
-                         kb::LoadEmbeddings(embeddings_path, load));
+                         kb::LoadEmbeddings(embeddings_path));
   if (delta_paths.empty()) {
     return FromSubstrate(std::move(kb), std::move(embeddings), id, options);
   }
@@ -126,9 +78,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
                            kb::LoadDeltaSegment(path));
     segments.push_back(std::move(segment));
   }
-  TENET_ASSIGN_OR_RETURN(
-      kb::AppliedDelta applied,
-      kb::ApplyDeltas(kb, embeddings, segments, options.pool));
+  TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
+                         kb::ApplyDeltas(kb, embeddings, segments));
   return std::shared_ptr<const KbGeneration>(
       new KbGeneration(std::move(applied.kb), std::move(applied.embeddings),
                        id, applied.stats, options));
@@ -137,14 +88,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
     std::span<const kb::DeltaSegment> segments, uint64_t id,
     const KbGenerationOptions& options) const {
-  if (sharded()) {
-    return Status::InvalidArgument(
-        "sharded generations are read-only; build a new sharded layout "
-        "offline instead of applying deltas");
-  }
-  TENET_ASSIGN_OR_RETURN(
-      kb::AppliedDelta applied,
-      kb::ApplyDeltas(kb_, embeddings_, segments, options.pool));
+  TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
+                         kb::ApplyDeltas(kb_, embeddings_, segments));
   return std::shared_ptr<const KbGeneration>(new KbGeneration(
       std::move(applied.kb), std::move(applied.embeddings), id,
       Accumulate(delta_stats_, applied.stats), options));
@@ -152,11 +97,6 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
 
 Status KbGeneration::Compact(const std::string& kb_path,
                              const std::string& embeddings_path) const {
-  if (sharded()) {
-    return Status::InvalidArgument(
-        "sharded generations cannot be compacted to a flat snapshot pair; "
-        "their layout is already persisted shard by shard");
-  }
   Status saved = kb::SaveKnowledgeBase(kb_, kb_path);
   if (!saved.ok()) return saved;
   return kb::SaveEmbeddings(embeddings_, embeddings_path);

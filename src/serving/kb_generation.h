@@ -14,26 +14,15 @@
 #include "kb/delta.h"
 #include "kb/kb_view.h"
 #include "kb/knowledge_base.h"
-#include "kb/sharded_kb.h"
 #include "text/gazetteer.h"
 
 namespace tenet {
-
-class ThreadPool;
-
 namespace serving {
 
 // Construction knobs shared by every KbGeneration factory.
 struct KbGenerationOptions {
   /// Pipeline tuning of the generation's linker.
   core::TenetOptions linker_options;
-  /// Parallelizes the alias-index restore/finalize during construction.
-  /// Must NOT be the serving pool of a service the generation will be
-  /// swapped into when the swap itself runs on that pool (the background
-  /// merge does) — a worker waiting on its own pool's queue deadlocks.
-  ThreadPool* pool = nullptr;
-  /// Forwarded to the snapshot loaders (Load only).
-  bool prefer_mmap = true;
 };
 
 // One immutable, self-contained serving substrate: a KB snapshot with any
@@ -57,29 +46,13 @@ class KbGeneration {
       std::span<const std::string> delta_paths, uint64_t id,
       const KbGenerationOptions& options = {});
 
-  /// Loads a sharded layout ("TENETKBSHARDS1" manifest, DESIGN.md §14) and
-  /// serves it through the same linker stack: candidate generation runs
-  /// scatter/gather across the shards, everything downstream is identical.
-  /// Sharded generations are read-only substrates — WithDeltas and Compact
-  /// reject them (write a new sharded layout offline instead).
-  static Result<std::shared_ptr<const KbGeneration>> LoadSharded(
-      const std::string& manifest_path, uint64_t id,
-      const KbGenerationOptions& options = {});
-
   /// Wraps an already-built substrate (both must be finalized).
   static std::shared_ptr<const KbGeneration> FromSubstrate(
       kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
       const KbGenerationOptions& options = {});
 
-  /// Wraps an already-built sharded substrate (same contract as
-  /// LoadSharded).
-  static std::shared_ptr<const KbGeneration> FromShardedKb(
-      std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-      const KbGenerationOptions& options = {});
-
   /// A new generation = this one + `segments` (applied in order).  The
-  /// receiver is untouched and keeps serving.  kInvalidArgument on a
-  /// sharded generation.
+  /// receiver is untouched and keeps serving.
   Result<std::shared_ptr<const KbGeneration>> WithDeltas(
       std::span<const kb::DeltaSegment> segments, uint64_t id,
       const KbGenerationOptions& options = {}) const;
@@ -87,8 +60,7 @@ class KbGeneration {
   /// Persists this generation as a fresh TENETKB2 + TENETEMB1 pair — the
   /// merge step that folds applied deltas back into a base snapshot.  Both
   /// writes are atomic; a crash between the two leaves a loadable (if
-  /// mismatched-by-one) pair, never a torn file.  kInvalidArgument on a
-  /// sharded generation (its layout is already on disk, shard by shard).
+  /// mismatched-by-one) pair, never a torn file.
   Status Compact(const std::string& kb_path,
                  const std::string& embeddings_path) const;
 
@@ -96,16 +68,10 @@ class KbGeneration {
   KbGeneration& operator=(const KbGeneration&) = delete;
 
   uint64_t id() const { return id_; }
-  /// True when this generation serves a sharded substrate; kb() and
-  /// embeddings() must not be called on it.
-  bool sharded() const { return sharded_ != nullptr; }
-  /// The substrate behind the generation's linker — always valid, flat or
-  /// sharded.
+  /// The read path over kb() + embeddings() that the linker consumes.
   const kb::KbView& view() const { return *view_; }
-  /// The sharded substrate (null for flat generations).
-  const kb::ShardedKb* sharded_kb() const { return sharded_.get(); }
-  const kb::KnowledgeBase& kb() const;
-  const embedding::EmbeddingStore& embeddings() const;
+  const kb::KnowledgeBase& kb() const { return kb_; }
+  const embedding::EmbeddingStore& embeddings() const { return embeddings_; }
   const text::Gazetteer& gazetteer() const { return gazetteer_; }
   const baselines::TenetLinker& linker() const { return *linker_; }
   /// Cumulative apply stats across every delta folded into this generation
@@ -116,16 +82,11 @@ class KbGeneration {
   KbGeneration(kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings,
                uint64_t id, kb::DeltaApplyStats delta_stats,
                const KbGenerationOptions& options);
-  KbGeneration(std::shared_ptr<const kb::ShardedKb> sharded, uint64_t id,
-               const KbGenerationOptions& options);
 
   const uint64_t id_;
-  // Flat substrate (empty for sharded generations).
   kb::KnowledgeBase kb_;
   embedding::EmbeddingStore embeddings_;
-  // Sharded substrate (null for flat generations).
-  std::shared_ptr<const kb::ShardedKb> sharded_;
-  // The one handle the linker consumes, whatever the substrate shape.
+  // Shared with the linker, which holds it for its whole lifetime.
   std::shared_ptr<const kb::KbView> view_;
   text::Gazetteer gazetteer_;
   kb::DeltaApplyStats delta_stats_;

@@ -68,12 +68,11 @@ class SessionContext {
 
   /// Re-ranks `result` against the session's entity memory (no-op on the
   /// first turn or when apply_entity_memory is off).  Call before scoring
-  /// and before ObserveTurn.  Works against any KbView substrate (flat or
-  /// sharded).
+  /// and before ObserveTurn.
   SessionTurnStats ApplySessionCoherence(const kb::KbView& view,
                                          core::LinkingResult* result);
 
-  /// Convenience over the flat substrate.
+  /// Same, straight over a KnowledgeBase.
   SessionTurnStats ApplySessionCoherence(const kb::KnowledgeBase& kb,
                                          core::LinkingResult* result);
 

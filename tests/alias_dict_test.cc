@@ -374,17 +374,6 @@ TEST(AliasDictSnapshotTest, SnapshotBytesAreDeterministic) {
   std::string path_c = TempPath("dict_det_c.tenetkb");
   ASSERT_TRUE(SaveKnowledgeBase(*loaded, path_c).ok());
   EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_c));
-
-  // The legacy text path builds the dictionary in memory after restore and
-  // then snapshots to the same bytes as the original KB.
-  std::string text_path = TempPath("dict_det.text.tenetkb");
-  ASSERT_TRUE(
-      SaveKnowledgeBase(world.kb, text_path, KbFormat::kTextV1).ok());
-  Result<KnowledgeBase> from_text = LoadKnowledgeBase(text_path);
-  ASSERT_TRUE(from_text.ok()) << from_text.status();
-  std::string path_d = TempPath("dict_det_d.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(*from_text, path_d).ok());
-  EXPECT_EQ(ReadFileBytes(path_a), ReadFileBytes(path_d));
 }
 
 // --- corruption matrix: alias_dict section ----------------------------------
@@ -487,22 +476,14 @@ TEST_F(AliasDictCorruptionTest, UnknownVersionIsRejected) {
 }
 
 TEST_F(AliasDictCorruptionTest, BadRestartOffsetsAreRejected) {
-  // Header fields at payload offsets 16..28: num_surfaces, num_buckets,
-  // num_blocks, max_key_bytes.  The block-offset array sits after the
-  // bucket tables; derive its position exactly as the parser does.
+  // Header fields at payload offsets 16..28: num_surfaces, num_blocks,
+  // max_key_bytes, pad.  The block-offset array is the first one after the
+  // 56-byte header.
   const char* payload = bytes_.data() + dict_.offset;
-  uint32_t num_surfaces = 0;
-  uint32_t num_buckets = 0;
   uint32_t num_blocks = 0;
-  std::memcpy(&num_surfaces, payload + 16, sizeof(num_surfaces));
-  std::memcpy(&num_buckets, payload + 20, sizeof(num_buckets));
-  std::memcpy(&num_blocks, payload + 24, sizeof(num_blocks));
+  std::memcpy(&num_blocks, payload + 20, sizeof(num_blocks));
   ASSERT_GT(num_blocks, 0u);
-  auto aligned8 = [](size_t n) { return (n + 7) & ~size_t{7}; };
-  size_t pos = 56;
-  pos += aligned8((num_buckets + 1) * sizeof(uint32_t));  // bucket_offsets
-  pos += aligned8(num_surfaces * sizeof(uint32_t));       // hash_order
-  pos += num_surfaces * sizeof(uint64_t);                 // bucket_hashes
+  const size_t pos = 56;
   // block_offsets[0] must be 0; block_offsets must stay monotone and end
   // at the key-blob size.  Break each invariant in turn.
   for (uint32_t bogus : {uint32_t{1}, uint32_t{0x7fffffff}}) {
@@ -523,13 +504,19 @@ TEST_F(AliasDictCorruptionTest, BadRestartOffsetsAreRejected) {
 }
 
 TEST_F(AliasDictCorruptionTest, GarbledKeyBlobIsRejected) {
-  // Stomp bytes right before the posting arena — inside the front-coded
-  // key blob — with varint garbage.
+  // Stomp the head of the front-coded key blob (the 8-aligned region just
+  // before the posting arena) with varint garbage: the first key's length
+  // varint never terminates.
+  uint64_t key_blob_bytes = 0;
+  std::memcpy(&key_blob_bytes, bytes_.data() + dict_.offset + 40,
+              sizeof(key_blob_bytes));
+  ASSERT_GE(key_blob_bytes, 8u);
   std::string bytes = bytes_;
   const size_t postings_bytes = static_cast<size_t>(dict_.count) * 16;
-  const size_t blob_tail = dict_.offset + dict_.size - postings_bytes - 9;
+  const size_t blob_head = dict_.offset + dict_.size - postings_bytes -
+                           ((key_blob_bytes + 7) & ~uint64_t{7});
   for (int i = 0; i < 8; ++i) {
-    bytes[blob_tail + i] = static_cast<char>(0xff);
+    bytes[blob_head + i] = static_cast<char>(0xff);
   }
   ResealDictChecksum(&bytes, dict_);
   ExpectRejected(bytes, "garbled key blob");
@@ -545,16 +532,11 @@ TEST_F(AliasDictCorruptionTest, WrapInducingHeaderCountsAreRejected) {
   // be rejected up front with kInvalidArgument.
   const char* payload = bytes_.data() + dict_.offset;
   uint32_t num_surfaces = 0;
-  uint32_t num_buckets = 0;
   uint32_t num_blocks = 0;
   std::memcpy(&num_surfaces, payload + 16, sizeof(num_surfaces));
-  std::memcpy(&num_buckets, payload + 20, sizeof(num_buckets));
-  std::memcpy(&num_blocks, payload + 24, sizeof(num_blocks));
+  std::memcpy(&num_blocks, payload + 20, sizeof(num_blocks));
   auto aligned8 = [](uint64_t n) { return (n + 7) & ~uint64_t{7}; };
   uint64_t fixed = 56;
-  fixed += aligned8((num_buckets + uint64_t{1}) * 4);   // bucket_offsets
-  fixed += aligned8(uint64_t{num_surfaces} * 4);        // hash_order
-  fixed += uint64_t{num_surfaces} * 8;                  // bucket_hashes
   fixed += aligned8((num_blocks + uint64_t{1}) * 4);    // block_offsets
   fixed += aligned8((num_surfaces + uint64_t{1}) * 4);  // posting_offsets
   fixed += aligned8(uint64_t{num_surfaces} * 4);        // entity_splits
@@ -578,12 +560,18 @@ TEST_F(AliasDictCorruptionTest, WrapInducingHeaderCountsAreRejected) {
   ExpectRejected(bytes, "wrap-inducing header counts");
 }
 
+TEST_F(AliasDictCorruptionTest, NonzeroHeaderPadIsRejected) {
+  std::string bytes = bytes_;
+  uint32_t pad = 1;
+  std::memcpy(bytes.data() + dict_.offset + 28, &pad, sizeof(pad));
+  ResealDictChecksum(&bytes, dict_);
+  ExpectRejected(bytes, "nonzero header pad");
+}
+
 TEST_F(AliasDictCorruptionTest, SectionTableTamperingIsRejected) {
-  // Rewrite the (empty) legacy aliases entry's id to 7, yielding a table
-  // with two alias_dict entries and no aliases section — rejected whether
-  // the duplicate-id or the missing-section check fires first.  The header
-  // checksum over the table is re-sealed so the structural checks must do
-  // the rejecting.
+  // Rewrite the facts entry's id to 7, yielding a table with two
+  // alias_dict entries and no facts section.  The header checksum over the
+  // table is re-sealed so the structural checks must do the rejecting.
   std::string bytes = bytes_;
   uint32_t section_count = 0;
   std::memcpy(&section_count, bytes.data() + 12, sizeof(section_count));
@@ -591,7 +579,7 @@ TEST_F(AliasDictCorruptionTest, SectionTableTamperingIsRejected) {
     char* entry = bytes.data() + 32 + i * 32;
     uint32_t id = 0;
     std::memcpy(&id, entry, sizeof(id));
-    if (id == 4) {
+    if (id == 5) {
       uint32_t dict_id = 7;
       std::memcpy(entry, &dict_id, sizeof(dict_id));
     }

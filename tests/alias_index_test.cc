@@ -6,62 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
-
 namespace tenet {
 namespace kb {
 namespace {
-
-// Flattens an index into (surface, posting) rows — consecutive per surface
-// in finalized order, i.e. exactly the shape RestorePostings consumes.
-struct FlatPosting {
-  std::string surface;
-  AliasPosting posting;
-};
-
-std::vector<FlatPosting> Flatten(const AliasIndex& index) {
-  std::vector<FlatPosting> out;
-  index.VisitPostings([&out](std::string_view surface,
-                             const AliasPosting& posting) {
-    out.push_back(FlatPosting{std::string(surface), posting});
-  });
-  return out;
-}
-
-void ExpectSameLookups(const AliasIndex& a, const AliasIndex& b,
-                       const std::vector<FlatPosting>& surfaces) {
-  ASSERT_EQ(a.num_surfaces(), b.num_surfaces());
-  for (const FlatPosting& row : surfaces) {
-    std::span<const AliasPosting> ea = a.LookupEntities(row.surface);
-    std::span<const AliasPosting> eb = b.LookupEntities(row.surface);
-    ASSERT_EQ(ea.size(), eb.size()) << row.surface;
-    for (size_t i = 0; i < ea.size(); ++i) {
-      EXPECT_EQ(ea[i].concept_ref, eb[i].concept_ref) << row.surface;
-      EXPECT_EQ(ea[i].prior, eb[i].prior) << row.surface;  // bit-exact
-    }
-    std::span<const AliasPosting> pa = a.LookupPredicates(row.surface);
-    std::span<const AliasPosting> pb = b.LookupPredicates(row.surface);
-    ASSERT_EQ(pa.size(), pb.size()) << row.surface;
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i].concept_ref, pb[i].concept_ref) << row.surface;
-      EXPECT_EQ(pa[i].prior, pb[i].prior) << row.surface;
-    }
-  }
-}
-
-AliasIndex BuildSampleIndex() {
-  AliasIndex index;
-  for (int i = 0; i < 200; ++i) {
-    std::string surface = "Surface Number " + std::to_string(i % 60);
-    index.Add(surface, ConceptRef::Entity(i), 1.0 + 0.1 * (i % 7));
-    if (i % 3 == 0) {
-      index.Add(surface, ConceptRef::Predicate(i % 11), 0.5 + 0.01 * i);
-    }
-  }
-  index.Add("Caf\xC3\xA9 Tacvba", ConceptRef::Entity(777), 2.0);
-  index.Finalize();
-  return index;
-}
 
 TEST(AliasIndexTest, LookupIsCaseInsensitive) {
   AliasIndex index;
@@ -136,62 +83,6 @@ TEST(AliasIndexTest, HighBitSurfaceBytesSurviveFolding) {
   // Uppercase 'É' is a *different* byte sequence (C3 89): the ASCII fold
   // must not alias it onto 'é' the way a Latin-1 tolower would.
   EXPECT_TRUE(index.LookupEntities("CAF\xC3\x89").empty());
-}
-
-TEST(AliasIndexTest, PooledFinalizeMatchesSerial) {
-  AliasIndex serial = BuildSampleIndex();
-  AliasIndex pooled;
-  for (int i = 0; i < 200; ++i) {
-    std::string surface = "Surface Number " + std::to_string(i % 60);
-    pooled.Add(surface, ConceptRef::Entity(i), 1.0 + 0.1 * (i % 7));
-    if (i % 3 == 0) {
-      pooled.Add(surface, ConceptRef::Predicate(i % 11), 0.5 + 0.01 * i);
-    }
-  }
-  pooled.Add("Caf\xC3\xA9 Tacvba", ConceptRef::Entity(777), 2.0);
-  ThreadPool pool(ThreadPool::Options{});
-  pooled.Finalize(AliasIndex::FinalizeMode::kNormalizeWeights, &pool);
-  ExpectSameLookups(serial, pooled, Flatten(serial));
-}
-
-TEST(AliasIndexTest, RestorePostingsReproducesTheIndexBitExactly) {
-  // The deserialization fast path: flatten a finalized index (the exact
-  // shape a snapshot stores) and rebuild via bulk restore, serial and
-  // pooled.  Priors must come back bit-exact — restore-mode Finalize may
-  // not renormalize, because normalization is not idempotent in floating
-  // point.
-  AliasIndex original = BuildSampleIndex();
-  std::vector<FlatPosting> rows = Flatten(original);
-  std::vector<AliasIndex::RestoreEntry> entries;
-  entries.reserve(rows.size());
-  for (const FlatPosting& row : rows) {
-    entries.push_back(AliasIndex::RestoreEntry{row.surface, row.posting});
-  }
-
-  AliasIndex restored;
-  restored.RestorePostings(entries);
-  restored.Finalize(AliasIndex::FinalizeMode::kRestorePriors);
-  ExpectSameLookups(original, restored, rows);
-
-  AliasIndex restored_pooled;
-  ThreadPool pool(ThreadPool::Options{});
-  restored_pooled.RestorePostings(entries, &pool);
-  restored_pooled.Finalize(AliasIndex::FinalizeMode::kRestorePriors, &pool);
-  ExpectSameLookups(original, restored_pooled, rows);
-}
-
-TEST(AliasIndexTest, RestoreModePreservesUnnormalizedPriors) {
-  // Priors that do not sum to exactly 1.0 (every real snapshot, thanks to
-  // rounding) must come back untouched — not pushed through another
-  // normalization pass.
-  AliasIndex index;
-  index.Add("x", ConceptRef::Entity(0), 0.1);
-  index.Add("x", ConceptRef::Entity(1), 0.7);
-  index.Finalize(AliasIndex::FinalizeMode::kRestorePriors);
-  std::span<const AliasPosting> postings = index.LookupEntities("x");
-  ASSERT_EQ(postings.size(), 2u);
-  EXPECT_EQ(postings[0].prior, 0.1);  // bit-exact, insertion order kept
-  EXPECT_EQ(postings[1].prior, 0.7);
 }
 
 TEST(AliasIndexDeathTest, AddAfterFinalizeAborts) {

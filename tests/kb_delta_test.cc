@@ -6,12 +6,14 @@
 #include "kb/delta.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "embedding/embedding_store.h"
 #include "kb/knowledge_base.h"
@@ -141,6 +143,24 @@ TEST(DeltaSegmentTest, LoaderRejectsTheCorruptionMatrix) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
+  // A bare 40-byte header claiming 2^60 records over an empty payload,
+  // with a recomputed header checksum: the count is refused before it
+  // sizes any allocation.
+  {
+    SCOPED_TRACE("record count beyond the payload");
+    std::string header = bytes.substr(0, 40);
+    const uint64_t record_count = uint64_t{1} << 60;
+    const uint64_t payload_bytes = 0;
+    std::memcpy(header.data() + 16, &record_count, sizeof(record_count));
+    std::memcpy(header.data() + 24, &payload_bytes, sizeof(payload_bytes));
+    const uint64_t checksum = Fnv1a64(header.data(), 32);
+    std::memcpy(header.data() + 32, &checksum, sizeof(checksum));
+    std::string bad = TempPath("delta_huge_count.tenetdelta");
+    { std::ofstream(bad, std::ios::binary) << header; }
+    Result<DeltaSegment> loaded = LoadDeltaSegment(bad);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
   // Truncation (a short read, not a flipped byte) is also refused.
   {
     std::string bad = TempPath("delta_truncated.tenetdelta");
@@ -230,7 +250,7 @@ TEST(ApplyDeltasTest, UntouchedSurfacesKeepBitExactPriors) {
     ASSERT_EQ(before.size(), after.size());
     for (size_t i = 0; i < before.size(); ++i) {
       EXPECT_EQ(before[i].entity, after[i].entity);
-      // EQ, not NEAR: the kRestorePriors contract is bit-exact.
+      // EQ, not NEAR: untouched priors are restored bit-exactly.
       EXPECT_EQ(before[i].prior, after[i].prior);
     }
   }

@@ -280,9 +280,9 @@ PostingRows AllPostings(const KnowledgeBase& kb) {
   return rows;
 }
 
-TEST(KbIoTest, PriorsRoundTripBitExactInBothFormats) {
+TEST(KbIoTest, PriorsRoundTripBitExact) {
   // Alias priors are probabilities computed once at build time; each load
-  // must restore them bit-exactly (max_digits10 text, raw doubles binary).
+  // must restore them bit-exactly (raw doubles in the alias dictionary).
   // Renormalizing on load would drift near-tie disambiguations by an ulp
   // per save/load generation.
   Rng rng(64);
@@ -293,36 +293,26 @@ TEST(KbIoTest, PriorsRoundTripBitExactInBothFormats) {
   PostingRows original = AllPostings(world.kb);
   ASSERT_FALSE(original.empty());
 
-  for (KbFormat format : {KbFormat::kTextV1, KbFormat::kBinaryV2}) {
-    SCOPED_TRACE(format == KbFormat::kTextV1 ? "text" : "binary");
-    std::string path = TempPath("prior_exact.tenetkb");
-    ASSERT_TRUE(SaveKnowledgeBase(world.kb, path, format).ok());
-    Result<KnowledgeBase> gen1 = LoadKnowledgeBase(path);
-    ASSERT_TRUE(gen1.ok()) << gen1.status();
-    EXPECT_EQ(AllPostings(*gen1), original);
+  std::string path = TempPath("prior_exact.tenetkb");
+  ASSERT_TRUE(SaveKnowledgeBase(world.kb, path).ok());
+  Result<KnowledgeBase> gen1 = LoadKnowledgeBase(path);
+  ASSERT_TRUE(gen1.ok()) << gen1.status();
+  EXPECT_EQ(AllPostings(*gen1), original);
 
-    // Second generation: save the loaded KB and load again — still exact.
-    ASSERT_TRUE(SaveKnowledgeBase(*gen1, path, format).ok());
-    Result<KnowledgeBase> gen2 = LoadKnowledgeBase(path);
-    ASSERT_TRUE(gen2.ok()) << gen2.status();
-    EXPECT_EQ(AllPostings(*gen2), original);
-  }
-}
-
-TEST(KbIoCorruptionTest, TextLoadRejectsTrailingGarbage) {
-  std::string path = TempPath("trailing.tenetkb");
-  ASSERT_TRUE(SaveKnowledgeBase(TinyKb(), path, KbFormat::kTextV1).ok());
-  std::string content = ReadFileBytes(path);
-  WriteFile(path, content + "one more line\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  // Second generation: save the loaded KB and load again — still exact.
+  ASSERT_TRUE(SaveKnowledgeBase(*gen1, path).ok());
+  Result<KnowledgeBase> gen2 = LoadKnowledgeBase(path);
+  ASSERT_TRUE(gen2.ok()) << gen2.status();
+  EXPECT_EQ(AllPostings(*gen2), original);
 }
 
 // --- TENETKB2 corruption matrix --------------------------------------------
-// Layout recap (mirrors io.cc): 32-byte header, then section_count 32-byte
-// table entries {u32 id, u32 pad, u64 offset, u64 size, u64 count}, then
-// the section payloads.  The header checksum covers the table.
+// Layout recap (mirrors io.cc): 32-byte header, then five 32-byte table
+// entries {u32 id, u32 pad, u64 offset, u64 size, u64 count}, then the
+// section payloads: string table (id 1), entities (2), predicates (3),
+// facts (5), alias_dict (7).  The header checksum covers only the table,
+// so a byte patched inside a record section must be caught by the
+// loader's own record validation.
 
 struct BinarySection {
   uint32_t id;
@@ -354,18 +344,43 @@ std::string SavedBinaryKb(const std::string& name) {
   options.entities_per_domain = 8;
   SyntheticKb world = SyntheticKbGenerator(options).Generate(rng);
   std::string path = TempPath(name);
-  EXPECT_TRUE(SaveKnowledgeBase(world.kb, path, KbFormat::kBinaryV2).ok());
+  EXPECT_TRUE(SaveKnowledgeBase(world.kb, path).ok());
   return path;
+}
+
+BinarySection SectionWithId(const std::string& bytes, uint32_t id) {
+  for (const BinarySection& s : ReadSectionTable(bytes)) {
+    if (s.id == id) return s;
+  }
+  ADD_FAILURE() << "no section with id " << id;
+  return {};
+}
+
+// Writes `bytes` and expects the load to fail with kInvalidArgument whose
+// message names `reason`.
+void ExpectLoadRejected(const std::string& bytes, const std::string& reason) {
+  std::string path = TempPath("matrix_patched.tenetkb");
+  WriteFile(path, bytes);
+  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_FALSE(loaded.ok()) << reason;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << reason;
+  EXPECT_NE(loaded.status().message().find(reason), std::string::npos)
+      << loaded.status().message();
+}
+
+template <typename T>
+void Poke(std::string* bytes, uint64_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
 }
 
 TEST(KbIoCorruptionTest, BinaryTruncationAtEverySectionBoundaryIsRejected) {
   std::string path = SavedBinaryKb("matrix_boundary.tenetkb");
   std::string content = ReadFileBytes(path);
   std::vector<BinarySection> sections = ReadSectionTable(content);
-  ASSERT_EQ(sections.size(), 6u);  // 5 legacy sections + alias_dict
+  ASSERT_EQ(sections.size(), 5u);
   // Cut exactly at each section's start, one byte into it, and one byte
   // before its end — plus the header/table edges.
-  std::vector<size_t> cuts = {0, 1, 31, 32, 33, 32 + 6 * 32 - 1, 32 + 6 * 32};
+  std::vector<size_t> cuts = {0, 1, 31, 32, 33, 32 + 5 * 32 - 1, 32 + 5 * 32};
   for (const BinarySection& s : sections) {
     cuts.push_back(s.offset);
     cuts.push_back(s.offset + 1);
@@ -443,7 +458,7 @@ TEST(KbIoCorruptionTest, WrongMagicIsRejected) {
 }
 
 TEST(KbIoCorruptionTest, WrongVersionLineIsRejected) {
-  // A future (or corrupted) version stamp must not be parsed as v1.
+  // A text file that merely resembles a KB container is not a snapshot.
   std::string path = TempPath("wrong_version.tenetkb");
   WriteFile(path, "TENETKB v9\nE\t0\nP\t0\nA\t0\nF\t0\n");
   Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
@@ -469,31 +484,149 @@ TEST(KbIoCorruptionTest, TruncatedKbFileIsRejected) {
 }
 
 TEST(KbIoCorruptionTest, AliasWithOutOfRangeEntityIdIsRejected) {
-  std::string path = TempPath("bad_alias_id.tenetkb");
-  WriteFile(path,
-            "TENETKB v1\n"
-            "E\t1\n0\t0\t1\tBrooklyn\n"
-            "P\t0\n"
-            "A\t1\nE\t7\t1\tKings County\n"  // entity 7 does not exist
-            "F\t0\n");
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("unknown entity"),
-            std::string::npos);
+  // The first concept id past the end: the boundary, where
+  // BinaryAliasWithOutOfRangeEntityIdIsRejected tries INT32_MAX.  The
+  // dictionary's own payload checksum is re-sealed, so the id check must
+  // catch it.
+  std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_alias_edge.tenetkb"));
+  const BinarySection dict = SectionWithId(content, 7);
+  const int32_t past_end = static_cast<int32_t>(
+      std::max(SectionWithId(content, 2).count,
+               SectionWithId(content, 3).count));
+  Poke(&content, dict.offset + dict.size - dict.count * 16, past_end);
+  Poke(&content, dict.offset,
+       Fnv1a64(content.data() + dict.offset + 8, dict.size - 8));
+  ExpectLoadRejected(content, "out of range");
 }
 
 TEST(KbIoCorruptionTest, FactWithOutOfRangeConceptIdsIsRejected) {
-  std::string path = TempPath("bad_fact_id.tenetkb");
-  WriteFile(path,
-            "TENETKB v1\n"
-            "E\t1\n0\t0\t1\tBrooklyn\n"
-            "P\t1\n0\t1\tvisited\n"
-            "A\t0\n"
-            "F\t1\n0\t0\tE\t42\n");  // object entity 42 does not exist
-  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  // Fact records: {i32 subject, i32 predicate, i32 object kind (0 entity,
+  // 1 literal), i32 object entity, u32 literal ref, u32 pad}.
+  const std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_fact_ids.tenetkb"));
+  const BinarySection facts = SectionWithId(content, 5);
+  ASSERT_GE(facts.count, 1u);
+  const int32_t entities =
+      static_cast<int32_t>(SectionWithId(content, 2).count);
+  const int32_t predicates =
+      static_cast<int32_t>(SectionWithId(content, 3).count);
+  struct Patch {
+    uint64_t field;
+    int32_t value;
+    const char* reason;
+  };
+  const Patch patches[] = {
+      {0, entities, "bad subject entity id"},
+      {0, -1, "bad subject entity id"},
+      {4, predicates, "bad predicate id"},
+      {12, entities, "bad object entity id"},
+  };
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.reason);
+    std::string bytes = content;
+    Poke(&bytes, facts.offset + 8, int32_t{0});  // entity object
+    Poke(&bytes, facts.offset + patch.field, patch.value);
+    ExpectLoadRejected(bytes, patch.reason);
+  }
+}
+
+TEST(KbIoCorruptionTest, BadFactObjectKindIsRejected) {
+  std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_fact_kind.tenetkb"));
+  const BinarySection facts = SectionWithId(content, 5);
+  ASSERT_GE(facts.count, 1u);
+  Poke(&content, facts.offset + 8, int32_t{2});
+  ExpectLoadRejected(content, "bad fact object kind");
+}
+
+TEST(KbIoCorruptionTest, LiteralStringReferenceOutOfRangeIsRejected) {
+  std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_fact_literal.tenetkb"));
+  const BinarySection facts = SectionWithId(content, 5);
+  ASSERT_GE(facts.count, 1u);
+  const uint32_t strings =
+      static_cast<uint32_t>(SectionWithId(content, 1).count);
+  Poke(&content, facts.offset + 8, int32_t{1});  // literal object
+  Poke(&content, facts.offset + 16, strings);    // one past the last string
+  ExpectLoadRejected(content, "string reference out of range in facts");
+}
+
+TEST(KbIoCorruptionTest, BadEntityRecordsAreRejected) {
+  // Entity records: {u32 label ref, i32 type, i32 domain, i32 pad,
+  // f64 popularity}.
+  const std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_entities.tenetkb"));
+  const BinarySection entities = SectionWithId(content, 2);
+  ASSERT_GE(entities.count, 1u);
+  {
+    std::string bytes = content;
+    Poke(&bytes, entities.offset + 4, int32_t{kNumEntityTypes});
+    ExpectLoadRejected(bytes, "bad entity type");
+  }
+  {
+    std::string bytes = content;
+    Poke(&bytes, entities.offset + 4, int32_t{-1});
+    ExpectLoadRejected(bytes, "bad entity type");
+  }
+  for (double popularity :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(popularity);
+    std::string bytes = content;
+    Poke(&bytes, entities.offset + 16, popularity);
+    ExpectLoadRejected(bytes, "non-positive entity popularity");
+  }
+}
+
+TEST(KbIoCorruptionTest, BadPredicateRecordIsRejected) {
+  // Predicate records: {u32 label ref, i32 domain, i32 pad, i32 pad,
+  // f64 popularity}.
+  const std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_predicates.tenetkb"));
+  const BinarySection predicates = SectionWithId(content, 3);
+  ASSERT_GE(predicates.count, 1u);
+  {
+    std::string bytes = content;
+    Poke(&bytes, predicates.offset + 16, 0.0);
+    ExpectLoadRejected(bytes, "non-positive predicate popularity");
+  }
+  {
+    std::string bytes = content;
+    Poke(&bytes, predicates.offset, uint32_t{0xffffffff});
+    ExpectLoadRejected(bytes, "string reference out of range in predicates");
+  }
+}
+
+TEST(KbIoCorruptionTest, SectionTableTamperingIsRejected) {
+  const std::string content =
+      ReadFileBytes(SavedBinaryKb("matrix_section_ids.tenetkb"));
+  // The section count sits outside the checksummed table: any count but
+  // five is refused.
+  for (uint32_t count : {4u, 6u, 0u}) {
+    SCOPED_TRACE(count);
+    std::string bytes = content;
+    Poke(&bytes, 12, count);
+    ExpectLoadRejected(bytes, "section count");
+  }
+  // Rewrite one table entry's id and re-seal the header checksum, so the
+  // table parser — not the checksum — must reject the layout.
+  struct Case {
+    uint32_t entry;
+    uint32_t id;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {3, 4, "unknown TENETKB2 section id 4"},
+      {3, 6, "unknown TENETKB2 section id 6"},
+      {3, 2, "duplicate TENETKB2 section: entities"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.reason);
+    std::string bytes = content;
+    Poke(&bytes, 32 + c.entry * 32, c.id);
+    Poke(&bytes, 24, Fnv1a64(bytes.data() + 32, 5 * 32));
+    ExpectLoadRejected(bytes, c.reason);
+  }
 }
 
 TEST(KbIoCorruptionTest, NaNEmbeddingPayloadIsDataLoss) {
@@ -522,6 +655,26 @@ TEST(KbIoCorruptionTest, TruncatedEmbeddingPayloadIsRejected) {
   Result<embedding::EmbeddingStore> loaded = LoadEmbeddings(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(KbIoCorruptionTest, WrappingEmbeddingHeaderIsRejected) {
+  // dim * (entities + predicates) * 4 + 21 wraps mod 2^64 to exactly the
+  // 85 bytes of this file, and entities + predicates overflows int32: the
+  // declared counts must be bounded by the payload before any arithmetic.
+  std::string path = TempPath("wrapping_header.tenetemb");
+  std::string content = "TENETEMB1";
+  int32_t header[3] = {1073807362, 2147483647, 2147221513};
+  content.append(reinterpret_cast<const char*>(header), sizeof(header));
+  float payload[16] = {};
+  content.append(reinterpret_cast<const char*>(payload), sizeof(payload));
+  ASSERT_EQ(content.size(), 85u);
+  WriteFile(path, content);
+  Result<embedding::EmbeddingStore> loaded = LoadEmbeddings(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  Result<EmbFileInfo> info = InspectEmbeddingsFile(path);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KbIoCorruptionTest, InjectedWriteTruncationNeverPublishesATornFile) {

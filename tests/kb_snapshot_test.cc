@@ -1,16 +1,14 @@
-// Golden snapshot equivalence: a world saved to disk and reloaded — legacy
-// text, TENETKB2 streamed, or TENETKB2 zero-copy (with and without a
-// thread pool) — must drive the full evaluation to scores byte-identical
-// to the in-memory original, including the full/degraded accounting.  This
-// is the round-trip contract the persistence layer exists to keep: a
-// restart may never change what the system links.
+// Golden snapshot equivalence: a world saved to disk and reloaded — TENETKB2
+// streamed or zero-copy — must drive the full evaluation to scores
+// byte-identical to the in-memory original, including the full/degraded
+// accounting.  This is the round-trip contract the persistence layer exists
+// to keep: a restart may never change what the system links.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/tenet_linker.h"
-#include "common/thread_pool.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "eval/harness.h"
@@ -52,38 +50,19 @@ TEST(KbSnapshotTest, EveryLoadPathScoresIdenticallyToMemory) {
   ASSERT_EQ(golden.failed_documents, 0);
   ASSERT_GT(golden.entity_linking.tp, 0);
 
-  std::string text_path = TempPath("snapshot_world.text.tenetkb");
-  std::string bin_path = TempPath("snapshot_world.tenetkb");
+  std::string kb_path = TempPath("snapshot_world.tenetkb");
   std::string emb_path = TempPath("snapshot_world.tenetemb");
-  ASSERT_TRUE(
-      kb::SaveKnowledgeBase(world.kb(), text_path, kb::KbFormat::kTextV1)
-          .ok());
-  ASSERT_TRUE(
-      kb::SaveKnowledgeBase(world.kb(), bin_path, kb::KbFormat::kBinaryV2)
-          .ok());
+  ASSERT_TRUE(kb::SaveKnowledgeBase(world.kb(), kb_path).ok());
   ASSERT_TRUE(kb::SaveEmbeddings(world.embeddings, emb_path).ok());
 
-  ThreadPool pool(ThreadPool::Options{});
-  struct LoadPath {
-    const char* name;
-    const std::string* kb_path;
+  for (bool prefer_mmap : {false, true}) {
+    SCOPED_TRACE(prefer_mmap ? "binary_mmap" : "binary_stream");
     kb::KbLoadOptions options;
-  };
-  const LoadPath paths[] = {
-      {"text", &text_path, {}},
-      {"binary_stream", &bin_path, {/*prefer_mmap=*/false, nullptr}},
-      {"binary_mmap", &bin_path, {/*prefer_mmap=*/true, nullptr}},
-      {"binary_mmap_pool", &bin_path, {/*prefer_mmap=*/true, &pool}},
-  };
-  for (const LoadPath& path : paths) {
-    SCOPED_TRACE(path.name);
-    Result<kb::KnowledgeBase> kb2 =
-        kb::LoadKnowledgeBase(*path.kb_path, path.options);
+    options.prefer_mmap = prefer_mmap;
+    Result<kb::KnowledgeBase> kb2 = kb::LoadKnowledgeBase(kb_path, options);
     ASSERT_TRUE(kb2.ok()) << kb2.status();
-    kb::KbLoadOptions emb_options;
-    emb_options.prefer_mmap = path.options.prefer_mmap;
     Result<embedding::EmbeddingStore> emb2 =
-        kb::LoadEmbeddings(emb_path, emb_options);
+        kb::LoadEmbeddings(emb_path, options);
     ASSERT_TRUE(emb2.ok()) << emb2.status();
     text::Gazetteer gazetteer2 = kb::DeriveGazetteer(*kb2);
 

@@ -53,22 +53,11 @@
 //       mentions, so scores are unchanged; the swap/rollback accounting is
 //       reported afterwards.
 //
-//   tenet_cli kb build [--seed N] [--kb PATH] [--emb PATH]
-//             [--format text|binary] [--shards N]
-//       Like build-world, with an explicit snapshot format: binary writes
-//       the TENETKB2 snapshot (the default everywhere), text the legacy
-//       TENETKB v1 container (for diffing/debugging).  With --shards N the
-//       world is hash-partitioned into N shards and --kb names the
-//       TENETKBSHARDS1 manifest of the layout (one snapshot + embedding
-//       pair per shard lands next to it); --emb and --format do not apply.
-//
 //   tenet_cli kb inspect [--kb PATH] [--emb PATH]
-//       Prints the format, logical counts and (for binary snapshots) the
-//       section table of a KB file without materializing it, plus the
-//       embedding header when --emb is given.  Validates the same
-//       header/section invariants as the loader.  On a TENETKBSHARDS1
-//       manifest, prints the global counts plus one row per shard; on a
-//       single shard snapshot, its position in the layout.
+//       Prints the logical counts, the section table and the alias
+//       dictionary's footprint of a TENETKB2 snapshot without
+//       materializing it, plus the embedding header when --emb is given.
+//       Validates the same header/section invariants as the loader.
 //
 //   tenet_cli kb delta --kb PATH --emb PATH --out PATH [--seed N]
 //             [--add-entities N]
@@ -115,7 +104,6 @@
 #include "eval/harness.h"
 #include "kb/delta.h"
 #include "kb/io.h"
-#include "kb/sharded_kb.h"
 #include "kb/types.h"
 #include "serving/batch_service.h"
 #include "serving/kb_generation.h"
@@ -126,12 +114,11 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string subcommand;  // of "kb": build, inspect, delta or merge
+  std::string subcommand;  // of "kb": inspect, delta or merge
   uint64_t seed = 2021;
   std::string kb_path = "world.tenetkb";
   std::string emb_path = "world.tenetemb";
   bool emb_path_set = false;
-  kb::KbFormat format = kb::KbFormat::kBinaryV2;
   std::optional<std::string> document_text;
   int candidates = 4;
   double deadline_ms = std::numeric_limits<double>::infinity();
@@ -148,7 +135,6 @@ struct Args {
   int kb_update_every = 0;
   std::string scenario = "clean";
   bool frontier = false;
-  int shards = 0;  // kb build: 0 = flat snapshot, N > 0 = sharded layout
 };
 
 // Strict integer flag: the whole value must parse (no "4x", no empty), and
@@ -174,8 +160,8 @@ std::optional<Args> Parse(int argc, char** argv) {
   if (args.command == "kb") {
     if (argc < 3) return std::nullopt;
     args.subcommand = argv[2];
-    if (args.subcommand != "build" && args.subcommand != "inspect" &&
-        args.subcommand != "delta" && args.subcommand != "merge") {
+    if (args.subcommand != "inspect" && args.subcommand != "delta" &&
+        args.subcommand != "merge") {
       std::fprintf(stderr, "unknown kb subcommand: %s\n",
                    args.subcommand.c_str());
       return std::nullopt;
@@ -205,17 +191,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       if (v == nullptr) return std::nullopt;
       args.emb_path = v;
       args.emb_path_set = true;
-    } else if (flag == "--format") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      if (std::string_view(v) == "text") {
-        args.format = kb::KbFormat::kTextV1;
-      } else if (std::string_view(v) == "binary") {
-        args.format = kb::KbFormat::kBinaryV2;
-      } else {
-        std::fprintf(stderr, "--format expects text or binary, got: %s\n", v);
-        return std::nullopt;
-      }
     } else if (flag == "--text") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
@@ -284,14 +259,6 @@ std::optional<Args> Parse(int argc, char** argv) {
         return std::nullopt;
       }
       args.add_entities = static_cast<int>(n);
-    } else if (flag == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      int64_t n = 0;
-      if (!ParseIntFlag("--shards", v, 1, 4096, &n)) {
-        return std::nullopt;
-      }
-      args.shards = static_cast<int>(n);
     } else if (flag == "--kb-update-every") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
@@ -338,8 +305,6 @@ void PrintUsage() {
       "[--scenario clean|adversarial|sessions] [--frontier] "
       "[--similarity-cache-mb N] [--metrics-out FILE] "
       "[--kb-update-every N]\n"
-      "  tenet_cli kb build [--seed N] [--kb PATH] [--emb PATH] "
-      "[--format text|binary] [--shards N]\n"
       "  tenet_cli kb inspect [--kb PATH] [--emb PATH]\n"
       "  tenet_cli kb delta --kb PATH --emb PATH --out PATH [--seed N] "
       "[--add-entities N]\n"
@@ -417,23 +382,7 @@ int CmdBuildWorld(const Args& args) {
   datasets::WorldOptions options;
   options.seed = args.seed;
   datasets::SyntheticWorld world = datasets::BuildWorld(options);
-  if (args.shards > 0) {
-    kb::ShardedKb sharded = kb::ShardedKb::Partition(
-        world.kb(), world.embeddings, args.shards);
-    Status saved = sharded.Save(args.kb_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%d shards, %d entities, %d predicates, "
-                "%d facts)\n",
-                args.kb_path.c_str(), sharded.num_shards(),
-                world.kb().num_entities(), world.kb().num_predicates(),
-                world.kb().num_facts());
-    return 0;
-  }
-  Status kb_status =
-      kb::SaveKnowledgeBase(world.kb(), args.kb_path, args.format);
+  Status kb_status = kb::SaveKnowledgeBase(world.kb(), args.kb_path);
   if (!kb_status.ok()) {
     std::fprintf(stderr, "%s\n", kb_status.ToString().c_str());
     return 1;
@@ -457,8 +406,7 @@ int CmdKbInspect(const Args& args) {
                  info.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s: %s, %llu bytes\n", args.kb_path.c_str(),
-              info->format.c_str(),
+  std::printf("%s: TENETKB2, %llu bytes\n", args.kb_path.c_str(),
               static_cast<unsigned long long>(info->file_bytes));
   std::printf("  entities %lld, predicates %lld, aliases %lld, facts %lld\n",
               static_cast<long long>(info->entities),
@@ -471,34 +419,17 @@ int CmdKbInspect(const Args& args) {
                 static_cast<unsigned long long>(section.bytes),
                 static_cast<unsigned long long>(section.items));
   }
-  if (info->has_alias_dict) {
-    const double bits_per_surface =
-        info->dict_surfaces > 0
-            ? 8.0 * static_cast<double>(info->dict_key_bytes) /
-                  static_cast<double>(info->dict_surfaces)
-            : 0.0;
-    std::printf("  alias dict %llu surfaces, keys %llu -> %llu bytes "
-                "(%.1f bits/surface), %lld postings\n",
-                static_cast<unsigned long long>(info->dict_surfaces),
-                static_cast<unsigned long long>(info->dict_raw_key_bytes),
-                static_cast<unsigned long long>(info->dict_key_bytes),
-                bits_per_surface, static_cast<long long>(info->aliases));
-  }
-  if (info->num_shards > 0 && info->shards.empty()) {
-    // A single shard snapshot inspected directly.
-    std::printf("  shard %d of %d (strided layout)\n", info->shard_index,
-                info->num_shards);
-  }
-  for (size_t s = 0; s < info->shards.size(); ++s) {
-    const kb::KbFileInfo& shard = info->shards[s];
-    std::printf("  shard %-3zu %10llu bytes: entities %lld, "
-                "predicates %lld, aliases %lld, facts %lld\n",
-                s, static_cast<unsigned long long>(shard.file_bytes),
-                static_cast<long long>(shard.entities),
-                static_cast<long long>(shard.predicates),
-                static_cast<long long>(shard.aliases),
-                static_cast<long long>(shard.facts));
-  }
+  const double bits_per_surface =
+      info->dict_surfaces > 0
+          ? 8.0 * static_cast<double>(info->dict_key_bytes) /
+                static_cast<double>(info->dict_surfaces)
+          : 0.0;
+  std::printf("  alias dict %llu surfaces, keys %llu -> %llu bytes "
+              "(%.1f bits/surface), %lld postings\n",
+              static_cast<unsigned long long>(info->dict_surfaces),
+              static_cast<unsigned long long>(info->dict_raw_key_bytes),
+              static_cast<unsigned long long>(info->dict_key_bytes),
+              bits_per_surface, static_cast<long long>(info->aliases));
   if (args.emb_path_set) {
     Result<kb::EmbFileInfo> emb = kb::InspectEmbeddingsFile(args.emb_path);
     if (!emb.ok()) {
@@ -523,15 +454,6 @@ int CmdKbDelta(const Args& args) {
   if (!info.ok()) {
     std::fprintf(stderr, "%s: %s\n", args.kb_path.c_str(),
                  info.status().ToString().c_str());
-    return 1;
-  }
-  if (info->num_shards > 0) {
-    Status rejected = Status::InvalidArgument(
-        "kb delta needs a flat TENETKB2 snapshot; " + args.kb_path +
-        " is a sharded layout (" + std::to_string(info->num_shards) +
-        " shards).  Sharded layouts are read-only: rebuild them offline "
-        "instead of applying deltas");
-    std::fprintf(stderr, "%s\n", rejected.ToString().c_str());
     return 1;
   }
   Result<kb::EmbFileInfo> emb = kb::InspectEmbeddingsFile(args.emb_path);
@@ -577,16 +499,6 @@ int CmdKbMerge(const Args& args) {
   if (args.delta_paths.empty()) {
     std::fprintf(stderr, "kb merge needs at least one --delta segment\n");
     return 2;
-  }
-  Result<kb::KbFileInfo> info = kb::InspectKnowledgeBaseFile(args.kb_path);
-  if (info.ok() && info->num_shards > 0) {
-    Status rejected = Status::InvalidArgument(
-        "kb merge needs a flat TENETKB2 snapshot; " + args.kb_path +
-        " is a sharded layout (" + std::to_string(info->num_shards) +
-        " shards).  Sharded layouts are read-only: rebuild them offline "
-        "instead of merging deltas");
-    std::fprintf(stderr, "%s\n", rejected.ToString().c_str());
-    return 1;
   }
   Result<std::shared_ptr<const serving::KbGeneration>> merged =
       serving::KbGeneration::Load(args.kb_path, args.emb_path,
@@ -638,7 +550,6 @@ int main(int argc, char** argv) {
   }
 
   if (args->command == "kb") {
-    if (args->subcommand == "build") return CmdBuildWorld(*args);
     if (args->subcommand == "delta") return CmdKbDelta(*args);
     if (args->subcommand == "merge") return CmdKbMerge(*args);
     return CmdKbInspect(*args);
