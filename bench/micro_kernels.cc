@@ -1,8 +1,8 @@
 // google-benchmark micro-suite over the algorithmic kernels of TENET:
 // Kruskal and Prim MST, Hopcroft-Karp matching, tree splitting, Dijkstra,
-// pairwise similarity (scalar baseline vs the vectorized DotUnit kernel vs
-// the similarity cache), coherence graph construction, tree-cover solving
-// and greedy disambiguation.
+// pairwise similarity (scalar baseline vs the vectorized DotUnit kernel),
+// coherence graph construction, tree-cover solving and greedy
+// disambiguation.
 //
 // Besides the interactive google-benchmark suite, `--json <path>` runs a
 // hand-rolled deterministic measurement pass over the pairwise-similarity
@@ -24,7 +24,6 @@
 #include "core/tree_split.h"
 #include "embedding/dot_kernel.h"
 #include "embedding/embedding_store.h"
-#include "embedding/similarity_cache.h"
 #include "graph/dijkstra.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/mst.h"
@@ -198,22 +197,6 @@ double KernelSweep(const PairwiseFixture& fx, std::vector<double>& rows) {
   return sum;
 }
 
-double CachedSweep(const PairwiseFixture& fx, std::vector<double>& rows,
-                   embedding::SimilarityCache& cache) {
-  fx.store.GatherUnit(fx.refs, rows.data());
-  double sum = 0.0;
-  for (int i = 0; i < fx.num_concepts; ++i) {
-    const double* ri = rows.data() + static_cast<size_t>(i) * fx.dim;
-    for (int j = i + 1; j < fx.num_concepts; ++j) {
-      const double* rj = rows.data() + static_cast<size_t>(j) * fx.dim;
-      sum += cache.GetOrCompute(fx.refs[i], fx.refs[j], [&] {
-        return embedding::ClampCosine(embedding::DotUnit(ri, rj, fx.dim));
-      });
-    }
-  }
-  return sum;
-}
-
 void BM_PairwiseCosineScalarBaseline(benchmark::State& state) {
   PairwiseFixture fx(/*dim=*/128, static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -232,18 +215,6 @@ void BM_PairwiseCosineKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fx.num_pairs());
 }
 BENCHMARK(BM_PairwiseCosineKernel)->Arg(128)->Arg(256);
-
-void BM_PairwiseCosineCachedWarm(benchmark::State& state) {
-  PairwiseFixture fx(/*dim=*/128, static_cast<int>(state.range(0)));
-  std::vector<double> rows(static_cast<size_t>(fx.num_concepts) * fx.dim);
-  embedding::SimilarityCache cache;
-  CachedSweep(fx, rows, cache);  // warm every pair
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CachedSweep(fx, rows, cache));
-  }
-  state.SetItemsProcessed(state.iterations() * fx.num_pairs());
-}
-BENCHMARK(BM_PairwiseCosineCachedWarm)->Arg(128)->Arg(256);
 
 // Document-scale kernels over the shared synthetic world.
 const datasets::Document& BenchDocument() {
@@ -355,20 +326,13 @@ int RunJsonMode(const bench::JsonArgs& args) {
         MeasureNsPerOp([&] { return ScalarBaselineSweep(fx); }, pairs, min_ms);
     double kernel_ns =
         MeasureNsPerOp([&] { return KernelSweep(fx, rows); }, pairs, min_ms);
-    embedding::SimilarityCache cache;
-    CachedSweep(fx, rows, cache);  // warm every pair
-    double cached_ns = MeasureNsPerOp(
-        [&] { return CachedSweep(fx, rows, cache); }, pairs, min_ms);
     records.push_back(MakeRecord(
         "pairwise_cosine_scalar_baseline/C=256/dim=128", scalar_ns));
     records.push_back(MakeRecord("pairwise_cosine_kernel/C=256/dim=128",
                                  kernel_ns, scalar_ns));
-    records.push_back(MakeRecord("pairwise_cosine_cached_warm/C=256/dim=128",
-                                 cached_ns, scalar_ns));
     std::printf("pairwise C=256 dim=128: scalar %.1f ns/pair, kernel %.1f "
-                "ns/pair (%.2fx), cached warm %.1f ns/pair (%.2fx)\n",
-                scalar_ns, kernel_ns, scalar_ns / kernel_ns, cached_ns,
-                scalar_ns / cached_ns);
+                "ns/pair (%.2fx)\n", scalar_ns, kernel_ns,
+                scalar_ns / kernel_ns);
   }
 
   // The raw reduction at several dimensions, without per-pair bookkeeping:

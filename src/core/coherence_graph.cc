@@ -1,7 +1,5 @@
 #include "core/coherence_graph.h"
 
-#include <algorithm>
-#include <latch>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,18 +8,6 @@
 
 namespace tenet {
 namespace core {
-namespace {
-
-// Column-tile width of the triangular sweep: 128 unit rows of a typical
-// 64-128 dim embedding are 64-128 KB, sized to stay resident in L2
-// while every row of a task strip revisits the tile.
-constexpr int kTileCols = 128;
-
-// Below this many concept nodes the pair count is too small for task
-// submission to pay for itself; build serially.
-constexpr int kMinConceptsForParallel = 64;
-
-}  // namespace
 
 int CoherenceGraph::MentionOfNode(int node) const {
   TENET_CHECK(node >= 0 && node < num_nodes());
@@ -46,7 +32,6 @@ CoherenceGraphBuilder::CoherenceGraphBuilder(
     : view_(std::move(view)), options_(options) {
   TENET_CHECK(view_ != nullptr);
   TENET_CHECK_GT(options_.max_candidates_per_mention, 0);
-  TENET_CHECK_GE(options_.num_threads, 0);
 }
 
 CoherenceGraphBuilder::CoherenceGraphBuilder(
@@ -56,12 +41,6 @@ CoherenceGraphBuilder::CoherenceGraphBuilder(
                             options) {}
 
 CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
-  return Build(std::move(mentions), options_.similarity_cache);
-}
-
-CoherenceGraph CoherenceGraphBuilder::Build(
-    MentionSet mentions, embedding::SimilarityCache* cache,
-    uint64_t cache_epoch) const {
   // Pass 1: candidate generation, to size the node space.  Postings past
   // the per-mention cap are counted (hostile surfaces with hundreds of
   // candidates are exactly what the cap is for) but never fetched, so the
@@ -132,105 +111,24 @@ CoherenceGraph CoherenceGraphBuilder::Build(
 
   // Batched kernel: one gather of every candidate's unit row into a
   // contiguous row-major scratch (a single dependency operation for the
-  // whole document), then a tiled triangular sweep.
+  // whole document), then one row-major triangular sweep that appends each
+  // connected pair straight to the edge list, so the list stays in (i, j)
+  // order.  The scratch holds verbatim copies of the store's unit rows, so
+  // every weight is bit-identical to a per-pair Cosine() call.
   const int dim = view_->dimension();
   std::vector<kb::ConceptRef> refs(num_concepts);
   for (int i = 0; i < num_concepts; ++i) refs[i] = cg.concept_nodes_[i].ref;
   std::vector<double> rows(static_cast<size_t>(num_concepts) * dim);
   view_->GatherUnit(refs, rows.data());
-
-  // The similarity of pair (i, j), via the cache when one is installed.
-  // Cached and computed values are bit-identical: both are the DotUnit
-  // reduction over the store's unit rows (the scratch holds verbatim
-  // copies), so a warm cache never changes an edge weight.
-  auto pair_cosine = [&](int i, int j) {
+  for (int i = 0; i < num_concepts; ++i) {
+    const CoherenceGraph::ConceptNode& a = cg.concept_nodes_[i];
     const double* ri = rows.data() + static_cast<size_t>(i) * dim;
-    const double* rj = rows.data() + static_cast<size_t>(j) * dim;
-    if (cache != nullptr) {
-      return cache->GetOrCompute(
-          refs[i], refs[j],
-          [&] {
-            return embedding::ClampCosine(embedding::DotUnit(ri, rj, dim));
-          },
-          cache_epoch);
-    }
-    return embedding::ClampCosine(embedding::DotUnit(ri, rj, dim));
-  };
-
-  // One task: the triangular strip of rows [begin, end), column-tiled so
-  // a block of rows stays hot while the whole strip revisits it.  Edges
-  // land in per-row buckets and are flushed in row order, so the output
-  // sequence is lexicographic in (i, j) whatever the tile width.
-  auto compute_strip = [&](int begin, int end,
-                           std::vector<graph::Edge>& out) {
-    std::vector<std::vector<graph::Edge>> per_row(end - begin);
-    for (int jb = begin + 1; jb < num_concepts; jb += kTileCols) {
-      const int je = std::min(num_concepts, jb + kTileCols);
-      const int i_hi = std::min(end, je - 1);
-      for (int i = begin; i < i_hi; ++i) {
-        const CoherenceGraph::ConceptNode& a = cg.concept_nodes_[i];
-        std::vector<graph::Edge>& bucket = per_row[i - begin];
-        for (int j = std::max(i + 1, jb); j < je; ++j) {
-          const CoherenceGraph::ConceptNode& b = cg.concept_nodes_[j];
-          if (!connected(a, b)) continue;
-          bucket.push_back(graph::Edge{num_mentions + i, num_mentions + j,
-                                       1.0 - pair_cosine(i, j)});
-        }
-      }
-    }
-    size_t total = 0;
-    for (const std::vector<graph::Edge>& bucket : per_row) {
-      total += bucket.size();
-    }
-    out.reserve(out.size() + total);
-    for (const std::vector<graph::Edge>& bucket : per_row) {
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
-  };
-
-  int num_tasks = 1;
-  if (options_.pool != nullptr && num_concepts >= kMinConceptsForParallel) {
-    num_tasks = options_.num_threads > 0 ? options_.num_threads
-                                         : options_.pool->num_threads();
-    num_tasks = std::clamp(num_tasks, 1, num_concepts);
-  }
-
-  if (num_tasks <= 1) {
-    compute_strip(0, num_concepts, edges);
-  } else {
-    // Pair-count-balanced deterministic partition: row i owns C - i - 1
-    // pairs, so contiguous equal-row chunks would give the first task
-    // nearly all the work.  Sweep rows, closing a strip whenever it has
-    // accumulated its share of the triangle.
-    const int64_t total_pairs =
-        static_cast<int64_t>(num_concepts) * (num_concepts - 1) / 2;
-    const int64_t target = (total_pairs + num_tasks - 1) / num_tasks;
-    std::vector<std::pair<int, int>> strips;
-    int begin = 0;
-    int64_t acc = 0;
-    for (int i = 0; i < num_concepts; ++i) {
-      acc += num_concepts - i - 1;
-      if (acc >= target || i == num_concepts - 1) {
-        strips.emplace_back(begin, i + 1);
-        begin = i + 1;
-        acc = 0;
-      }
-    }
-
-    std::vector<std::vector<graph::Edge>> partial(strips.size());
-    std::latch done(static_cast<ptrdiff_t>(strips.size()));
-    for (size_t t = 0; t < strips.size(); ++t) {
-      auto task = [&, t] {
-        compute_strip(strips[t].first, strips[t].second, partial[t]);
-        done.count_down();
-      };
-      // A pool that stopped accepting work (shutdown race) degrades to
-      // inline execution; the build must still complete.
-      if (!options_.pool->Submit(task).ok()) task();
-    }
-    done.wait();
-    for (std::vector<graph::Edge>& p : partial) {
-      edges.insert(edges.end(), p.begin(), p.end());
+    for (int j = i + 1; j < num_concepts; ++j) {
+      if (!connected(a, cg.concept_nodes_[j])) continue;
+      const double* rj = rows.data() + static_cast<size_t>(j) * dim;
+      edges.push_back(graph::Edge{
+          num_mentions + i, num_mentions + j,
+          1.0 - embedding::ClampCosine(embedding::DotUnit(ri, rj, dim))});
     }
   }
 

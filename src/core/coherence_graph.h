@@ -1,13 +1,13 @@
 #ifndef TENET_CORE_COHERENCE_GRAPH_H_
 #define TENET_CORE_COHERENCE_GRAPH_H_
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/mention.h"
 #include "embedding/embedding_store.h"
-#include "embedding/similarity_cache.h"
 #include "graph/graph.h"
 #include "kb/kb_view.h"
 #include "kb/knowledge_base.h"
@@ -20,23 +20,6 @@ struct CoherenceGraphOptions {
   /// Candidates per mention (the parameter k of Figures 6(d) and 7(c)).
   /// The paper finds 3-4 optimal: fewer starves coherence, more adds noise.
   int max_candidates_per_mention = 4;
-  /// Shared worker pool driving the pairwise kernel (Sec. 6.2's parallel
-  /// edge retrieval).  Null runs the kernel serially in the calling
-  /// thread.  The pool must outlive the builder, and must NOT be a pool
-  /// whose own workers call Build (the build blocks on its subtasks — a
-  /// worker waiting on work queued behind itself deadlocks); give the
-  /// coherence kernel its own pool, not the serving layer's request pool.
-  ThreadPool* pool = nullptr;
-  /// Cap on the pairwise kernel's task count when `pool` is set: 0 uses
-  /// pool->num_threads(), 1 forces a serial build.  (Historically this was
-  /// the size of a per-Build std::thread spawn; Build never spawns threads
-  /// itself anymore.)  Output is identical for every value — partitions
-  /// are deterministic and results are merged in row order.
-  int num_threads = 0;
-  /// Cross-document pairwise-similarity cache consulted by Build (see
-  /// SimilarityCache).  Null computes every pair.  A per-request cache on
-  /// the LinkContext overrides this one.
-  embedding::SimilarityCache* similarity_cache = nullptr;
 };
 
 // The knowledge coherence graph G = (V, E) of Definition 4.
@@ -100,13 +83,12 @@ class CoherenceGraph {
 // The concept x concept stage is the pipeline's dominant cost (O(C^2)
 // similarities per document), so it runs as a batched kernel: one
 // GatherUnit fetches every candidate's unit row into a contiguous
-// row-major scratch (a single dependency operation), then a tiled
-// triangular sweep computes pair weights with the DotUnit reduction —
-// identical values to per-pair Cosine() calls, emitted in lexicographic
-// (i, j) pair order whatever the tiling or task partition, so the edge
-// list (and everything downstream of it) is deterministic.  That list,
-// mention edges first, is already unique and lexicographic, so the graph
-// is built from it without a merge (see graph::WeightedGraph).
+// row-major scratch (a single dependency operation), then one row-major
+// triangular sweep computes each connected pair's weight with the DotUnit
+// reduction — identical values to per-pair Cosine() calls — and appends it
+// straight to the edge list in lexicographic (i, j) order.  That list,
+// mention edges first, is unique and lexicographic, so the graph is built
+// from it without a merge (see graph::WeightedGraph).
 class CoherenceGraphBuilder {
  public:
   /// Builds against the KB substrate behind `view`; the view is
@@ -121,20 +103,14 @@ class CoherenceGraphBuilder {
                         CoherenceGraphOptions options = {});
 
   /// Builds the coherence graph over `mentions` (moved in; retrievable via
-  /// CoherenceGraph::mentions()), consulting the options' similarity
-  /// cache, if any.
+  /// CoherenceGraph::mentions()).
   CoherenceGraph Build(MentionSet mentions) const;
 
-  /// Same, with an explicit similarity cache (null: compute every pair).
-  /// The per-request path: the pipeline passes the LinkContext's cache and
-  /// epoch — the KB generation id tagging this request's cache entries,
-  /// so a shared cache survives live KB swaps without serving stale
-  /// cosines (see SimilarityCache's epoch contract).
-  CoherenceGraph Build(MentionSet mentions,
-                       embedding::SimilarityCache* cache,
-                       uint64_t cache_epoch = 0) const;
+  /// Same as Build(mentions); kept for perfbench until ROADMAP item 1.
+  CoherenceGraph Build(MentionSet mentions, std::nullptr_t) const {
+    return Build(std::move(mentions));
+  }
 
-  const CoherenceGraphOptions& options() const { return options_; }
   const kb::KbView& view() const { return *view_; }
 
  private:

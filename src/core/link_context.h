@@ -1,17 +1,12 @@
 #ifndef TENET_CORE_LINK_CONTEXT_H_
 #define TENET_CORE_LINK_CONTEXT_H_
 
-#include <cstdint>
 #include <optional>
 
 #include "common/deadline.h"
 #include "obs/trace.h"
 
 namespace tenet {
-namespace embedding {
-class SimilarityCache;
-}  // namespace embedding
-
 namespace core {
 
 // The per-request envelope of every Link* call — the one place a request's
@@ -36,14 +31,6 @@ struct LinkContext {
   /// request only (Trace is deliberately not thread-safe).
   obs::Trace* trace = nullptr;
 
-  /// Optional cross-document pairwise-similarity cache for this request's
-  /// coherence stage.  When non-null it overrides the pipeline's
-  /// statically configured cache (CoherenceGraphOptions::similarity_cache);
-  /// the serving layer attaches its own, shared across every request it
-  /// serves, so recurring concept pairs are computed once per workload.
-  /// SimilarityCache is thread-safe and must outlive the call.
-  embedding::SimilarityCache* similarity_cache = nullptr;
-
   /// Caps this request at the pair-link rung of the degradation ladder:
   /// the pipeline skips the coherence-graph and tree-cover stages and
   /// serves the document by greedy pair-linking under the remaining
@@ -54,14 +41,6 @@ struct LinkContext {
   /// PairLinkOptions::enabled is false (the request then runs the normal
   /// ladder).
   bool cap_to_pair_link = false;
-
-  /// KB-generation epoch of this request's similarity lookups.  A shared
-  /// cache outlives KB swaps, and a cached cosine is only valid for the
-  /// substrate that computed it — so entries are tagged with this value
-  /// and a lookup under a different epoch is a miss (see SimilarityCache).
-  /// The serving layer sets it to the pinned generation's id; 0 (the
-  /// default) is the single-substrate world where staleness cannot arise.
-  uint64_t similarity_epoch = 0;
 
   /// The deadline this request should run under, given the callee's
   /// default policy.

@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "embedding/similarity_cache.h"
 #include "obs/metrics.h"
 
 namespace tenet {
@@ -524,12 +523,7 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
   }
 
   StageScope graph_scope(context, "graph", Metrics().stage_graph);
-  CoherenceGraph cg = graph_builder_.Build(
-      std::move(mentions),
-      context.similarity_cache != nullptr
-          ? context.similarity_cache
-          : graph_builder_.options().similarity_cache,
-      context.similarity_epoch);
+  CoherenceGraph cg = graph_builder_.Build(std::move(mentions));
   timings.graph_ms = graph_scope.Finish();
 
   // ---- Tree cover: B = bound_factor * |M| (Sec. 6.1), growing on the
@@ -566,8 +560,8 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
 
   // ---- Rung 1: cover unavailable.  A solver fault or retry exhaustion
   // with budget remaining is worth the pair-link sweep over the graph's
-  // cached similarities; deadline expiry (or pair-link disabled) falls
-  // straight to priors --------------------------------------------------
+  // edge weights; deadline expiry (or pair-link disabled) falls straight
+  // to priors ------------------------------------------------------------
   if (!interrupted.ok() || !cover.ok()) {
     Status cause = !interrupted.ok() ? interrupted : cover.status();
     if (!options_.degrade_to_prior) return cause;
@@ -798,17 +792,7 @@ Result<LinkingResult> TenetPipeline::PairLinkFromMentions(
     }
     candidate_overflow += overflow;
   }
-  embedding::SimilarityCache* cache =
-      context.similarity_cache != nullptr
-          ? context.similarity_cache
-          : graph_builder_.options().similarity_cache;
-  auto sim = [this, cache, &context](const PairLinkCandidate& u,
-                                     const PairLinkCandidate& v) {
-    if (cache != nullptr) {
-      return cache->GetOrCompute(
-          u.ref, v.ref, [&] { return view_->Cosine(u.ref, v.ref); },
-          context.similarity_epoch);
-    }
+  auto sim = [this](const PairLinkCandidate& u, const PairLinkCandidate& v) {
     return view_->Cosine(u.ref, v.ref);
   };
   PairLinkSweepStats stats;

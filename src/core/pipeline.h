@@ -255,9 +255,9 @@ class TenetPipeline {
 
   /// Serves the document from the pair-link rung, fetching candidates
   /// straight from the KB alias index (no coherence graph is built);
-  /// similarities are computed lazily, through the request's similarity
-  /// cache when one is attached.  `deadline` bounds the greedy sweep:
-  /// expiry mid-sweep tops the remaining mentions up from priors.
+  /// similarities are computed lazily, one KbView::Cosine call per pair
+  /// the sweep scores.  `deadline` bounds the greedy sweep: expiry
+  /// mid-sweep tops the remaining mentions up from priors.
   Result<LinkingResult> PairLinkFromMentions(MentionSet mentions,
                                              std::string reason,
                                              int stages_degraded,

@@ -14,9 +14,9 @@ namespace embedding {
 // accumulators are what lets the compiler map the loop onto SIMD lanes
 // without -ffast-math (the reduction order is part of the function's
 // contract), and the fixed order is what makes the result deterministic:
-// every caller — the per-pair Cosine() path, the tiled document kernel,
-// the similarity cache's compute callback — gets bit-identical values for
-// the same pair.
+// every caller — the per-pair Cosine() path and the coherence builder's
+// single-pass document sweep — gets bit-identical values for the same
+// pair.
 //
 // The rows are double, not float: the unit matrix keeps full precision so
 // the kernel's cosines stay within ~1e-14 of the historical

@@ -2,79 +2,16 @@
 #define TENET_EMBEDDING_SIMILARITY_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "kb/types.h"
-#include "obs/metrics.h"
 
 namespace tenet {
 namespace embedding {
 
-// Tuning of a SimilarityCache.  Capacity is a byte budget, converted to an
-// entry budget with a conservative per-entry cost estimate, so callers
-// (the CLI's --similarity-cache-mb, the serving layer) can reason in
-// memory rather than entry counts.
-struct SimilarityCacheOptions {
-  /// Approximate memory budget.  Ignored when max_entries is non-zero.
-  size_t capacity_bytes = 8u << 20;
-  /// Exact entry budget; 0 derives it from capacity_bytes.
-  size_t max_entries = 0;
-  /// Independent LRU shards (rounded up to a power of two).  More shards
-  /// cut lock contention between serving workers at the cost of slightly
-  /// uneven per-shard capacity.
-  int num_shards = 8;
-  /// Registry for the hit/miss/eviction counters
-  /// (tenet_similarity_cache_ops_total{op=...}).  Null publishes to the
-  /// process-wide default registry.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-// A sharded LRU cache of pairwise concept similarities, shared across
-// documents of a serving workload.
-//
-// Pair-Linking (Phan et al., TKDE 2019) observes that collective-linking
-// cost is dominated by pairwise coherence evaluations and that the same
-// concept pairs recur across documents; REL (van Hulst et al., SIGIR 2020)
-// builds its serving throughput on precomputed similarity machinery.  This
-// cache is the in-process middle ground: the first document that compares
-// a concept pair pays the dot product, every later document gets it for a
-// hash probe.
-//
-// Keys are unordered concept pairs — (a, b) and (b, a) are the same entry,
-// and the key ignores which mentions produced the comparison, so repeats
-// both within and across documents hit.  Values must be deterministic
-// functions of the key (DotUnit over the store's unit rows is), which
-// makes a cached run bit-identical to an uncached one.
-//
-// Thread safety: every operation takes only its shard's mutex.  Two
-// threads racing to fill the same key may both compute the value; both
-// writes store the identical number, so the race is benign.
-//
-// Epochs: a serving-layer cache outlives live KB swaps, and a cached
-// cosine is only valid for the substrate that computed it — generation N+1
-// may carry different embedding rows for the same concept ids.  Every
-// entry is therefore tagged with the epoch (KB generation id) that
-// computed it, and a lookup under a different epoch is a miss.  A stale
-// entry (older epoch than the lookup's) is erased on sight, so swaps
-// invalidate lazily with no sweep; an entry *newer* than the lookup's
-// epoch is left alone and never overwritten — requests still pinned to an
-// old generation must not clobber the new generation's values.  The
-// determinism contract then holds per epoch.  Epoch 0 (the default
-// everywhere) is the single-substrate world, where staleness cannot
-// arise and behavior is exactly the pre-epoch cache.
+// Inert stand-in for perfbench until ROADMAP item 1; GetStats() reads zero.
 class SimilarityCache {
  public:
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t evictions = 0;
-    size_t entries = 0;
 
     double HitRate() const {
       int64_t total = hits + misses;
@@ -82,66 +19,7 @@ class SimilarityCache {
     }
   };
 
-  explicit SimilarityCache(SimilarityCacheOptions options = {});
-
-  SimilarityCache(const SimilarityCache&) = delete;
-  SimilarityCache& operator=(const SimilarityCache&) = delete;
-
-  /// The cached similarity of {a, b} under `epoch`, refreshing its
-  /// recency; nullopt on a miss.  An entry from an older epoch is erased
-  /// and reported as a miss; one from a newer epoch is a miss but stays.
-  /// Counts one hit or one miss.
-  std::optional<double> Lookup(kb::ConceptRef a, kb::ConceptRef b,
-                               uint64_t epoch = 0);
-
-  /// Stores the similarity of {a, b} computed under `epoch`, evicting the
-  /// shard's least recently used entry when it is full.  Overwriting an
-  /// existing same-or-older-epoch key refreshes recency; an entry already
-  /// holding a newer epoch is left untouched.
-  void Insert(kb::ConceptRef a, kb::ConceptRef b, double similarity,
-              uint64_t epoch = 0);
-
-  /// Lookup, falling back to `compute()` + Insert on a miss.  `compute`
-  /// runs outside the shard lock.
-  template <typename Fn>
-  double GetOrCompute(kb::ConceptRef a, kb::ConceptRef b, Fn&& compute,
-                      uint64_t epoch = 0) {
-    if (std::optional<double> hit = Lookup(a, b, epoch)) return *hit;
-    double value = compute();
-    Insert(a, b, value, epoch);
-    return value;
-  }
-
-  Stats GetStats() const;
-
-  size_t max_entries() const { return max_entries_per_shard_ * shards_.size(); }
-
- private:
-  struct Entry {
-    uint64_t key = 0;
-    double value = 0.0;
-    /// KB generation that computed `value`; see the epoch contract above.
-    uint64_t epoch = 0;
-  };
-
-  struct Shard {
-    std::mutex mu;
-    // Most recently used at the front; the map points into the list.
-    std::list<Entry> lru;
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-  };
-
-  static uint64_t PairKey(kb::ConceptRef a, kb::ConceptRef b);
-  Shard& ShardOf(uint64_t key);
-  const Shard& ShardOf(uint64_t key) const;
-
-  size_t max_entries_per_shard_;
-  uint64_t shard_mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
+  Stats GetStats() const { return {}; }
 };
 
 }  // namespace embedding

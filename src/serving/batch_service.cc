@@ -48,15 +48,6 @@ RetryBudget::Options ResolveRetryBudget(const ServingOptions& options) {
   return budget;
 }
 
-std::unique_ptr<embedding::SimilarityCache> MakeSimilarityCache(
-    const ServingOptions& options) {
-  if (options.similarity_cache_bytes == 0) return nullptr;
-  embedding::SimilarityCacheOptions cache_options;
-  cache_options.capacity_bytes = options.similarity_cache_bytes;
-  cache_options.metrics = ResolveRegistry(options);
-  return std::make_unique<embedding::SimilarityCache>(cache_options);
-}
-
 ThreadPool::Options PoolOptions(const ServingOptions& options) {
   ThreadPool::Options pool;
   pool.num_threads = options.num_threads;
@@ -178,7 +169,6 @@ BatchLinkingService::BatchLinkingService(
       cover_breaker_(kCoverSolveDependency, ResolveBreaker(options)),
       retry_budget_(ResolveRetryBudget(options)),
       admission_(ResolveAdmission(options)),
-      similarity_cache_(MakeSimilarityCache(options)),
       target_(target),
       observer_(this),
       observer_scope_(&observer_),
@@ -224,14 +214,11 @@ Status BatchLinkingService::Submit(std::string text, core::LinkContext context,
     m_.shed->Increment();
     return admitted;
   }
-  embedding::SimilarityCache* cache = context.similarity_cache != nullptr
-                                          ? context.similarity_cache
-                                          : similarity_cache_.get();
   // Pin the serving target at the door: whatever generation swaps land
   // while this request waits in the queue, it links against the substrate
   // that admitted it, and that substrate cannot be freed under it.
-  Request request{std::move(text), deadline,          context.trace,
-                  cache,           target_.Acquire(), std::move(done)};
+  Request request{std::move(text), deadline, context.trace, target_.Acquire(),
+                  std::move(done)};
   Status queued = pool_.Submit(
       [this, request = std::move(request)]() mutable {
         Process(std::move(request));
@@ -255,8 +242,6 @@ Result<core::LinkingResult> BatchLinkingService::LinkOnce(
   // LinkDocument, which the offline evaluation relies on).
   if (!request.deadline.infinite()) context.deadline = request.deadline;
   context.trace = request.trace;
-  context.similarity_cache = request.similarity_cache;
-  context.similarity_epoch = request.target->generation_id();
   return request.target->linker->LinkDocument(request.text, context);
 }
 
@@ -300,8 +285,6 @@ void BatchLinkingService::Process(Request request) {
       degraded_context.deadline = Deadline::Expired();
     }
     degraded_context.trace = request.trace;
-    degraded_context.similarity_cache = request.similarity_cache;
-    degraded_context.similarity_epoch = request.target->generation_id();
     result = request.target->linker->LinkDocument(request.text,
                                                   degraded_context);
   } else {

@@ -58,12 +58,7 @@ struct ServingOptions {
                     /*max_value=*/std::numeric_limits<double>::infinity()};
   /// The shared retry budget (see RetryBudget).
   RetryBudget::Options retry_budget;
-  /// Byte budget of the service-owned cross-request similarity cache.
-  /// Recurring concept pairs across a serving workload hit the cache
-  /// instead of recomputing the pairwise kernel; cached values are
-  /// bit-identical to computed ones, so warming it never changes an
-  /// answer.  0 disables the service-owned cache; a request can still
-  /// bring its own via LinkContext::similarity_cache, which always wins.
+  /// Ignored; kept because perfbench sets it, until ROADMAP item 1.
   size_t similarity_cache_bytes = 0;
   /// Registry backing the service's counters, gauges and the per-request
   /// latency histogram, and — unless they carry their own — the nested
@@ -227,11 +222,8 @@ class BatchLinkingService {
   /// process-wide default).
   obs::MetricsRegistry* metrics() const { return registry_; }
 
-  /// The service-owned cross-request similarity cache; null when
-  /// ServingOptions::similarity_cache_bytes is 0.
-  embedding::SimilarityCache* similarity_cache() const {
-    return similarity_cache_.get();
-  }
+  /// Always null; kept for perfbench until ROADMAP item 1.
+  embedding::SimilarityCache* similarity_cache() const { return nullptr; }
 
   /// Breaker watching `dependency` (one of the k*Dependency constants);
   /// null for unknown names.
@@ -245,9 +237,6 @@ class BatchLinkingService {
     /// Resolved at the door: never "unset", so workers need no policy.
     Deadline deadline;
     obs::Trace* trace = nullptr;
-    /// Resolved at the door: the request's own cache, else the
-    /// service-owned one, else null.
-    embedding::SimilarityCache* similarity_cache = nullptr;
     /// Pinned at the door: the substrate this request links against,
     /// whatever swaps land while it waits in the queue.  Copies of the
     /// request (ThreadPool tasks are copyable std::functions) each hold
@@ -309,7 +298,6 @@ class BatchLinkingService {
   CircuitBreaker cover_breaker_;
   RetryBudget retry_budget_;
   AdmissionController admission_;
-  std::unique_ptr<embedding::SimilarityCache> similarity_cache_;
 
   // Serializes SwapGeneration/merge bookkeeping (the RCU cell serializes
   // its own publishes; this covers the id check + metrics as one unit).

@@ -21,20 +21,7 @@ std::string ShortFormKey(const std::string& folded_surface) {
 
 }  // namespace
 
-SessionContext::SessionContext(SessionOptions options) : options_(options) {
-  if (options_.similarity_cache_bytes > 0) {
-    embedding::SimilarityCacheOptions cache_options;
-    cache_options.capacity_bytes = options_.similarity_cache_bytes;
-    cache_ = std::make_unique<embedding::SimilarityCache>(cache_options);
-  }
-}
-
-core::LinkContext SessionContext::MakeLinkContext(uint64_t similarity_epoch) {
-  core::LinkContext context;
-  context.similarity_cache = cache_.get();
-  context.similarity_epoch = similarity_epoch;
-  return context;
-}
+SessionContext::SessionContext(SessionOptions options) : options_(options) {}
 
 void SessionContext::Remember(const std::string& surface,
                               kb::EntityId entity, double prior) {

@@ -2,7 +2,6 @@
 #define TENET_SERVING_SESSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -17,23 +16,13 @@ namespace tenet {
 namespace serving {
 
 // Session-scoped serving state for streaming/conversational workloads
-// (DESIGN.md §13).  A SessionContext carries two things across the turns
-// of one conversation:
-//
-//  1. A per-session SimilarityCache: turns of a session revisit the same
-//     concept pairs, so the coherence stage of turn k reuses the cosines
-//     turn k-1 computed.  Entries are epoch-tagged exactly like the
-//     service-wide cache (LinkContext::similarity_epoch), so a KB
-//     generation swap mid-session invalidates lazily instead of serving
-//     stale cosines.
-//
-//  2. Entity memory: the entities earlier turns resolved, keyed by the
-//     surfaces that resolved to them and by their pronoun-like short forms
-//     (last word of the surface).  Later turns referencing a cast member
-//     by an ambiguous alias or a bare short form are re-ranked against
-//     this memory — among a mention's KB candidates, a previously-seen
-//     entity wins; an isolated mention whose surface is remembered links
-//     to the remembered entity.
+// (DESIGN.md §13): the entity memory of one conversation.  It holds the
+// entities earlier turns resolved, keyed by the surfaces that resolved to
+// them and by their pronoun-like short forms (last word of the surface).
+// Later turns referencing a cast member by an ambiguous alias or a bare
+// short form are re-ranked against this memory — among a mention's KB
+// candidates, a previously-seen entity wins; an isolated mention whose
+// surface is remembered links to the remembered entity.
 //
 // Lifecycle: construct per conversation, call ApplySessionCoherence +
 // ObserveTurn on each turn's result in order, destroy with the
@@ -41,11 +30,10 @@ namespace serving {
 // session are inherently sequential; concurrent *sessions* each own their
 // context.
 struct SessionOptions {
-  /// Byte budget of the per-session similarity cache; 0 disables it (the
-  /// request then uses whatever cache the service attaches).
+  /// Ignored; kept because perfbench sets it, until ROADMAP item 1.
   size_t similarity_cache_bytes = 1u << 20;
   /// When false, entity memory is kept but never applied (ablation knob:
-  /// cache-only sessions).
+  /// sessions that only observe).
   bool apply_entity_memory = true;
   /// Candidates probed per linked mention when re-ranking against memory.
   int memory_probe_candidates = 8;
@@ -61,10 +49,9 @@ class SessionContext {
  public:
   explicit SessionContext(SessionOptions options = {});
 
-  /// Link-request envelope for the next turn: attaches the session cache
-  /// (when configured) and the given KB-generation epoch.  Deadline and
-  /// trace are the caller's to fill in.
-  core::LinkContext MakeLinkContext(uint64_t similarity_epoch = 0);
+  /// Link-request envelope for the next turn.  Deadline and trace are the
+  /// caller's to fill in.
+  core::LinkContext MakeLinkContext() const { return {}; }
 
   /// Re-ranks `result` against the session's entity memory (no-op on the
   /// first turn or when apply_entity_memory is off).  Call before scoring
@@ -81,7 +68,8 @@ class SessionContext {
 
   int turns_observed() const { return turns_observed_; }
   const SessionOptions& options() const { return options_; }
-  embedding::SimilarityCache* similarity_cache() { return cache_.get(); }
+  /// Never null, all stats zero; kept for perfbench until ROADMAP item 1.
+  embedding::SimilarityCache* similarity_cache() { return &cache_; }
 
  private:
   void Remember(const std::string& surface, kb::EntityId entity,
@@ -94,7 +82,7 @@ class SessionContext {
                                              core::LinkingResult* result);
 
   SessionOptions options_;
-  std::unique_ptr<embedding::SimilarityCache> cache_;
+  embedding::SimilarityCache cache_;
   int turns_observed_ = 0;
 
   struct MemoryEntry {

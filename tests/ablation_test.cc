@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/tenet_linker.h"
-#include "common/thread_pool.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "eval/harness.h"
@@ -98,32 +97,6 @@ TEST(AblationTest, BoundFactorRobustness) {
   EXPECT_EQ(tiny_scores.failed_documents, 0);
   EXPECT_NEAR(default_scores.entity_linking.F1(),
               tiny_scores.entity_linking.F1(), 0.05);
-}
-
-TEST(AblationTest, MultiThreadedGraphBuildIsEquivalent) {
-  datasets::Dataset news = SmallNews(45);
-  // The pool travels on the substrate's graph options (TenetLinker adopts
-  // those wholesale); num_threads stays as the task cap.
-  ThreadPool pool(ThreadPool::Options{.num_threads = 4});
-  CoherenceGraphOptions graph_options;
-  graph_options.pool = &pool;
-  graph_options.num_threads = 4;
-  baselines::BaselineSubstrate threaded_substrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(),
-      graph_options, {}};
-  baselines::TenetLinker serial = MakeTenet();
-  baselines::TenetLinker parallel(threaded_substrate);
-  for (const datasets::Document& doc : news.documents) {
-    Result<LinkingResult> a = serial.LinkDocument(doc.text);
-    Result<LinkingResult> b = parallel.LinkDocument(doc.text);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->links.size(), b->links.size());
-    for (size_t i = 0; i < a->links.size(); ++i) {
-      EXPECT_EQ(a->links[i].mention_id, b->links[i].mention_id);
-      EXPECT_EQ(a->links[i].concept_ref, b->links[i].concept_ref);
-    }
-  }
 }
 
 TEST(AblationTest, TieBreakProtectsLongMentions) {

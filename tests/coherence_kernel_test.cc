@@ -1,27 +1,26 @@
 // The vectorized coherence kernel's contract (DESIGN.md §10): the DotUnit
-// reduction, the unit-row store, the gathered/tiled batch path and the
-// similarity cache must all produce the SAME numbers — bit-identical edge
-// weights (against a per-pair Cosine reference computed here), identical
-// links, identical PRF — whatever the kernel configuration.  The golden equivalence tests here are what lets the
-// performance work claim "numerically invisible".
+// reduction, the unit-row store and the builder's gathered single-pass
+// sweep must produce the SAME numbers as a per-pair Cosine reference
+// computed here — bit-identical edge weights, in the same (i, j) order.
+// The golden equivalence test here is what lets the performance work
+// claim "numerically invisible".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "baselines/tenet_linker.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "core/canopy.h"
 #include "core/coherence_graph.h"
 #include "core/mention.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "embedding/dot_kernel.h"
 #include "embedding/embedding_store.h"
-#include "embedding/similarity_cache.h"
-#include "eval/harness.h"
 #include "text/extraction.h"
 
 namespace tenet {
@@ -152,7 +151,7 @@ TEST(EmbeddingStoreKernelTest, GatherIsOneDependencyOperation) {
 
 // The per-pair reference for Def. 4's edge list: mention edges, then every
 // connected concept pair in (i, j) order, each weighed by one
-// KbView::Cosine call — no gather, no tiling, no cache.
+// KbView::Cosine call — no gather.
 std::vector<graph::Edge> ReferenceEdges(const CoherenceGraph& cg,
                                         const kb::KbView& view) {
   std::vector<graph::Edge> edges;
@@ -179,85 +178,39 @@ std::vector<graph::Edge> ReferenceEdges(const CoherenceGraph& cg,
   return edges;
 }
 
-TEST(CoherenceKernelGoldenTest, EdgeListsAreBitIdenticalAcrossConfigs) {
+// The builder against the per-pair reference, bit for bit.  The last
+// document concatenates the whole corpus, so one sweep runs well past 128
+// concept nodes (the column-tile width of the former tiled sweep).
+TEST(CoherenceKernelGoldenTest, EdgeListsAreBitIdenticalToPerPairCosine) {
   datasets::Dataset news = SmallNews(47);
+  std::vector<std::string> texts;
+  std::string concatenated;
+  for (const datasets::Document& doc : news.documents) {
+    texts.push_back(doc.text);
+    concatenated += doc.text + " ";
+  }
+  texts.push_back(concatenated);
 
-  CoherenceGraphBuilder gather_serial(&World().kb(), &World().embeddings);
-
-  ThreadPool pool(ThreadPool::Options{.num_threads = 3});
-  embedding::SimilarityCache cache;
-  CoherenceGraphOptions pooled_options;
-  pooled_options.pool = &pool;
-  pooled_options.similarity_cache = &cache;
-  CoherenceGraphBuilder pooled(&World().kb(), &World().embeddings,
-                               pooled_options);
-
+  CoherenceGraphBuilder builder(&World().kb(), &World().embeddings);
   int compared_edges = 0;
-  for (int pass = 0; pass < 2; ++pass) {  // pass 2 runs with a warm cache
-    for (const datasets::Document& doc : news.documents) {
-      CoherenceGraph b = gather_serial.Build(MentionsOf(doc.text));
-      CoherenceGraph c = pooled.Build(MentionsOf(doc.text));
-      const std::vector<graph::Edge> a =
-          ReferenceEdges(b, gather_serial.view());
-      ASSERT_EQ(static_cast<int>(a.size()), b.graph().num_edges());
-      ASSERT_EQ(static_cast<int>(a.size()), c.graph().num_edges());
-      for (size_t e = 0; e < a.size(); ++e) {
-        const graph::Edge& ea = a[e];
-        const graph::Edge& eb = b.graph().edges()[e];
-        const graph::Edge& ec = c.graph().edges()[e];
-        ASSERT_EQ(ea.u, eb.u);
-        ASSERT_EQ(ea.v, eb.v);
-        ASSERT_EQ(ea.weight, eb.weight);  // bitwise: same reduction
-        ASSERT_EQ(ea.u, ec.u);
-        ASSERT_EQ(ea.v, ec.v);
-        ASSERT_EQ(ea.weight, ec.weight);
-        ++compared_edges;
-      }
+  int max_concepts = 0;
+  for (const std::string& text : texts) {
+    CoherenceGraph cg = builder.Build(MentionsOf(text));
+    max_concepts = std::max(max_concepts, cg.num_concept_nodes());
+    const std::vector<graph::Edge> reference =
+        ReferenceEdges(cg, builder.view());
+    ASSERT_EQ(static_cast<int>(reference.size()), cg.graph().num_edges());
+    for (size_t e = 0; e < reference.size(); ++e) {
+      const graph::Edge& want = reference[e];
+      const graph::Edge& got = cg.graph().edges()[e];
+      ASSERT_EQ(want.u, got.u);
+      ASSERT_EQ(want.v, got.v);
+      ASSERT_EQ(want.weight, got.weight);  // bitwise: same reduction
+      ++compared_edges;
     }
   }
   EXPECT_GT(compared_edges, 100);
-  embedding::SimilarityCache::Stats stats = cache.GetStats();
-  EXPECT_GT(stats.hits, 0) << "the warm pass should have hit the cache";
-}
-
-TEST(CoherenceKernelGoldenTest, EndToEndPrfIsByteIdentical) {
-  datasets::Dataset news = SmallNews(48);
-
-  ThreadPool pool(ThreadPool::Options{.num_threads = 3});
-  embedding::SimilarityCache cache;
-  CoherenceGraphOptions pooled_options;
-  pooled_options.pool = &pool;
-  pooled_options.similarity_cache = &cache;
-
-  baselines::TenetLinker serial(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(), {}, {}});
-  baselines::TenetLinker cached(baselines::BaselineSubstrate{
-      &World().kb(), &World().embeddings, &World().gazetteer(),
-      pooled_options, {}});
-
-  eval::SystemScores a = eval::EvaluateEndToEnd(serial, news);
-  EXPECT_EQ(a.failed_documents, 0);
-  // Two pooled, cached runs: cold cache, then warm (every pair resident).
-  eval::SystemScores c_cold = eval::EvaluateEndToEnd(cached, news);
-  eval::SystemScores c_warm = eval::EvaluateEndToEnd(cached, news);
-
-  for (const eval::SystemScores* s : {&c_cold, &c_warm}) {
-    EXPECT_EQ(a.entity_linking.tp, s->entity_linking.tp);
-    EXPECT_EQ(a.entity_linking.fp, s->entity_linking.fp);
-    EXPECT_EQ(a.entity_linking.fn, s->entity_linking.fn);
-    EXPECT_EQ(a.relation_linking.tp, s->relation_linking.tp);
-    EXPECT_EQ(a.relation_linking.fp, s->relation_linking.fp);
-    EXPECT_EQ(a.relation_linking.fn, s->relation_linking.fn);
-    EXPECT_EQ(a.mention_detection.tp, s->mention_detection.tp);
-    EXPECT_EQ(a.mention_detection.fp, s->mention_detection.fp);
-    EXPECT_EQ(a.mention_detection.fn, s->mention_detection.fn);
-    // PRF is a pure function of the counts; == on the doubles is the
-    // byte-identical claim.
-    EXPECT_EQ(a.entity_linking.F1(), s->entity_linking.F1());
-    EXPECT_EQ(a.relation_linking.F1(), s->relation_linking.F1());
-    EXPECT_EQ(s->failed_documents, 0);
-  }
-  EXPECT_GT(cache.GetStats().hits, 0);
+  EXPECT_GT(max_concepts, 128);
 }
 
 }  // namespace

@@ -21,8 +21,7 @@
 //
 //   tenet_cli eval [--seed N] [--threads N] [--deadline-ms MS]
 //             [--scenario clean|adversarial|sessions] [--frontier]
-//             [--similarity-cache-mb N] [--metrics-out FILE]
-//             [--kb-update-every N]
+//             [--metrics-out FILE] [--kb-update-every N]
 //       Builds the synthetic world, generates the evaluation corpora and
 //       scores TENET end-to-end on each.  With --threads N > 1 the batch
 //       is served through the concurrent BatchLinkingService.  Exits
@@ -41,11 +40,8 @@
 //       and prior-only (expired budget).  Combine with
 //       --scenario adversarial for the hostile tier; run both scenarios to
 //       chart the whole frontier.
-//       --similarity-cache-mb N shares an N-MiB cross-document similarity
-//       cache across the whole run (cached values are bit-identical to
-//       computed ones, so scores are unchanged) and reports the cache hit
-//       rate afterwards.  --metrics-out writes the run's metrics registry
-//       to FILE in Prometheus text format (JSON when FILE ends in .json).
+//       --metrics-out writes the run's metrics registry to FILE in
+//       Prometheus text format (JSON when FILE ends in .json).
 //       --kb-update-every N is the live-update drill (DESIGN.md §12): the
 //       run serves through a generation-aware service and hot-swaps in a
 //       fresh delta generation after every N documents while the batch is
@@ -91,7 +87,6 @@
 
 #include "baselines/tenet_linker.h"
 #include "core/link_context.h"
-#include "embedding/similarity_cache.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -123,7 +118,6 @@ struct Args {
   int candidates = 4;
   double deadline_ms = std::numeric_limits<double>::infinity();
   int threads = 1;
-  int similarity_cache_mb = 0;
   std::optional<std::string> metrics_out;
   bool trace = false;
   // kb delta / kb merge / eval --kb-update-every.
@@ -223,14 +217,6 @@ std::optional<Args> Parse(int argc, char** argv) {
         return std::nullopt;
       }
       args.threads = static_cast<int>(threads);
-    } else if (flag == "--similarity-cache-mb") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      int64_t mb = 0;
-      if (!ParseIntFlag("--similarity-cache-mb", v, 0, 1 << 20, &mb)) {
-        return std::nullopt;
-      }
-      args.similarity_cache_mb = static_cast<int>(mb);
     } else if (flag == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
@@ -303,8 +289,7 @@ void PrintUsage() {
       "  tenet_cli dump-corpora [--seed N]\n"
       "  tenet_cli eval [--seed N] [--threads N] [--deadline-ms MS] "
       "[--scenario clean|adversarial|sessions] [--frontier] "
-      "[--similarity-cache-mb N] [--metrics-out FILE] "
-      "[--kb-update-every N]\n"
+      "[--metrics-out FILE] [--kb-update-every N]\n"
       "  tenet_cli kb inspect [--kb PATH] [--emb PATH]\n"
       "  tenet_cli kb delta --kb PATH --emb PATH --out PATH [--seed N] "
       "[--add-entities N]\n"
@@ -606,19 +591,6 @@ int main(int argc, char** argv) {
     datasets::SyntheticWorld world = datasets::BuildWorld(options);
     core::TenetOptions tenet_options;
     tenet_options.deadline_ms = args->deadline_ms;
-    // The cache is installed statically on the coherence-graph options (the
-    // substrate carries them into the linker) so both the single-threaded
-    // harness path and the served path share it across every document.
-    std::unique_ptr<embedding::SimilarityCache> similarity_cache;
-    core::CoherenceGraphOptions graph_options;
-    if (args->similarity_cache_mb > 0) {
-      embedding::SimilarityCacheOptions cache_options;
-      cache_options.capacity_bytes =
-          static_cast<size_t>(args->similarity_cache_mb) << 20;
-      similarity_cache =
-          std::make_unique<embedding::SimilarityCache>(cache_options);
-      graph_options.similarity_cache = similarity_cache.get();
-    }
 
     // The corpora are generated up front — in spec order off one rng, so
     // the documents are byte-identical to the per-spec loop's — because
@@ -686,7 +658,7 @@ int main(int argc, char** argv) {
       // the value of session state.
       baselines::TenetLinker tenet(
           baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                       &world.gazetteer(), graph_options, {}},
+                                       &world.gazetteer(), {}, {}},
           tenet_options);
       datasets::SessionGenerator session_generator(&world.kb_world);
       datasets::SessionSpec session_spec;
@@ -736,8 +708,7 @@ int main(int argc, char** argv) {
         for (const RungConfig& rung : rungs) {
           baselines::TenetLinker tenet(
               baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                           &world.gazetteer(), graph_options,
-                                           {}},
+                                           &world.gazetteer(), {}, {}},
               rung.options);
           report(eval::EvaluateEndToEnd(tenet, dataset, eval_options),
                  dataset.name + "/" + rung.name);
@@ -749,7 +720,6 @@ int main(int argc, char** argv) {
       // documents a fresh delta generation is swapped in under the load.
       serving::KbGenerationOptions gen_options;
       gen_options.linker_options = tenet_options;
-      gen_options.linker_options.graph = graph_options;
       std::shared_ptr<const serving::KbGeneration> base =
           serving::KbGeneration::FromSubstrate(std::move(world.kb_world.kb),
                                                std::move(world.embeddings),
@@ -816,7 +786,7 @@ int main(int argc, char** argv) {
     } else {
       baselines::TenetLinker tenet(
           baselines::BaselineSubstrate{&world.kb(), &world.embeddings,
-                                       &world.gazetteer(), graph_options, {}},
+                                       &world.gazetteer(), {}, {}},
           tenet_options);
       eval::EvalOptions eval_options;
       eval_options.num_threads = args->threads;
@@ -824,18 +794,6 @@ int main(int argc, char** argv) {
         report(eval::EvaluateEndToEnd(tenet, dataset, eval_options),
                dataset.name);
       }
-    }
-    if (similarity_cache != nullptr) {
-      embedding::SimilarityCache::Stats cache_stats =
-          similarity_cache->GetStats();
-      std::fprintf(stderr,
-                   "similarity cache: %lld hits, %lld misses (%.1f%% hit "
-                   "rate), %lld evictions, %zu resident entries\n",
-                   static_cast<long long>(cache_stats.hits),
-                   static_cast<long long>(cache_stats.misses),
-                   100.0 * cache_stats.HitRate(),
-                   static_cast<long long>(cache_stats.evictions),
-                   cache_stats.entries);
     }
     if (args->metrics_out.has_value()) {
       const std::string& path = *args->metrics_out;
