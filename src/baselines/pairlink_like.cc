@@ -1,12 +1,11 @@
 #include "baselines/pairlink_like.h"
 
-#include <queue>
-#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/timer.h"
+#include "core/pair_link.h"
 #include "text/extraction.h"
 
 namespace tenet {
@@ -37,81 +36,28 @@ Result<core::LinkingResult> PairlinkLike::LinkMentionSet(
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
-  const int num_mentions = cg.num_mentions();
-  std::vector<int> noun_mentions;
-  for (int m = 0; m < num_mentions; ++m) {
-    if (cg.mentions().mention(m).is_noun()) noun_mentions.push_back(m);
+  // The pair-link rung's sweep over every noun mention, scored by exact
+  // cosine; leftovers are force-linked to their top-prior candidate
+  // (Pair-Linking cannot abstain).
+  const std::vector<std::vector<core::PairLinkCandidate>> candidates =
+      core::GraphCandidates(cg);
+  std::vector<int> nouns;
+  std::vector<int> pick(cg.num_mentions(), -1);
+  for (int m = 0; m < cg.num_mentions(); ++m) {
+    if (!cg.mentions().mention(m).is_noun()) continue;
+    nouns.push_back(m);
+    pick[m] = core::TopPriorCandidate(candidates[m]);
   }
-
-  // Greedy best-pair-first sweep with lazy exact scoring: entries carry an
-  // optimistic bound (cos = 1) until they reach the top of the queue; a
-  // popped exact entry dominates every bound below it and is safe to
-  // confirm.  Deterministic: ties break on node ids, exact entries first.
-  struct Entry {
-    double score;
-    bool exact;
-    int u;
-    int v;
-  };
-  auto worse = [](const Entry& x, const Entry& y) {
-    if (x.score != y.score) return x.score < y.score;
-    if (x.exact != y.exact) return y.exact;
-    return std::tie(x.u, x.v) > std::tie(y.u, y.v);
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> queue(
-      worse);
-  for (size_t i = 0; i < noun_mentions.size(); ++i) {
-    for (int u : cg.ConceptNodesOfMention(noun_mentions[i])) {
-      for (size_t j = i + 1; j < noun_mentions.size(); ++j) {
-        for (int v : cg.ConceptNodesOfMention(noun_mentions[j])) {
-          const double bound =
-              options_.similarity_weight +
-              options_.prior_weight * 0.5 *
-                  (cg.concept_node(u).prior + cg.concept_node(v).prior);
-          queue.push(Entry{bound, /*exact=*/false, u, v});
-        }
-      }
-    }
-  }
-
+  core::SweepPairs(
+      nouns, candidates,
+      [&view](const core::PairLinkCandidate& u,
+              const core::PairLinkCandidate& v) {
+        return view->Cosine(u.ref, v.ref);
+      },
+      Deadline::Infinite(), &pick);
   std::unordered_map<int, int> chosen;
-  std::unordered_set<int> chosen_nodes;
-  while (!queue.empty() && chosen.size() < noun_mentions.size()) {
-    Entry e = queue.top();
-    queue.pop();
-    const int mu = cg.MentionOfNode(e.u);
-    const int mv = cg.MentionOfNode(e.v);
-    const bool u_linked = chosen.count(mu) > 0;
-    const bool v_linked = chosen.count(mv) > 0;
-    if (u_linked && v_linked) continue;
-    // A committed mention only vouches for pairs agreeing with its
-    // committed concept.
-    if (u_linked && chosen_nodes.count(e.u) == 0) continue;
-    if (v_linked && chosen_nodes.count(e.v) == 0) continue;
-    if (!e.exact) {
-      const double relatedness =
-          view->Cosine(cg.concept_node(e.u).ref, cg.concept_node(e.v).ref);
-      e.score = options_.similarity_weight * relatedness +
-                options_.prior_weight * 0.5 *
-                    (cg.concept_node(e.u).prior + cg.concept_node(e.v).prior);
-      e.exact = true;
-      queue.push(e);
-      continue;
-    }
-    if (!u_linked) {
-      chosen.emplace(mu, e.u);
-      chosen_nodes.insert(e.u);
-    }
-    if (!v_linked) {
-      chosen.emplace(mv, e.v);
-      chosen_nodes.insert(e.v);
-    }
-  }
-  // Force-link leftovers (Pair-Linking cannot abstain).
-  for (int m : noun_mentions) {
-    if (chosen.count(m) > 0) continue;
-    int node = TopPriorNode(cg, m);
-    if (node >= 0) chosen.emplace(m, node);
+  for (int m : nouns) {
+    if (pick[m] >= 0) chosen.emplace(m, candidates[m][pick[m]].node);
   }
   core::LinkingResult result = AssembleResult(cg, chosen, {});
   result.timings.graph_ms = graph_ms;

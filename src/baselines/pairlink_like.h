@@ -7,29 +7,18 @@
 namespace tenet {
 namespace baselines {
 
-struct PairlinkOptions {
-  /// Pair confidence = similarity_weight * cos(u, v)
-  ///                 + prior_weight * (P(u) + P(v)) / 2 — the same blend
-  /// the pipeline's pair-link rung uses (DESIGN.md §16).
-  double similarity_weight = 0.6;
-  double prior_weight = 0.4;
-};
-
 // Pair-Linking [Phan et al.] stand-in: collective entity disambiguation by
 // greedily confirming the single most confident mention pair at a time
-// ("two could be better than all").  Pair confidence combines embedding
-// relatedness with the candidates' local priors; the sweep uses the
-// paper's lazy evaluation trick — queue entries start at an optimistic
-// relatedness bound of 1, and the exact cosine is only computed for pairs
-// that reach the top of the queue.  Confirmed mentions vouch for further
-// pairs agreeing with their committed concept; leftovers are force-linked
-// to their top-prior candidate (Pair-Linking cannot abstain).  Entity
-// disambiguation only; no relation linking.
+// ("two could be better than all").  It runs the pair-link rung's sweep
+// (core/pair_link.h) over short-only mentions: pair confidence combines
+// embedding relatedness with the candidates' local priors, and the exact
+// cosine is only computed for pairs that reach the top of the queue.
+// Leftovers are force-linked to their top-prior candidate (Pair-Linking
+// cannot abstain).  Entity disambiguation only; no relation linking.
 class PairlinkLike : public Linker {
  public:
-  explicit PairlinkLike(BaselineSubstrate substrate,
-                        PairlinkOptions options = {})
-      : substrate_(substrate), options_(options) {}
+  explicit PairlinkLike(BaselineSubstrate substrate)
+      : substrate_(substrate) {}
 
   std::string_view name() const override { return "PairLink"; }
   bool links_relations() const override { return false; }
@@ -43,7 +32,6 @@ class PairlinkLike : public Linker {
 
  private:
   BaselineSubstrate substrate_;
-  PairlinkOptions options_;
 };
 
 }  // namespace baselines

@@ -37,9 +37,7 @@ struct LinkContext {
   /// budget (DegradationInfo::Mode::kPairLink).  The serving layer sets
   /// it when only the cover-solve circuit breaker is open — candidate
   /// lookups and embeddings are healthy, so an answer better than
-  /// prior-only is still affordable.  Ignored when the pipeline's
-  /// PairLinkOptions::enabled is false (the request then runs the normal
-  /// ladder).
+  /// prior-only is still affordable.
   bool cap_to_pair_link = false;
 
   /// The deadline this request should run under, given the callee's

@@ -1,22 +1,19 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <optional>
-#include <queue>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/pair_link.h"
 #include "obs/metrics.h"
 
 namespace tenet {
 namespace core {
 namespace {
 
-using TopCandidate = std::optional<std::pair<kb::ConceptRef, double>>;
+using Mode = DegradationInfo::Mode;
 
 // The pipeline's metric families, resolved once against the default
 // registry and cached (Get* takes a lock; the cached pointers do not).
@@ -133,15 +130,52 @@ void RecordFullDocument(const PipelineTimings& timings) {
   m.latency_full->Observe(timings.TotalMs());
 }
 
+// The one finisher of both fallback rungs: records a degraded document
+// against the registry and, when the request is traced, the rung's span
+// and annotations.
+void RecordDegradedDocument(const DegradationInfo& info,
+                            const PipelineTimings& timings,
+                            const LinkContext& context) {
+  const PipelineMetrics& m = Metrics();
+  const bool pair_link = info.mode == Mode::kPairLink;
+
+  // The fallback is the document's (degraded) disambiguation stage: its
+  // latency feeds the per-stage family, under the pairlink label for the
+  // sweep, so stage sums stay equal to summed PipelineTimings either way.
+  (pair_link ? m.stage_pairlink : m.stage_disambiguate)
+      ->Observe(timings.disambiguate_ms);
+  (pair_link ? m.documents_pair_link : m.documents_prior_only)->Increment();
+  (pair_link ? m.latency_pair_link : m.latency_prior_only)
+      ->Observe(timings.TotalMs());
+  if (info.stages_degraded >= 1 && info.stages_degraded <= 3) {
+    m.degraded_by_rung[info.stages_degraded]->Increment();
+  }
+
+  if (context.trace == nullptr) return;
+  const std::string name(DegradationModeToString(info.mode));
+  int span = context.trace->StartSpan(name);
+  context.trace->EndSpan(span, timings.disambiguate_ms);
+  context.trace->Annotate("degraded_mode", name);
+  context.trace->Annotate("degraded_reason", info.reason);
+  context.trace->Annotate(
+      "stages_degraded",
+      std::string(1, static_cast<char>('0' + info.stages_degraded)));
+  if (pair_link) {
+    context.trace->Annotate("pairs_confirmed",
+                            std::to_string(info.pairs_confirmed));
+  }
+}
+
 // Per mention group, the reading (canopy) whose mentions are collectively
 // most confident under the priors — the degraded stand-in for
-// coherence-driven canopy resolution, shared by the prior-only and
-// pair-link rungs so the two differ only in disambiguation, never in
-// segmentation.  `top(mention_id)` yields the best candidate or nullopt.
+// coherence-driven canopy resolution, so the prior-only and pair-link
+// rungs differ only in disambiguation, never in segmentation.  `pick[m]`
+// indexes mention m's top-prior candidate, or is -1 when it has none.
 // Returned pointers alias `universe` and stay valid while it lives.
-template <typename TopFn>
 std::vector<const std::vector<int>*> SelectPriorReadings(
-    const MentionSet& universe, TopFn&& top) {
+    const MentionSet& universe,
+    const std::vector<std::vector<PairLinkCandidate>>& candidates,
+    const std::vector<int>& pick) {
   std::vector<const std::vector<int>*> readings;
   readings.reserve(universe.num_groups());
   for (int g = 0; g < universe.num_groups(); ++g) {
@@ -152,7 +186,7 @@ std::vector<const std::vector<int>*> SelectPriorReadings(
     for (size_t k = 0; k < group.canopies.size(); ++k) {
       double score = 0.0;
       for (int m : group.canopies[k].mentions) {
-        if (TopCandidate c = top(m)) score += c->second;
+        if (pick[m] >= 0) score += candidates[m][pick[m]].prior;
       }
       // Mean confidence, not mass: summing lets two mediocre fragments
       // outscore the composite reading they chop up ("Keystone Foundation"
@@ -176,198 +210,6 @@ std::vector<const std::vector<int>*> SelectPriorReadings(
                            : &group.canopies[winning].mentions);
   }
   return readings;
-}
-
-// Shared assembly of the prior-only fallback: every mention of the winning
-// canopy links to its top-prior candidate.  Mentions without candidates
-// are reported isolated, exactly like the full path.
-template <typename TopFn>
-LinkingResult AssemblePriorOnly(const MentionSet& universe, TopFn&& top) {
-  LinkingResult result;
-  for (const std::vector<int>* reading :
-       SelectPriorReadings(universe, top)) {
-    for (int m : *reading) {
-      result.selected_mentions.push_back(m);
-      TopCandidate c = top(m);
-      if (!c.has_value()) {
-        result.isolated_mentions.push_back(m);
-        continue;
-      }
-      LinkedConcept link;
-      link.mention_id = m;
-      link.surface = universe.mention(m).surface;
-      link.kind = universe.mention(m).kind;
-      link.concept_ref = c->first;
-      link.prior = c->second;
-      result.links.push_back(std::move(link));
-    }
-  }
-  std::sort(result.links.begin(), result.links.end(),
-            [](const LinkedConcept& a, const LinkedConcept& b) {
-              return a.mention_id < b.mention_id;
-            });
-  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
-  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
-  return result;
-}
-
-// One pair-link candidate of a mention: the concept, its prior and — for
-// the from-graph variant — its node id in the coherence graph.
-struct PairLinkCandidate {
-  kb::ConceptRef ref;
-  double prior = 0.0;
-  int node = -1;
-};
-
-struct PairLinkSweepStats {
-  int pairs_confirmed = 0;
-  bool deadline_hit = false;
-};
-
-// The pair-link rung (DESIGN.md §16).  Segmentation is the prior-only
-// rung's (winning canopy by mean prior); disambiguation is Phan et al.'s
-// greedy pair-linking over the selected noun mentions: a priority queue of
-// candidate pairs scored by
-//   similarity_weight * cos + prior_weight * mean prior,
-// confirmed best-pair-first.  Entries start with the optimistic bound
-// cos = 1, so the (expensive) similarity is only computed for pairs that
-// actually reach the top of the queue — a popped exact entry dominates
-// every bound below it and is safe to confirm.  A mention already
-// committed only vouches for pairs agreeing with its committed candidate.
-// Deadline expiry mid-sweep stops confirming; whatever is still unassigned
-// (and every relational mention — pair-linking is an entity
-// disambiguation algorithm) is topped up from priors.  Deterministic:
-// ties break on the (mention, candidate) ids, exact entries first.
-template <typename SimFn>
-LinkingResult AssemblePairLink(
-    const MentionSet& universe,
-    const std::vector<std::vector<PairLinkCandidate>>& cands,
-    const PairLinkOptions& opts, const Deadline& deadline, SimFn&& sim,
-    PairLinkSweepStats* stats) {
-  auto top_of = [&cands](int m) -> const PairLinkCandidate* {
-    const PairLinkCandidate* best = nullptr;
-    for (const PairLinkCandidate& c : cands[m]) {
-      if (best == nullptr || c.prior > best->prior) best = &c;
-    }
-    return best;
-  };
-  auto top = [&top_of](int m) -> TopCandidate {
-    const PairLinkCandidate* best = top_of(m);
-    if (best == nullptr) return std::nullopt;
-    return std::make_pair(best->ref, best->prior);
-  };
-  std::vector<const std::vector<int>*> readings =
-      SelectPriorReadings(universe, top);
-
-  // The sweep participants: selected noun mentions with candidates.
-  std::vector<int> nouns;
-  for (const std::vector<int>* reading : readings) {
-    for (int m : *reading) {
-      if (universe.mention(m).is_noun() && !cands[m].empty()) {
-        nouns.push_back(m);
-      }
-    }
-  }
-  std::sort(nouns.begin(), nouns.end());
-
-  struct Entry {
-    double score;
-    bool exact;
-    int i, a, j, b;  // indices into `nouns` / their candidate lists
-  };
-  auto worse = [](const Entry& x, const Entry& y) {
-    if (x.score != y.score) return x.score < y.score;
-    if (x.exact != y.exact) return y.exact;
-    return std::tie(x.i, x.a, x.j, x.b) > std::tie(y.i, y.a, y.j, y.b);
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> queue(
-      worse);
-  for (size_t i = 0; i < nouns.size(); ++i) {
-    for (size_t j = i + 1; j < nouns.size(); ++j) {
-      const auto& ci = cands[nouns[i]];
-      const auto& cj = cands[nouns[j]];
-      for (size_t a = 0; a < ci.size(); ++a) {
-        for (size_t b = 0; b < cj.size(); ++b) {
-          const double bound = opts.similarity_weight +
-                               opts.prior_weight * 0.5 *
-                                   (ci[a].prior + cj[b].prior);
-          queue.push(Entry{bound, /*exact=*/false, static_cast<int>(i),
-                           static_cast<int>(a), static_cast<int>(j),
-                           static_cast<int>(b)});
-        }
-      }
-    }
-  }
-
-  std::vector<int> assigned(nouns.size(), -1);
-  size_t num_assigned = 0;
-  while (!queue.empty() && num_assigned < nouns.size()) {
-    if (deadline.expired()) {
-      stats->deadline_hit = true;
-      break;
-    }
-    Entry e = queue.top();
-    queue.pop();
-    const bool i_done = assigned[e.i] >= 0;
-    const bool j_done = assigned[e.j] >= 0;
-    if (i_done && j_done) continue;
-    if (i_done && assigned[e.i] != e.a) continue;
-    if (j_done && assigned[e.j] != e.b) continue;
-    if (!e.exact) {
-      const PairLinkCandidate& u = cands[nouns[e.i]][e.a];
-      const PairLinkCandidate& v = cands[nouns[e.j]][e.b];
-      e.score = opts.similarity_weight * sim(u, v) +
-                opts.prior_weight * 0.5 * (u.prior + v.prior);
-      e.exact = true;
-      queue.push(e);
-      continue;
-    }
-    if (!i_done) {
-      assigned[e.i] = e.a;
-      ++num_assigned;
-    }
-    if (!j_done) {
-      assigned[e.j] = e.b;
-      ++num_assigned;
-    }
-    ++stats->pairs_confirmed;
-  }
-
-  std::unordered_map<int, const PairLinkCandidate*> chosen;
-  chosen.reserve(nouns.size());
-  for (size_t idx = 0; idx < nouns.size(); ++idx) {
-    chosen.emplace(nouns[idx], assigned[idx] >= 0
-                                   ? &cands[nouns[idx]][assigned[idx]]
-                                   : top_of(nouns[idx]));
-  }
-
-  LinkingResult result;
-  for (const std::vector<int>* reading : readings) {
-    for (int m : *reading) {
-      result.selected_mentions.push_back(m);
-      auto it = chosen.find(m);
-      const PairLinkCandidate* pick =
-          it != chosen.end() ? it->second : top_of(m);
-      if (pick == nullptr) {
-        result.isolated_mentions.push_back(m);
-        continue;
-      }
-      LinkedConcept link;
-      link.mention_id = m;
-      link.surface = universe.mention(m).surface;
-      link.kind = universe.mention(m).kind;
-      link.concept_ref = pick->ref;
-      link.prior = pick->prior;
-      result.links.push_back(std::move(link));
-    }
-  }
-  std::sort(result.links.begin(), result.links.end(),
-            [](const LinkedConcept& a, const LinkedConcept& b) {
-              return a.mention_id < b.mention_id;
-            });
-  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
-  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
-  return result;
 }
 
 }  // namespace
@@ -395,6 +237,38 @@ TenetOptions ClampToLimits(TenetOptions options) {
                  options.limits.max_candidates_per_mention);
   }
   return options;
+}
+
+// Every mention's candidates straight from the KB, one lookup each, under
+// the coherence graph's top-k: the rungs see the renormalized prior
+// distribution the graph would, and overflow past the cap is counted as
+// the graph builder counts it.
+std::vector<std::vector<PairLinkCandidate>> FetchCandidates(
+    const kb::KbView& view, const MentionSet& mentions, int top_k) {
+  std::vector<std::vector<PairLinkCandidate>> candidates(
+      mentions.num_mentions());
+  int64_t candidate_overflow = 0;
+  for (int m = 0; m < mentions.num_mentions(); ++m) {
+    const Mention& mention = mentions.mention(m);
+    int overflow = 0;
+    if (mention.is_noun()) {
+      for (const kb::EntityCandidate& c : view.CandidateEntities(
+               mention.surface, mention.type, top_k, &overflow)) {
+        candidates[m].push_back(
+            PairLinkCandidate{kb::ConceptRef::Entity(c.entity), c.prior});
+      }
+    } else {
+      for (const kb::PredicateCandidate& c :
+           view.CandidatePredicates(mention.surface, top_k, &overflow)) {
+        candidates[m].push_back(PairLinkCandidate{
+            kb::ConceptRef::Predicate(c.predicate), c.prior});
+      }
+    }
+    candidate_overflow += overflow;
+  }
+  text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
+                             candidate_overflow);
+  return candidates;
 }
 
 }  // namespace
@@ -464,14 +338,6 @@ Result<LinkingResult> TenetPipeline::LinkDocument(
   return LinkMentionSetWithTimings(std::move(mentions), context, timings);
 }
 
-Result<LinkingResult> TenetPipeline::LinkExtraction(
-    const text::ExtractionResult& extraction,
-    const LinkContext& context) const {
-  MentionSet mentions =
-      BuildMentionSet(extraction, gazetteer_, options_.canopy);
-  return LinkMentionSetWithTimings(std::move(mentions), context, {});
-}
-
 Result<LinkingResult> TenetPipeline::LinkMentionSet(
     MentionSet mentions, const LinkContext& context) const {
   return LinkMentionSetWithTimings(std::move(mentions), context, {});
@@ -495,31 +361,23 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
       return Status::DeadlineExceeded(
           "deadline expired before the coherence stage");
     }
-    return PriorOnlyFromMentions(std::move(mentions),
-                                 "deadline expired before the coherence stage",
-                                 /*stages_degraded=*/3, timings, context);
+    return Degrade(Mode::kPriorOnly,
+                   "deadline expired before the coherence stage",
+                   /*stages_degraded=*/3, std::move(mentions), nullptr,
+                   timings, context, deadline);
   }
 
-  // ---- Pair-link rung at entry: forced, breaker-capped, or the budget is
-  // finite but below the full-pipeline floor -> skip the coherence graph
-  // and tree cover and spend what remains on the greedy pair sweep --------
-  const PairLinkOptions& pair_link = options_.pair_link;
-  if (pair_link.enabled) {
-    std::string reason;
-    if (pair_link.serve_always) {
-      reason = "pair-link rung forced by configuration";
-    } else if (context.cap_to_pair_link) {
-      reason = "cover-solve dependency unavailable (circuit breaker open)";
-    } else if (options_.degrade_to_prior && pair_link.min_full_budget_ms > 0.0 &&
-               !deadline.infinite() &&
-               deadline.RemainingMillis() < pair_link.min_full_budget_ms) {
-      reason = "budget below the full-pipeline floor";
-    }
-    if (!reason.empty()) {
-      return PairLinkFromMentions(std::move(mentions), std::move(reason),
-                                  /*stages_degraded=*/3, timings, context,
-                                  deadline);
-    }
+  // ---- Pair-link rung at entry: forced or breaker-capped -> skip the
+  // coherence graph and tree cover and spend the budget on the greedy
+  // pair sweep -------------------------------------------------------------
+  if (options_.pair_link.serve_always || context.cap_to_pair_link) {
+    return Degrade(
+        Mode::kPairLink,
+        options_.pair_link.serve_always
+            ? "pair-link rung forced by configuration"
+            : "cover-solve dependency unavailable (circuit breaker open)",
+        /*stages_degraded=*/3, std::move(mentions), nullptr, timings, context,
+        deadline);
   }
 
   StageScope graph_scope(context, "graph", Metrics().stage_graph);
@@ -560,17 +418,13 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
 
   // ---- Rung 1: cover unavailable.  A solver fault or retry exhaustion
   // with budget remaining is worth the pair-link sweep over the graph's
-  // edge weights; deadline expiry (or pair-link disabled) falls straight
-  // to priors ------------------------------------------------------------
+  // edge weights; deadline expiry falls straight to priors ----------------
   if (!interrupted.ok() || !cover.ok()) {
     Status cause = !interrupted.ok() ? interrupted : cover.status();
     if (!options_.degrade_to_prior) return cause;
-    if (pair_link.enabled && !deadline.expired()) {
-      return PairLinkFromGraph(cg, cause.ToString(), /*stages_degraded=*/2,
-                               timings, context, deadline);
-    }
-    return PriorOnlyFromGraph(cg, cause.ToString(), /*stages_degraded=*/2,
-                              timings, context);
+    return Degrade(deadline.expired() ? Mode::kPriorOnly : Mode::kPairLink,
+                   cause.ToString(), /*stages_degraded=*/2, cg.mentions(),
+                   &cg, timings, context, deadline);
   }
 
   // ---- Rung 2: cover done but budget gone -> degrade the last stage ------
@@ -579,8 +433,9 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
       return Status::DeadlineExceeded(
           "deadline expired before disambiguation");
     }
-    return PriorOnlyFromGraph(cg, "deadline expired before disambiguation",
-                              /*stages_degraded=*/1, timings, context);
+    return Degrade(Mode::kPriorOnly, "deadline expired before disambiguation",
+                   /*stages_degraded=*/1, cg.mentions(), &cg, timings,
+                   context, deadline);
   }
 
   result.used_bound = schedule.value();
@@ -635,209 +490,88 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
   return result;
 }
 
-void TenetPipeline::FinishPriorOnly(std::string reason, int stages_degraded,
-                                    PipelineTimings timings,
-                                    const LinkContext& context,
-                                    LinkingResult* result) const {
-  result->timings = timings;
-  result->degradation.mode = DegradationInfo::Mode::kPriorOnly;
-  result->degradation.stages_degraded = stages_degraded;
-
-  const PipelineMetrics& m = Metrics();
-  // The fallback assembly is the document's (degraded) disambiguation
-  // stage: its latency belongs to the same per-stage family the full path
-  // feeds, so stage sums stay equal to summed PipelineTimings either way.
-  m.stage_disambiguate->Observe(timings.disambiguate_ms);
-  m.documents_prior_only->Increment();
-  m.latency_prior_only->Observe(timings.TotalMs());
-  if (stages_degraded >= 1 && stages_degraded <= 3) {
-    m.degraded_by_rung[stages_degraded]->Increment();
-  }
-
-  if (context.trace != nullptr) {
-    int span = context.trace->StartSpan("prior_only");
-    context.trace->EndSpan(span, timings.disambiguate_ms);
-    context.trace->Annotate("degraded_mode", "prior_only");
-    context.trace->Annotate("degraded_reason", reason);
-    context.trace->Annotate("stages_degraded",
-                            std::string(1, static_cast<char>(
-                                               '0' + stages_degraded)));
-  }
-  result->degradation.reason = std::move(reason);
-}
-
-Result<LinkingResult> TenetPipeline::PriorOnlyFromMentions(
-    MentionSet mentions, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context) const {
+Result<LinkingResult> TenetPipeline::Degrade(
+    Mode mode, std::string reason, int stages_degraded, MentionSet mentions,
+    const CoherenceGraph* cg, PipelineTimings timings,
+    const LinkContext& context, const Deadline& deadline) const {
   WallTimer timer;
-  const MentionSet& universe = mentions;
-  // Same candidate budget as the coherence graph, so the degraded path sees
-  // the identical renormalized top-k prior distribution per mention.
-  const int top_k = options_.graph.max_candidates_per_mention;
-  int64_t candidate_overflow = 0;
-  auto top = [this, &universe, top_k,
-              &candidate_overflow](int m) -> TopCandidate {
-    const Mention& mention = universe.mention(m);
-    int overflow = 0;
-    if (mention.is_noun()) {
-      std::vector<kb::EntityCandidate> candidates = view_->CandidateEntities(
-          mention.surface, mention.type, top_k, &overflow);
-      candidate_overflow += overflow;
-      if (candidates.empty()) return std::nullopt;
-      return std::make_pair(kb::ConceptRef::Entity(candidates.front().entity),
-                            candidates.front().prior);
-    }
-    std::vector<kb::PredicateCandidate> candidates =
-        view_->CandidatePredicates(mention.surface, top_k, &overflow);
-    candidate_overflow += overflow;
-    if (candidates.empty()) return std::nullopt;
-    return std::make_pair(
-        kb::ConceptRef::Predicate(candidates.front().predicate),
-        candidates.front().prior);
-  };
-  LinkingResult result = AssemblePriorOnly(universe, top);
-  text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
-                             candidate_overflow);
-  result.mentions = std::move(mentions);
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  FinishPriorOnly(std::move(reason), stages_degraded, timings, context,
-                  &result);
-  return result;
-}
-
-Result<LinkingResult> TenetPipeline::PriorOnlyFromGraph(
-    const CoherenceGraph& cg, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context) const {
-  WallTimer timer;
-  auto top = [&cg](int m) -> TopCandidate {
-    const std::vector<int>& nodes = cg.ConceptNodesOfMention(m);
-    const CoherenceGraph::ConceptNode* best = nullptr;
-    for (int node : nodes) {
-      const CoherenceGraph::ConceptNode& cn = cg.concept_node(node);
-      if (best == nullptr || cn.prior > best->prior) best = &cn;
-    }
-    if (best == nullptr) return std::nullopt;
-    return std::make_pair(best->ref, best->prior);
-  };
-  LinkingResult result = AssemblePriorOnly(cg.mentions(), top);
-  result.mentions = cg.mentions();  // copy out the universe
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  FinishPriorOnly(std::move(reason), stages_degraded, timings, context,
-                  &result);
-  return result;
-}
-
-void TenetPipeline::FinishPairLink(std::string reason, int stages_degraded,
-                                   int pairs_confirmed,
-                                   PipelineTimings timings,
-                                   const LinkContext& context,
-                                   LinkingResult* result) const {
-  result->timings = timings;
-  result->degradation.mode = DegradationInfo::Mode::kPairLink;
-  result->degradation.stages_degraded = stages_degraded;
-  result->degradation.pairs_confirmed = pairs_confirmed;
-
-  const PipelineMetrics& m = Metrics();
-  // The greedy sweep is the document's (approximate) disambiguation stage:
-  // it feeds the per-stage family under its own label, so stage sums stay
-  // equal to summed PipelineTimings with the pairlink label standing in
-  // for disambiguate on these documents.
-  m.stage_pairlink->Observe(timings.disambiguate_ms);
-  m.documents_pair_link->Increment();
-  m.latency_pair_link->Observe(timings.TotalMs());
-  if (stages_degraded >= 1 && stages_degraded <= 3) {
-    m.degraded_by_rung[stages_degraded]->Increment();
+  std::vector<std::vector<PairLinkCandidate>> candidates =
+      cg != nullptr
+          ? GraphCandidates(*cg)
+          : FetchCandidates(*view_, mentions,
+                            options_.graph.max_candidates_per_mention);
+  std::vector<int> pick(mentions.num_mentions());
+  for (int m = 0; m < mentions.num_mentions(); ++m) {
+    pick[m] = TopPriorCandidate(candidates[m]);
   }
+  std::vector<const std::vector<int>*> readings =
+      SelectPriorReadings(mentions, candidates, pick);
 
-  if (context.trace != nullptr) {
-    int span = context.trace->StartSpan("pair_link");
-    context.trace->EndSpan(span, timings.disambiguate_ms);
-    context.trace->Annotate("degraded_mode", "pair_link");
-    context.trace->Annotate("degraded_reason", reason);
-    context.trace->Annotate("stages_degraded",
-                            std::string(1, static_cast<char>(
-                                               '0' + stages_degraded)));
-    context.trace->Annotate("pairs_confirmed",
-                            std::to_string(pairs_confirmed));
-  }
-  result->degradation.reason = std::move(reason);
-}
-
-Result<LinkingResult> TenetPipeline::PairLinkFromMentions(
-    MentionSet mentions, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context,
-    const Deadline& deadline) const {
-  WallTimer timer;
-  const MentionSet& universe = mentions;
-  // Same candidate budget as the coherence graph, so the rung sweeps the
-  // identical renormalized top-k prior distribution per mention.
-  const int top_k = options_.graph.max_candidates_per_mention;
-  int64_t candidate_overflow = 0;
-  std::vector<std::vector<PairLinkCandidate>> cands(universe.num_mentions());
-  for (int m = 0; m < universe.num_mentions(); ++m) {
-    const Mention& mention = universe.mention(m);
-    int overflow = 0;
-    if (mention.is_noun()) {
-      for (const kb::EntityCandidate& c : view_->CandidateEntities(
-               mention.surface, mention.type, top_k, &overflow)) {
-        cands[m].push_back(
-            PairLinkCandidate{kb::ConceptRef::Entity(c.entity), c.prior});
+  LinkingResult result;
+  result.degradation.mode = mode;
+  result.degradation.stages_degraded = stages_degraded;
+  if (mode == Mode::kPairLink) {
+    // Pair-linking disambiguates entities: the sweep runs over the
+    // selected noun mentions, and relational ones keep their priors.
+    std::vector<int> nouns;
+    for (const std::vector<int>* reading : readings) {
+      for (int m : *reading) {
+        if (mentions.mention(m).is_noun()) nouns.push_back(m);
       }
+    }
+    PairSimilarity similarity;
+    if (cg != nullptr) {
+      // Graph edge weights are 1 - cos; a missing edge (pruned or
+      // same-mention) reads as zero similarity.
+      similarity = [cg](const PairLinkCandidate& u,
+                        const PairLinkCandidate& v) {
+        return 1.0 - cg->graph().EdgeWeight(u.node, v.node, /*missing=*/1.0);
+      };
     } else {
-      for (const kb::PredicateCandidate& c : view_->CandidatePredicates(
-               mention.surface, top_k, &overflow)) {
-        cands[m].push_back(PairLinkCandidate{
-            kb::ConceptRef::Predicate(c.predicate), c.prior});
-      }
+      similarity = [this](const PairLinkCandidate& u,
+                          const PairLinkCandidate& v) {
+        return view_->Cosine(u.ref, v.ref);
+      };
     }
-    candidate_overflow += overflow;
+    PairSweepStats stats =
+        SweepPairs(nouns, candidates, similarity, deadline, &pick);
+    result.degradation.pairs_confirmed = stats.pairs_confirmed;
+    if (stats.deadline_hit) {
+      reason += "; deadline expired mid-sweep, remainder served from priors";
+    }
   }
-  auto sim = [this](const PairLinkCandidate& u, const PairLinkCandidate& v) {
-    return view_->Cosine(u.ref, v.ref);
-  };
-  PairLinkSweepStats stats;
-  LinkingResult result = AssemblePairLink(universe, cands, options_.pair_link,
-                                          deadline, sim, &stats);
-  text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
-                             candidate_overflow);
+  result.degradation.reason = std::move(reason);
+
+  // Mentions without candidates are reported isolated, exactly like the
+  // full path.
+  for (const std::vector<int>* reading : readings) {
+    for (int m : *reading) {
+      result.selected_mentions.push_back(m);
+      if (pick[m] < 0) {
+        result.isolated_mentions.push_back(m);
+        continue;
+      }
+      const PairLinkCandidate& chosen = candidates[m][pick[m]];
+      LinkedConcept link;
+      link.mention_id = m;
+      link.surface = mentions.mention(m).surface;
+      link.kind = mentions.mention(m).kind;
+      link.concept_ref = chosen.ref;
+      link.prior = chosen.prior;
+      result.links.push_back(std::move(link));
+    }
+  }
+  std::sort(result.links.begin(), result.links.end(),
+            [](const LinkedConcept& a, const LinkedConcept& b) {
+              return a.mention_id < b.mention_id;
+            });
+  std::sort(result.selected_mentions.begin(), result.selected_mentions.end());
+  std::sort(result.isolated_mentions.begin(), result.isolated_mentions.end());
+
   result.mentions = std::move(mentions);
   timings.disambiguate_ms = timer.ElapsedMillis();
-  if (stats.deadline_hit) {
-    reason += "; deadline expired mid-sweep, remainder served from priors";
-  }
-  FinishPairLink(std::move(reason), stages_degraded, stats.pairs_confirmed,
-                 timings, context, &result);
-  return result;
-}
-
-Result<LinkingResult> TenetPipeline::PairLinkFromGraph(
-    const CoherenceGraph& cg, std::string reason, int stages_degraded,
-    PipelineTimings timings, const LinkContext& context,
-    const Deadline& deadline) const {
-  WallTimer timer;
-  const MentionSet& universe = cg.mentions();
-  std::vector<std::vector<PairLinkCandidate>> cands(universe.num_mentions());
-  for (int m = 0; m < universe.num_mentions(); ++m) {
-    for (int node : cg.ConceptNodesOfMention(m)) {
-      const CoherenceGraph::ConceptNode& cn = cg.concept_node(node);
-      cands[m].push_back(PairLinkCandidate{cn.ref, cn.prior, node});
-    }
-  }
-  // Graph edge weights are 1 - cos; a missing edge (pruned or same-mention)
-  // reads as zero similarity, which the optimistic bound then corrects.
-  auto sim = [&cg](const PairLinkCandidate& u, const PairLinkCandidate& v) {
-    return 1.0 - cg.graph().EdgeWeight(u.node, v.node, /*missing=*/1.0);
-  };
-  PairLinkSweepStats stats;
-  LinkingResult result = AssemblePairLink(universe, cands, options_.pair_link,
-                                          deadline, sim, &stats);
-  result.mentions = cg.mentions();  // copy out the universe
-  timings.disambiguate_ms = timer.ElapsedMillis();
-  if (stats.deadline_hit) {
-    reason += "; deadline expired mid-sweep, remainder served from priors";
-  }
-  FinishPairLink(std::move(reason), stages_degraded, stats.pairs_confirmed,
-                 timings, context, &result);
+  result.timings = timings;
+  RecordDegradedDocument(result.degradation, timings, context);
   return result;
 }
 

@@ -28,23 +28,8 @@ namespace core {
 // the degradation ladder, between the full tree-cover pipeline and
 // per-canopy prior-only disambiguation.  Instead of solving the global
 // coherence objective, the rung greedily confirms the single most
-// confident mention pair at a time (Phan et al.'s pair-linking), scoring
-// pairs by candidate priors plus embedding similarity, with an optimistic
-// bound so similarities are only computed for pairs that reach the top of
-// the queue.
+// confident mention pair at a time (core/pair_link.h).
 struct PairLinkOptions {
-  /// When false the ladder never takes this rung: every condition that
-  /// would select it falls through to prior-only, restoring the two-rung
-  /// ladder exactly.
-  bool enabled = true;
-  /// Pair confidence = similarity_weight * cos(u, v)
-  ///                 + prior_weight * (P(u) + P(v)) / 2.
-  double similarity_weight = 0.6;
-  double prior_weight = 0.4;
-  /// A finite request budget below this floor (in milliseconds) selects
-  /// pair-link at entry instead of attempting the full pipeline and
-  /// degrading mid-flight.  0 (the default) disables the floor.
-  double min_full_budget_ms = 0.0;
   /// Forces every document down the pair-link rung — the frontier
   /// harness's "pair-link system" configuration (tenet_cli eval
   /// --frontier).  Overrides the deadline machinery but still honours the
@@ -66,10 +51,11 @@ struct TenetOptions {
   /// Link* call.  Infinite (the default) disables the deadline.  An
   /// explicit Deadline argument to Link* overrides this.
   double deadline_ms = std::numeric_limits<double>::infinity();
-  /// When true (the default), deadline expiry or bound-retry exhaustion
-  /// degrades to per-canopy prior-only disambiguation instead of failing
-  /// the document.  When false those conditions surface as
-  /// kDeadlineExceeded / the solver's error.
+  /// When true (the default), deadline expiry, bound-retry exhaustion or
+  /// a cover fault degrades down the ladder (pair-link while budget
+  /// remains, else prior-only) instead of failing the document.  When
+  /// false those conditions surface as kDeadlineExceeded / the solver's
+  /// error.
   bool degrade_to_prior = true;
   /// Hostile-input guardrails applied by LinkDocument before any linking
   /// work (DESIGN.md §13).  The defaults never fire on clean corpora; the
@@ -196,19 +182,15 @@ class TenetPipeline {
   /// Degradation ladder (when options().degrade_to_prior): the full
   /// tree-cover pipeline is attempted first; when the cover is
   /// unavailable (solver fault, retry exhaustion) with budget remaining,
-  /// the document is served by the greedy pair-link rung
-  /// (options().pair_link); when the budget itself is gone, by per-canopy
-  /// prior-only disambiguation.  Either way the result's DegradationInfo
-  /// records the mode, cause, and how many stages were degraded.  A
-  /// degraded answer is still ok() — graceful degradation is an answer,
-  /// not an error.
+  /// the document is served by the greedy pair-link rung; when the budget
+  /// itself is gone, by per-canopy prior-only disambiguation.  Forcing
+  /// (options().pair_link.serve_always) or a context capped at pair-link
+  /// takes the pair-link rung before the graph stage.  Either way the
+  /// result's DegradationInfo records the mode, cause, and how many
+  /// stages were degraded.  A degraded answer is still ok() — graceful
+  /// degradation is an answer, not an error.
   Result<LinkingResult> LinkDocument(std::string_view document_text,
                                      const LinkContext& context = {}) const;
-
-  /// Starts from a ready extraction (used by evaluations that fix the
-  /// mention detection stage).
-  Result<LinkingResult> LinkExtraction(const text::ExtractionResult& extraction,
-                                       const LinkContext& context = {}) const;
 
   /// Starts from a ready mention universe (used by the disambiguation-only
   /// evaluation, where gold mentions are given as input).
@@ -229,59 +211,22 @@ class TenetPipeline {
                                                   const LinkContext& context,
                                                   PipelineTimings timings) const;
 
-  /// Serves the document from priors alone, bypassing the coherence graph
-  /// entirely (candidates come straight from the KB alias index).
-  Result<LinkingResult> PriorOnlyFromMentions(MentionSet mentions,
-                                              std::string reason,
-                                              int stages_degraded,
-                                              PipelineTimings timings,
-                                              const LinkContext& context) const;
-
-  /// Serves the document from priors using the candidates already
-  /// materialized in `cg` (the graph stage completed before the budget ran
-  /// out).
-  Result<LinkingResult> PriorOnlyFromGraph(const CoherenceGraph& cg,
-                                           std::string reason,
-                                           int stages_degraded,
-                                           PipelineTimings timings,
-                                           const LinkContext& context) const;
-
-  /// Shared tail of both prior-only paths: mode bookkeeping, the
-  /// degradation counters and latency observations, and the trace record
-  /// of the rung taken.
-  void FinishPriorOnly(std::string reason, int stages_degraded,
-                       PipelineTimings timings, const LinkContext& context,
-                       LinkingResult* result) const;
-
-  /// Serves the document from the pair-link rung, fetching candidates
-  /// straight from the KB alias index (no coherence graph is built);
-  /// similarities are computed lazily, one KbView::Cosine call per pair
-  /// the sweep scores.  `deadline` bounds the greedy sweep: expiry
-  /// mid-sweep tops the remaining mentions up from priors.
-  Result<LinkingResult> PairLinkFromMentions(MentionSet mentions,
-                                             std::string reason,
-                                             int stages_degraded,
-                                             PipelineTimings timings,
-                                             const LinkContext& context,
-                                             const Deadline& deadline) const;
-
-  /// Pair-link over the candidates and similarities already materialized
-  /// in `cg` (the graph stage completed; the cover stage did not).  Reads
-  /// only the graph's edges — no KB or embedding dependency is touched,
-  /// which is what makes this rung safe under a faulted cover solver.
-  Result<LinkingResult> PairLinkFromGraph(const CoherenceGraph& cg,
-                                          std::string reason,
-                                          int stages_degraded,
-                                          PipelineTimings timings,
-                                          const LinkContext& context,
-                                          const Deadline& deadline) const;
-
-  /// Shared tail of both pair-link paths (the kPairLink analogue of
-  /// FinishPriorOnly).
-  void FinishPairLink(std::string reason, int stages_degraded,
-                      int pairs_confirmed, PipelineTimings timings,
-                      const LinkContext& context,
-                      LinkingResult* result) const;
+  /// Serves the document from a fallback rung: `mode` is kPriorOnly or
+  /// kPairLink, and prior-only is the pair-link rung with the sweep
+  /// skipped.  Each mention's candidates are fetched once: from the KB
+  /// (one lookup per mention) when `cg` is null, i.e. before the graph
+  /// exists, else from `cg`'s concept nodes.  Both rungs keep each
+  /// group's most confident reading by candidate priors; pair-link then
+  /// runs SweepPairs over its noun mentions until `deadline`, scoring
+  /// pairs by KbView::Cosine, or by 1 - EdgeWeight when `cg` is set (so
+  /// that path touches neither the KB nor the embeddings).  Every mention
+  /// the sweep does not confirm links to its top-prior candidate.
+  Result<LinkingResult> Degrade(DegradationInfo::Mode mode,
+                                std::string reason, int stages_degraded,
+                                MentionSet mentions, const CoherenceGraph* cg,
+                                PipelineTimings timings,
+                                const LinkContext& context,
+                                const Deadline& deadline) const;
 
   std::shared_ptr<const kb::KbView> view_;
   const text::Gazetteer* gazetteer_;

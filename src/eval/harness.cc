@@ -43,18 +43,17 @@ void FinishLatencies(std::vector<double>& latencies, SystemScores* scores) {
   scores->latency_p99_ms = Percentile(latencies, 0.99);
 }
 
-// Merges one document's outcome into the running scores.  Shared by the
-// serial and parallel paths so the two merge byte-identically; callers
-// iterate documents in dataset order.
-void ScoreDocument(const baselines::Linker& linker, bool has_relation_gold,
-                   const datasets::Document& doc,
-                   const Result<core::LinkingResult>& result,
-                   SystemScores* scores) {
+// Counts one document's outcome — failed (and whether deliberately
+// rejected), full, or degraded by rung — into the running scores.
+// Returns whether the document was answered and can be scored.
+bool CountOutcome(const datasets::Document& doc,
+                  const Result<core::LinkingResult>& result,
+                  SystemScores* scores) {
   if (!result.ok()) {
     ++scores->failed_documents;
     if (IsRejection(result.status())) ++scores->rejected_documents;
     scores->failures.push_back(DocumentFailure{doc.id, result.status()});
-    return;
+    return false;
   }
   if (result->degradation.degraded()) {
     ++scores->degraded_documents;
@@ -66,6 +65,17 @@ void ScoreDocument(const baselines::Linker& linker, bool has_relation_gold,
   } else {
     ++scores->full_documents;
   }
+  return true;
+}
+
+// Merges one document's outcome into the running scores.  Shared by the
+// serial and parallel paths so the two merge byte-identically; callers
+// iterate documents in dataset order.
+void ScoreDocument(const baselines::Linker& linker, bool has_relation_gold,
+                   const datasets::Document& doc,
+                   const Result<core::LinkingResult>& result,
+                   SystemScores* scores) {
+  if (!CountOutcome(doc, result, scores)) return;
   SystemPrediction prediction = FromLinkingResult(*result);
   scores->entity_linking.Add(ScoreEntityLinking(doc, prediction));
   if (has_relation_gold && linker.links_relations()) {
@@ -270,23 +280,7 @@ SystemScores EvaluateDisambiguation(const baselines::Linker& linker,
     scores.total_ms += doc_ms;
     if (doc_ms > scores.max_doc_ms) scores.max_doc_ms = doc_ms;
     latencies.push_back(doc_ms);
-    if (!result.ok()) {
-      ++scores.failed_documents;
-      if (IsRejection(result.status())) ++scores.rejected_documents;
-      scores.failures.push_back(DocumentFailure{doc.id, result.status()});
-      continue;
-    }
-    if (result->degradation.degraded()) {
-      ++scores.degraded_documents;
-      if (result->degradation.mode ==
-          core::DegradationInfo::Mode::kPairLink) {
-        ++scores.pairlink_documents;
-      } else {
-        ++scores.prior_only_documents;
-      }
-    } else {
-      ++scores.full_documents;
-    }
+    if (!CountOutcome(doc, result, &scores)) continue;
     SystemPrediction prediction = FromLinkingResult(*result);
     scores.entity_linking.Add(ScoreEntityLinking(doc, prediction));
   }

@@ -4,10 +4,13 @@
 // exhaustion, or a faulted cover solver — an answer, not an error.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/fault_injection.h"
 #include "core/link_context.h"
 #include "core/pipeline.h"
 #include "figure_one_world.h"
+#include "obs/metrics.h"
 
 namespace tenet {
 namespace core {
@@ -27,6 +30,13 @@ const LinkedConcept* FindLink(const LinkingResult& result,
     if (link.surface == surface) return &link;
   }
   return nullptr;
+}
+
+int64_t CandidateOverflowCount() {
+  return obs::MetricsRegistry::Default()
+      ->GetCounter("tenet_input_truncated_total", "",
+                   obs::LabelPair("reason", "candidates"))
+      ->Value();
 }
 
 TEST(DegradationTest, FullRunReportsFullMode) {
@@ -76,6 +86,36 @@ TEST(DegradationTest, ExpiredDeadlineStillReturnsPriorOnlyLinks) {
   EXPECT_TRUE(april_isolated);
 }
 
+TEST(DegradationTest, PriorOnlyLooksUpEachMentionOnce) {
+  // Reading selection and assembly share one candidate fetch per mention,
+  // so the rung costs the full path's lookups, counts the same candidate
+  // overflow, and cannot draw two fault decisions for one mention.
+  FigureOneWorld world = BuildFigureOneWorld();
+  TenetOptions options;
+  // "Michael Jordan" and "study" each have two candidates: both overflow.
+  options.graph.max_candidates_per_mention = 1;
+  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
+                      options);
+
+  int64_t before = CandidateOverflowCount();
+  Result<LinkingResult> full = tenet.LinkDocument(kFigureOneText);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->degradation.mode, DegradationInfo::Mode::kFull);
+  const int64_t full_overflow = CandidateOverflowCount() - before;
+  EXPECT_GT(full_overflow, 0);
+
+  FaultInjector faults(19);  // installed but never armed: it only counts
+  before = CandidateOverflowCount();
+  Result<LinkingResult> prior =
+      tenet.LinkDocument(kFigureOneText,
+                         LinkContext::WithDeadline(Deadline::Expired()));
+  ASSERT_TRUE(prior.ok()) << prior.status();
+  EXPECT_EQ(prior->degradation.mode, DegradationInfo::Mode::kPriorOnly);
+  EXPECT_EQ(faults.HitCount("kb/alias_lookup"),
+            prior->mentions.num_mentions());
+  EXPECT_EQ(CandidateOverflowCount() - before, full_overflow);
+}
+
 TEST(DegradationTest, ExpiredDeadlineViaOptionsBehavesTheSame) {
   FigureOneWorld world = BuildFigureOneWorld();
   TenetOptions options;
@@ -119,23 +159,6 @@ TEST(DegradationTest, FaultedCoverSolverDegradesToPairLink) {
             std::string::npos);
   EXPECT_FALSE(result->links.empty());
   EXPECT_GT(faults.FireCount("core/cover_solve"), 0);
-}
-
-TEST(DegradationTest, FaultedCoverSolverWithPairLinkDisabledGoesPriorOnly) {
-  // PairLinkOptions::enabled = false restores the two-rung ladder exactly.
-  FigureOneWorld world = BuildFigureOneWorld();
-  TenetOptions options;
-  options.pair_link.enabled = false;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
-                      options);
-  FaultInjector faults(17);
-  faults.Arm("core/cover_solve", 1.0);
-  Result<LinkingResult> result = tenet.LinkDocument(kFigureOneText);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->degradation.mode, DegradationInfo::Mode::kPriorOnly);
-  EXPECT_EQ(result->degradation.stages_degraded, 2);
-  EXPECT_EQ(result->degradation.pairs_confirmed, 0);
-  EXPECT_FALSE(result->links.empty());
 }
 
 TEST(DegradationTest, FaultedCoverSolverWithoutDegradationFailsTheCall) {

@@ -1,7 +1,7 @@
-// The pair-link rung (DESIGN.md §16): ladder selection walking full ->
-// pair-link -> prior-only under fault injection and shrinking deadlines,
-// exact per-rung degradation accounting through the eval harness, and
-// golden determinism of the greedy sweep under a fixed seed.
+// The pair-link rung (DESIGN.md §16): rung selection by configuration,
+// breaker cap and fault injection, exact per-rung degradation accounting
+// through the eval harness, and golden determinism of the greedy sweep
+// under a fixed seed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -79,34 +79,6 @@ TEST(PairLinkTest, CapToPairLinkContextRoutesToThePairLinkRung) {
             std::string::npos);
 }
 
-TEST(PairLinkTest, ShrinkingDeadlineWalksTheWholeLadder) {
-  // One pipeline, three budgets: plentiful -> full; below the configured
-  // full-pipeline floor but not expired -> pair-link; expired -> prior-only.
-  FigureOneWorld world = BuildFigureOneWorld();
-  TenetOptions options;
-  options.pair_link.min_full_budget_ms = 50.0;
-  TenetPipeline tenet(&world.kb, &world.embeddings, &world.gazetteer,
-                      options);
-
-  Result<LinkingResult> full = tenet.LinkDocument(
-      kFigureOneText, LinkContext::WithDeadline(Deadline::AfterMillis(1e6)));
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_EQ(full->degradation.mode, DegradationInfo::Mode::kFull);
-
-  Result<LinkingResult> pair = tenet.LinkDocument(
-      kFigureOneText, LinkContext::WithDeadline(Deadline::AfterMillis(10)));
-  ASSERT_TRUE(pair.ok()) << pair.status();
-  EXPECT_EQ(pair->degradation.mode, DegradationInfo::Mode::kPairLink);
-  EXPECT_EQ(pair->degradation.stages_degraded, 3);
-  EXPECT_NE(pair->degradation.reason.find("budget below"), std::string::npos);
-
-  Result<LinkingResult> prior = tenet.LinkDocument(
-      kFigureOneText, LinkContext::WithDeadline(Deadline::Expired()));
-  ASSERT_TRUE(prior.ok()) << prior.status();
-  EXPECT_EQ(prior->degradation.mode, DegradationInfo::Mode::kPriorOnly);
-  EXPECT_EQ(prior->degradation.stages_degraded, 3);
-}
-
 TEST(PairLinkTest, SeededCoverFaultLandsOnThePairLinkRung) {
   // Mid-pipeline entry: the graph is already built when the cover solver
   // faults, so the sweep reuses its edge weights (stages_degraded == 2).
@@ -146,15 +118,13 @@ TEST(PairLinkTest, HarnessAccountsEveryRungExactly) {
 }
 
 TEST(PairLinkTest, MixedRungsSumToDegradedDocuments) {
-  // Pair-link disabled documents fall to prior-only; with it enabled the
-  // same faults land on pair-link.  Either way the rung split must sum to
-  // the degraded total.
+  // An expired budget sends every document to prior-only, where the cover
+  // faults above sent them to pair-link.  Either way the rung split must
+  // sum to the degraded total.
   datasets::Dataset ds = TinyDataset(82);
   core::TenetOptions options;
-  options.pair_link.enabled = false;
+  options.deadline_ms = 0.0;
   baselines::TenetLinker tenet(Substrate(), options);
-  FaultInjector faults(43);
-  faults.Arm("core/cover_solve", 1.0);
   eval::SystemScores scores = eval::EvaluateEndToEnd(tenet, ds);
   const int n = static_cast<int>(ds.documents.size());
   EXPECT_EQ(scores.degraded_documents, n);
