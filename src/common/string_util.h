@@ -36,8 +36,10 @@ constexpr bool IsAsciiDigitChar(char c) { return c >= '0' && c <= '9'; }
 
 constexpr bool IsAsciiUpperChar(char c) { return c >= 'A' && c <= 'Z'; }
 
+constexpr bool IsAsciiLowerChar(char c) { return c >= 'a' && c <= 'z'; }
+
 constexpr bool IsAsciiAlphaChar(char c) {
-  return (c >= 'a' && c <= 'z') || IsAsciiUpperChar(c);
+  return IsAsciiLowerChar(c) || IsAsciiUpperChar(c);
 }
 
 constexpr bool IsAsciiAlnumChar(char c) {

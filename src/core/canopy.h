@@ -1,6 +1,8 @@
 #ifndef TENET_CORE_CANOPY_H_
 #define TENET_CORE_CANOPY_H_
 
+#include <cstdint>
+
 #include "core/mention.h"
 #include "text/extraction.h"
 #include "text/gazetteer.h"
@@ -8,12 +10,14 @@
 namespace tenet {
 namespace core {
 
+/// Groups with more short mentions than this skip full canopy enumeration
+/// (2^(n-1) segmentations) and keep only the all-short and all-merged
+/// segmentations, however long the group.  Natural text rarely chains > 4
+/// mentions.
+inline constexpr int kMaxGroupSizeForFullEnumeration = 8;
+
 // Knobs of mention-set construction.
 struct CanopyOptions {
-  /// Groups with more short mentions than this skip full canopy
-  /// enumeration (2^(n-1) segmentations) and keep only the all-short and
-  /// all-merged segmentations.  Natural text rarely chains > 4 mentions.
-  int max_group_size_for_full_enumeration = 8;
   /// Ablation switch: when false, no long-text variants are generated —
   /// every group keeps only its all-short canopy (a short-only spotter,
   /// like the Falcon/EARL baselines).
@@ -37,7 +41,8 @@ MentionSet BuildMentionSet(const text::ExtractionResult& extraction,
                            const CanopyOptions& options = {});
 
 /// Number of contiguous segmentations of a sequence of `n` short mentions:
-/// 2^(n-1).  Exposed for tests and sizing heuristics.
+/// 2^(n-1), saturating at INT64_MAX once that no longer fits (n >= 64).
+/// Exposed for tests and sizing heuristics.
 int64_t NumContiguousSegmentations(int n);
 
 }  // namespace core

@@ -6,38 +6,27 @@
 #include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "common/utf8.h"
 #include "text/lemmatizer.h"
 #include "text/tokenizer.h"
-#include "text/wordlists.h"
 
 namespace tenet {
 namespace text {
 namespace {
 
-bool IsInPool(const std::vector<std::string_view>& pool,
-              std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  return std::find(pool.begin(), pool.end(), lower) != pool.end();
-}
-
-bool IsPronoun(std::string_view word) { return IsInPool(Pronouns(), word); }
-
-// True when a capitalized sentence-initial token is merely a function word
+// Sentence-initial capitalized tokens that are merely function words
 // ("The", "He", "During") rather than the start of a name.
-bool IsFunctionWord(std::string_view word) {
-  return IsInPool(Stopwords(), word) || IsInPool(Determiners(), word) ||
-         IsKnownVerbForm(word);
-}
+constexpr uint16_t kFunctionWord = kStopword | kDeterminer | kVerbForm;
 
-std::string JoinTokens(const TokenizedDocument& doc, int begin, int end) {
-  std::string out;
-  for (int i = begin; i < end; ++i) {
-    if (!out.empty() && !doc.tokens[i].is_punct) out += ' ';
-    out += doc.tokens[i].t;
-  }
-  return out;
+ShortMention MakeMention(const TokenizedDocument& doc, int sentence,
+                         int begin, int end, const Gazetteer::Entry* entry) {
+  ShortMention mention;
+  mention.surface = std::string(doc.Surface(begin, end));
+  if (entry != nullptr) mention.type = entry->type;
+  mention.sentence = sentence;
+  mention.token_begin = begin;
+  mention.token_end = end;
+  return mention;
 }
 
 }  // namespace
@@ -148,17 +137,16 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
     int i = sent_begin;
     while (i < sent_end) {
       const Token& tok = doc.tokens[i];
-      bool starts_run = !tok.is_punct && IsCapitalized(tok.t);
-      if (starts_run && i == sent_begin && IsFunctionWord(tok.t)) {
+      bool starts_run = tok.is(kCapitalized);
+      if (starts_run && i == sent_begin && tok.is(kFunctionWord)) {
         // Sentence-initial "The"/"He"/"During": only a name start when it is
         // a capitalized determiner directly followed by another capitalized
         // word ("The Storm ...").
-        bool title_start =
-            IsInPool(Determiners(), tok.t) && i + 1 < sent_end &&
-            !doc.tokens[i + 1].is_punct && IsCapitalized(doc.tokens[i + 1].t);
+        bool title_start = tok.is(kDeterminer) && i + 1 < sent_end &&
+                           doc.tokens[i + 1].is(kCapitalized);
         if (!title_start) starts_run = false;
       }
-      if (starts_run && IsPronoun(tok.t)) starts_run = false;
+      if (starts_run && tok.is(kPronoun)) starts_run = false;
       if (!starts_run) {
         ++i;
         continue;
@@ -171,69 +159,58 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
       // the run only at its end ("Falcon 9"); a number *between* two
       // capitalized tokens stays outside as a connector ("Apollo 11
       // mission" style, Sec. 5.1).
-      while (end < sent_end && !doc.tokens[end].is_punct &&
-             IsCapitalized(doc.tokens[end].t)) {
+      while (end < sent_end && doc.tokens[end].is(kCapitalized)) ++end;
+      if (end < sent_end && doc.tokens[end].is(kNumber) &&
+          !(end + 1 < sent_end && doc.tokens[end + 1].is(kCapitalized))) {
         ++end;
       }
-      if (end < sent_end && !doc.tokens[end].is_punct &&
-          IsAsciiNumber(doc.tokens[end].t) &&
-          !(end + 1 < sent_end && !doc.tokens[end + 1].is_punct &&
-            IsCapitalized(doc.tokens[end + 1].t))) {
-        ++end;
-      }
-      ShortMention mention;
-      mention.surface = JoinTokens(doc, begin, end);
-      mention.type = gazetteer_->LookupType(mention.surface);
-      mention.sentence = s;
-      mention.token_begin = begin;
-      mention.token_end = end;
       for (int t = begin; t < end; ++t) in_mention[t] = true;
-      result.mentions.push_back(std::move(mention));
+      result.mentions.push_back(
+          MakeMention(doc, s, begin, end,
+                      gazetteer_->FindFolded(doc.Folded(begin, end))));
       i = end;
     }
   }
 
   // ---- Pass 2: lowercase gazetteer mentions (topics) --------------------
+  // Probes the folded buffer longest n-gram first, and only from a token
+  // that starts some lowercase-spottable surface.
   const int max_ngram = std::max(1, gazetteer_->max_lowercase_tokens());
   for (int s = 0; s < doc.num_sentences(); ++s) {
     const int sent_begin = doc.sentence_begin[s];
     const int sent_end = doc.SentenceEnd(s);
     int i = sent_begin;
     while (i < sent_end) {
-      if (in_mention[i] || doc.tokens[i].is_punct ||
-          IsCapitalized(doc.tokens[i].t)) {
+      if (in_mention[i] || doc.tokens[i].is(kPunct | kCapitalized) ||
+          !gazetteer_->StartsLowercaseMention(doc.Folded(i, i + 1))) {
         ++i;
         continue;
       }
+      // Only n-grams of tokens outside mentions and punctuation qualify:
+      // the prefixes of the clean run starting at i.
+      const int limit = std::min(sent_end, i + max_ngram);
+      int clean_end = i + 1;
+      while (clean_end < limit && !in_mention[clean_end] &&
+             !doc.tokens[clean_end].is_punct()) {
+        ++clean_end;
+      }
       int matched_end = -1;
-      for (int n = std::min(max_ngram, sent_end - i); n >= 1; --n) {
-        int end = i + n;
-        bool clean = true;
-        for (int t = i; t < end; ++t) {
-          if (in_mention[t] || doc.tokens[t].is_punct) {
-            clean = false;
-            break;
-          }
-        }
-        if (!clean) continue;
-        std::string surface = JoinTokens(doc, i, end);
-        if (gazetteer_->IsLowercaseMention(surface)) {
+      const Gazetteer::Entry* matched = nullptr;
+      for (int end = clean_end; end > i; --end) {  // longest match wins
+        const Gazetteer::Entry* entry =
+            gazetteer_->FindFolded(doc.Folded(i, end));
+        if (entry != nullptr && entry->lowercase_mention) {
           matched_end = end;
-          break;  // longest match wins
+          matched = entry;
+          break;
         }
       }
       if (matched_end < 0) {
         ++i;
         continue;
       }
-      ShortMention mention;
-      mention.surface = JoinTokens(doc, i, matched_end);
-      mention.type = gazetteer_->LookupType(mention.surface);
-      mention.sentence = s;
-      mention.token_begin = i;
-      mention.token_end = matched_end;
       for (int t = i; t < matched_end; ++t) in_mention[t] = true;
-      result.mentions.push_back(std::move(mention));
+      result.mentions.push_back(MakeMention(doc, s, i, matched_end, matched));
       i = matched_end;
     }
   }
@@ -248,11 +225,7 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
   // An anchor is a mention span or a resolvable pronoun.  A relation is kept
   // only when a verb (+ optional particle) lies between two anchors of the
   // same sentence, mirroring the paper's "relational phrases that connect
-  // two noun phrases in a triple".
-  std::vector<bool> is_anchor_token(num_tokens, false);
-  for (const ShortMention& m : result.mentions) {
-    for (int t = m.token_begin; t < m.token_end; ++t) is_anchor_token[t] = true;
-  }
+  // two noun phrases in a triple".  in_mention marks the mention tokens.
   bool seen_person_before = false;  // any prior person/org mention to bind a pronoun
   int mention_cursor = 0;
   for (int s = 0; s < doc.num_sentences(); ++s) {
@@ -272,24 +245,23 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
     }
     for (int i = sent_begin; i < sent_end; ++i) {
       const Token& tok = doc.tokens[i];
-      if (tok.is_punct || in_mention[i]) continue;
-      if (!IsKnownVerbForm(tok.t) || IsCapitalized(tok.t)) continue;
+      if (in_mention[i] || !tok.is(kVerbForm) || tok.is(kCapitalized)) {
+        continue;
+      }
 
       int end = i + 1;
-      if (end < sent_end && !doc.tokens[end].is_punct &&
-          IsInPool(VerbParticles(), doc.tokens[end].t) && !in_mention[end]) {
+      if (end < sent_end && doc.tokens[end].is(kParticle) && !in_mention[end]) {
         ++end;
       }
       // Left anchor: a mention token or pronoun earlier in the sentence, or
       // a pronoun resolved from a previous sentence's subject.
       bool left_anchor = false;
       for (int t = sent_begin; t < i; ++t) {
-        if (is_anchor_token[t]) {
+        if (in_mention[t]) {
           left_anchor = true;
           break;
         }
-        if (!doc.tokens[t].is_punct && IsPronoun(doc.tokens[t].t) &&
-            seen_person_before) {
+        if (doc.tokens[t].is(kPronoun) && seen_person_before) {
           left_anchor = true;
           break;
         }
@@ -297,7 +269,7 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
       // Right anchor: a mention token after the phrase in the same sentence.
       bool right_anchor = false;
       for (int t = end; t < sent_end; ++t) {
-        if (is_anchor_token[t]) {
+        if (in_mention[t]) {
           right_anchor = true;
           break;
         }
@@ -305,8 +277,8 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
       if (!left_anchor || !right_anchor) continue;
 
       ExtractedRelation rel;
-      rel.raw = JoinTokens(doc, i, end);
-      rel.lemma = LemmatizeRelationalPhrase(rel.raw);
+      rel.raw = std::string(doc.Surface(i, end));
+      rel.lemma = LemmatizeRelation(doc, i, end);
       rel.sentence = s;
       rel.token_begin = i;
       rel.token_end = end;
@@ -322,11 +294,8 @@ ExtractionResult Extractor::Extract(const TokenizedDocument& doc) const {
     const ShortMention& right = result.mentions[m + 1];
     if (left.sentence != right.sentence) continue;
     if (left.token_end > right.token_begin) continue;  // overlap safety
-    std::vector<std::string> gap;
-    for (int t = left.token_end; t < right.token_begin; ++t) {
-      gap.push_back(doc.tokens[t].t);
-    }
-    result.link_after[m] = ClassifyConnector(gap);
+    result.link_after[m] =
+        ClassifyConnector(doc, left.token_end, right.token_begin);
   }
   return result;
 }

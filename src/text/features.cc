@@ -1,46 +1,33 @@
 #include "text/features.h"
 
-#include <algorithm>
-
-#include "common/string_util.h"
-#include "text/wordlists.h"
-
 namespace tenet {
 namespace text {
-namespace {
 
-bool IsIn(const std::vector<std::string_view>& pool, std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  return std::find(pool.begin(), pool.end(), lower) != pool.end();
-}
+std::optional<Connector> ClassifyConnector(const TokenizedDocument& doc,
+                                           int begin, int end) {
+  if (end <= begin || end - begin > 2) return std::nullopt;
+  const Token& first = doc.tokens[begin];
+  auto folded = [&] { return std::string(doc.Folded(begin, end)); };
 
-}  // namespace
-
-std::optional<Connector> ClassifyConnector(
-    const std::vector<std::string>& gap) {
-  if (gap.empty() || gap.size() > 2) return std::nullopt;
-
-  if (gap.size() == 1) {
-    const std::string& w = gap[0];
-    if (IsIn(CoordinatingConjunctions(), w)) {
-      return Connector{ConnectorKind::kConjunction, AsciiToLower(w)};
+  if (end - begin == 1) {
+    if (first.is(kConjunction)) {
+      return Connector{ConnectorKind::kConjunction, folded()};
     }
-    if (IsIn(Prepositions(), w)) {
-      return Connector{ConnectorKind::kPreposition, AsciiToLower(w)};
+    if (first.is(kPreposition)) {
+      return Connector{ConnectorKind::kPreposition, folded()};
     }
-    if (IsNumberWord(w)) {
-      return Connector{ConnectorKind::kNumber, w};
+    if (first.is(kNumber)) {
+      return Connector{ConnectorKind::kNumber, std::string(first.t)};
     }
-    if (IsIn(ConnectorPunctuation(), w)) {
-      return Connector{ConnectorKind::kPunctuation, w};
+    if (first.is(kConnectorPunct)) {
+      return Connector{ConnectorKind::kPunctuation, std::string(first.t)};
     }
     return std::nullopt;
   }
 
   // Two tokens: preposition + determiner ("on the", "of the").
-  if (IsIn(Prepositions(), gap[0]) && IsIn(Determiners(), gap[1])) {
-    return Connector{ConnectorKind::kPreposition,
-                     AsciiToLower(gap[0]) + " " + AsciiToLower(gap[1])};
+  if (first.is(kPreposition) && doc.tokens[begin + 1].is(kDeterminer)) {
+    return Connector{ConnectorKind::kPreposition, folded()};
   }
   return std::nullopt;
 }

@@ -3,7 +3,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
+
+#include "text/token.h"
 
 namespace tenet {
 namespace text {
@@ -24,14 +25,17 @@ struct Connector {
   std::string joining_text;
 };
 
-/// Classifies the token gap between two adjacent short-text mentions.
-/// Returns nullopt when the gap is not one of the pre-specified linguistic
+/// Classifies the gap doc.tokens[begin, end) between two adjacent
+/// short-text mentions from the gap tokens' word-class bits.  Returns
+/// nullopt when the gap is not one of the pre-specified linguistic
 /// features (then the mentions belong to different mention groups).
 /// Recognized gaps: a coordinating conjunction; a preposition optionally
 /// followed by a determiner ("of", "on the"); a single number; a single
-/// connector punctuation mark.  Gaps longer than 2 tokens never connect.
-std::optional<Connector> ClassifyConnector(
-    const std::vector<std::string>& gap_tokens);
+/// connector punctuation mark.  Word connectors are joined case-folded,
+/// numbers and punctuation as written.  Gaps longer than 2 tokens never
+/// connect.
+std::optional<Connector> ClassifyConnector(const TokenizedDocument& doc,
+                                           int begin, int end);
 
 }  // namespace text
 }  // namespace tenet

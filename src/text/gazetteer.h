@@ -1,10 +1,13 @@
 #ifndef TENET_TEXT_GAZETTEER_H_
 #define TENET_TEXT_GAZETTEER_H_
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "kb/types.h"
 
@@ -18,15 +21,31 @@ namespace text {
 // labels/aliases.
 //
 // Lookups are case-insensitive.  A surface registered multiple times with
-// different types keeps the first type (dominant sense).
+// different types keeps the first type (dominant sense).  The spotter
+// probes with views into a document's folded token buffer (FindFolded,
+// StartsLowercaseMention), so no probe builds a string.
 class Gazetteer {
  public:
+  struct Entry {
+    kb::EntityType type;
+    bool lowercase_mention;
+  };
+
   Gazetteer() = default;
 
   /// Registers a surface form with its entity type.  `lowercase_mention`
   /// marks surfaces that should be spotted even without capitalization.
   void AddSurface(std::string_view surface, kb::EntityType type,
                   bool lowercase_mention = false);
+
+  /// The entry of `folded`, a surface already ASCII case-folded
+  /// (AsciiFoldChar), or nullptr when unknown.
+  const Entry* FindFolded(std::string_view folded) const;
+
+  /// True when the case-folded word `folded_word` is the first word of
+  /// some lowercase-spottable surface: an n-gram starting with any other
+  /// word cannot be a lowercase mention.
+  bool StartsLowercaseMention(std::string_view folded_word) const;
 
   /// NER type of `surface`, or nullopt when unknown.
   std::optional<kb::EntityType> LookupType(std::string_view surface) const;
@@ -43,11 +62,17 @@ class Gazetteer {
   size_t size() const { return entries_.size(); }
 
  private:
-  struct Entry {
-    kb::EntityType type;
-    bool lowercase_mention;
+  // Heterogeneous lookup: probe std::string keys with a string_view.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
   };
-  std::unordered_map<std::string, Entry> entries_;
+
+  std::unordered_map<std::string, Entry, Hash, std::equal_to<>> entries_;
+  std::unordered_set<std::string, Hash, std::equal_to<>>
+      lowercase_first_words_;
   int max_lowercase_tokens_ = 0;
 };
 

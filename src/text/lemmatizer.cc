@@ -1,60 +1,100 @@
 #include "text/lemmatizer.h"
 
-#include "common/string_util.h"
+#include <algorithm>
+#include <array>
+#include <initializer_list>
+
+#include "common/logging.h"
 #include "text/wordlists.h"
 
 namespace tenet {
 namespace text {
+namespace {
 
-std::string LemmatizeVerb(std::string_view word) {
-  std::string lower = AsciiToLower(word);
-  if (const VerbForms* v = FindVerbByAnyForm(lower)) {
-    return std::string(v->lemma);
+// Open-addressing table of every closed-list word.  The keys view the
+// static word lists, which are lower-case ASCII, so the table owns no
+// strings and is probed with a token's folded bytes as they are.
+class WordClassTable {
+ public:
+  WordClassTable() {
+    auto add_pool = [this](const std::vector<std::string_view>& pool,
+                           uint16_t classes) {
+      for (std::string_view word : pool) Add(word, classes, nullptr);
+    };
+    add_pool(Stopwords(), kStopword);
+    add_pool(Determiners(), kDeterminer);
+    add_pool(Pronouns(), kPronoun);
+    add_pool(VerbParticles(), kParticle);
+    add_pool(Prepositions(), kPreposition);
+    add_pool(CoordinatingConjunctions(), kConjunction);
+    add_pool(ConnectorPunctuation(), kConnectorPunct);
+    // Rows in table order, so a form shared by two rows keeps the first.
+    for (const VerbForms& v : Verbs()) {
+      for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+        Add(form, kVerbForm, &v);
+      }
+    }
   }
-  // Fallback suffix rules for verbs outside the table.
-  auto ends = [&lower](std::string_view suffix) {
-    return EndsWith(lower, suffix) && lower.size() > suffix.size() + 1;
+
+  WordClasses Find(std::string_view folded) const {
+    if (folded.empty() || folded.size() > max_word_size_) return {};
+    for (size_t slot = Hash(folded);; slot = (slot + 1) & (kSlots - 1)) {
+      const Entry& entry = slots_[slot];
+      if (entry.word.empty()) return {};
+      if (entry.word == folded) return entry.classes;
+    }
+  }
+
+ private:
+  // A power of two above twice the ~370 distinct words, so a probe of a
+  // word outside the lists ends after one or two slots.
+  static constexpr size_t kSlots = 1024;
+
+  struct Entry {
+    std::string_view word;
+    WordClasses classes;
   };
-  if (ends("ies")) return lower.substr(0, lower.size() - 3) + "y";
-  if (ends("ied")) return lower.substr(0, lower.size() - 3) + "y";
-  if (ends("ing") && lower.size() > 5) {
-    std::string stem = lower.substr(0, lower.size() - 3);
-    // doubled final consonant: "starring" -> "star"
-    if (stem.size() >= 2 && stem[stem.size() - 1] == stem[stem.size() - 2]) {
-      stem.pop_back();
+
+  // FNV-1a, reduced to a slot.
+  static size_t Hash(std::string_view word) {
+    uint32_t h = 2166136261u;
+    for (char c : word) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 16777619u;
     }
-    return stem;
+    return h & (kSlots - 1);
   }
-  if (ends("ed")) {
-    std::string stem = lower.substr(0, lower.size() - 2);
-    if (stem.size() >= 2 && stem[stem.size() - 1] == stem[stem.size() - 2]) {
-      stem.pop_back();
+
+  void Add(std::string_view word, uint16_t classes, const VerbForms* verb) {
+    max_word_size_ = std::max(max_word_size_, word.size());
+    for (size_t slot = Hash(word);; slot = (slot + 1) & (kSlots - 1)) {
+      Entry& entry = slots_[slot];
+      if (entry.word.empty()) entry.word = word;
+      if (entry.word != word) continue;
+      entry.classes.classes |= classes;
+      if (entry.classes.verb == nullptr) entry.classes.verb = verb;
+      return;
     }
-    return stem;
   }
-  if (ends("es") && (EndsWith(lower, "shes") || EndsWith(lower, "ches") ||
-                     EndsWith(lower, "xes") || EndsWith(lower, "sses"))) {
-    return lower.substr(0, lower.size() - 2);
-  }
-  if (ends("s") && !EndsWith(lower, "ss")) {
-    return lower.substr(0, lower.size() - 1);
-  }
-  return lower;
+
+  std::array<Entry, kSlots> slots_{};
+  size_t max_word_size_ = 0;
+};
+
+}  // namespace
+
+WordClasses ClassifyWord(std::string_view folded) {
+  static const WordClassTable* table = new WordClassTable();
+  return table->Find(folded);
 }
 
-std::string LemmatizeRelationalPhrase(std::string_view phrase) {
-  std::vector<std::string> words = SplitString(phrase, ' ');
-  if (words.empty()) return "";
-  std::string out = LemmatizeVerb(words[0]);
-  for (size_t i = 1; i < words.size(); ++i) {
-    out += ' ';
-    out += AsciiToLower(words[i]);
-  }
-  return out;
-}
-
-bool IsKnownVerbForm(std::string_view word) {
-  return FindVerbByAnyForm(AsciiToLower(word)) != nullptr;
+std::string LemmatizeRelation(const TokenizedDocument& doc, int begin,
+                              int end) {
+  const Token& verb = doc.tokens[begin];
+  TENET_CHECK(verb.verb != nullptr);
+  std::string lemma(verb.verb->lemma);
+  lemma += doc.Folded(begin, end).substr(verb.t.size());
+  return lemma;
 }
 
 }  // namespace text

@@ -1,25 +1,38 @@
 #ifndef TENET_TEXT_LEMMATIZER_H_
 #define TENET_TEXT_LEMMATIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "text/token.h"
 
 namespace tenet {
 namespace text {
 
-// Rule + table-based verb lemmatizer (the NLTK WordNet-lemmatizer stand-in
-// used on relational phrases, Sec. 6.1).  Irregular forms resolve through
-// the wordlists verb table; unknown words fall back to suffix-stripping
-// rules (-ies -> -y, -ed, -es, -s, -ing).  Always lower-cases.
-std::string LemmatizeVerb(std::string_view word);
+// The closed-class lexicon and the relation lemmatizer (the NLTK
+// WordNet-lemmatizer stand-in used on relational phrases, Sec. 6.1).
 
-/// Lemmatizes a possibly multi-word relational phrase: the first word is
-/// lemmatized as a verb, trailing particles are kept verbatim
-/// ("worked at" -> "work at").
-std::string LemmatizeRelationalPhrase(std::string_view phrase);
+// The closed-list word classes of one word.
+struct WordClasses {
+  uint16_t classes = 0;              // WordClass bits, closed lists only
+  const VerbForms* verb = nullptr;   // first Verbs() row the word inflects
+};
 
-/// True when `word` (any inflection, case-insensitive) is a known verb.
-bool IsKnownVerbForm(std::string_view word);
+/// Classes of `folded`, a case-folded word, in the closed lists of
+/// wordlists.h (stopwords, determiners, pronouns, verb particles,
+/// prepositions, conjunctions, connector punctuation, every inflection of
+/// every verb row).  One probe of a frozen hash table built on first use;
+/// {0, nullptr} for any other word.  The tokenizer calls this once per
+/// token.
+WordClasses ClassifyWord(std::string_view folded);
+
+/// Lemma of the relational phrase doc.tokens[begin, end): the lemma of the
+/// first token's verb row, then the remaining tokens case-folded
+/// ("worked at" -> "work at", "WROTE" -> "write").  The first token must
+/// be a verb form (kVerbForm).
+std::string LemmatizeRelation(const TokenizedDocument& doc, int begin,
+                              int end);
 
 }  // namespace text
 }  // namespace tenet

@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "common/utf8.h"
+#include "text/lemmatizer.h"
 
 namespace tenet {
 namespace text {
@@ -53,6 +54,38 @@ size_t WordStep(std::string_view s, size_t i, size_t begin) {
   return 0;
 }
 
+// Copies the tokens, which still view the input, into the document's own
+// buffer: first joined with a space before each non-punctuation token, then
+// the folded copy of the same join.  Re-points every Token::t at its copy
+// and sets the word-class bits, one ClassifyWord probe per token.
+void OwnTokens(TokenizedDocument& doc, size_t joined_size) {
+  if (doc.tokens.empty()) return;
+  doc.joined_size = joined_size;
+  doc.buffer.reset(new char[2 * joined_size]);
+  char* joined = doc.buffer.get();
+  char* folded = joined + joined_size;
+  size_t pos = 0;
+  for (Token& token : doc.tokens) {
+    const std::string_view text = token.t;
+    if (!token.is_punct()) {
+      joined[pos] = folded[pos] = ' ';
+      ++pos;
+      if (IsAsciiUpperChar(text[0])) token.classes |= kCapitalized;
+      if (IsAsciiNumber(text)) token.classes |= kNumber;
+    }
+    for (size_t k = 0; k < text.size(); ++k) {
+      joined[pos + k] = text[k];
+      folded[pos + k] = AsciiFoldChar(text[k]);
+    }
+    token.t = std::string_view(joined + pos, text.size());
+    const WordClasses word =
+        ClassifyWord(std::string_view(folded + pos, text.size()));
+    token.classes |= word.classes;
+    token.verb = word.verb;
+    pos += text.size();
+  }
+}
+
 TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
                                TextGuardReport* report) {
   TokenizedDocument doc;
@@ -65,7 +98,10 @@ TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
   bool sentence_open = false;
   size_t i = 0;
   bool capped = false;
-  auto emit = [&](std::string token_text, bool is_punct) {
+  size_t joined_size = 0;
+  // Emits s[begin, begin + size) as a token that views the input until
+  // OwnTokens copies it.
+  auto emit = [&](size_t begin, size_t size, bool is_punct) {
     if (static_cast<int>(doc.tokens.size()) >= max_tokens) {
       capped = true;
       return false;
@@ -75,11 +111,11 @@ TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
       sentence_open = true;
     }
     Token t;
-    t.t = std::move(token_text);
+    t.t = s.substr(begin, size);
     t.sentence = sentence;
-    t.index = static_cast<int>(doc.tokens.size());
-    t.is_punct = is_punct;
-    doc.tokens.push_back(std::move(t));
+    if (is_punct) t.classes = kPunct;
+    doc.tokens.push_back(t);
+    joined_size += size + (is_punct ? 0 : 1);
     return true;
   };
 
@@ -102,16 +138,14 @@ TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
       if (i - begin > max_token_bytes) {
         // Oversized run: emit the clipped head, drop the remainder.
         if (report != nullptr) ++report->truncated_tokens;
-        if (cut > begin) {
-          emit(std::string(s.substr(begin, cut - begin)), /*is_punct=*/false);
-        }
+        if (cut > begin) emit(begin, cut - begin, /*is_punct=*/false);
       } else {
-        emit(std::string(s.substr(begin, i - begin)), /*is_punct=*/false);
+        emit(begin, i - begin, /*is_punct=*/false);
       }
       continue;
     }
     if (IsPunct(c)) {
-      if (!emit(std::string(1, c), /*is_punct=*/true)) break;
+      if (!emit(i, 1, /*is_punct=*/true)) break;
       ++i;
       if (IsSentenceTerminator(c) && sentence_open) {
         sentence_open = false;
@@ -123,6 +157,7 @@ TokenizedDocument TokenizeImpl(std::string_view s, const TextLimits* limits,
     ++i;
   }
   if (capped && report != nullptr) report->token_cap_hit = true;
+  OwnTokens(doc, joined_size);
   return doc;
 }
 

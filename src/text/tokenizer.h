@@ -24,6 +24,11 @@ namespace text {
 // fold unchanged — or invalid, and skipped here exactly like the fold
 // leaves it untouched.  The guarded pipeline sanitizes invalid bytes to
 // spaces before tokenizing, so they never reach either layer.
+//
+// The document owns a copy of its tokens (TokenizedDocument::buffer): each
+// Token::t views it, and every token carries its word-class bits from one
+// ClassifyWord probe of its folded bytes, so no later pass lower-cases a
+// token or scans a word list.
 TokenizedDocument Tokenize(std::string_view document_text);
 
 // Limit-enforcing variant: word runs longer than `limits.max_token_bytes`

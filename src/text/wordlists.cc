@@ -272,15 +272,5 @@ const VerbForms* FindVerbByLemma(std::string_view lemma) {
   return nullptr;
 }
 
-const VerbForms* FindVerbByAnyForm(std::string_view form) {
-  for (const VerbForms& v : kVerbs) {
-    if (v.lemma == form || v.past == form || v.third == form ||
-        v.gerund == form) {
-      return &v;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace text
 }  // namespace tenet

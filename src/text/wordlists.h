@@ -75,9 +75,6 @@ const std::vector<std::string_view>& EventHeads();
 /// Looks up the inflection row of `lemma`; nullptr when unknown.
 const VerbForms* FindVerbByLemma(std::string_view lemma);
 
-/// Finds the row for which `form` is any inflection; nullptr when unknown.
-const VerbForms* FindVerbByAnyForm(std::string_view form);
-
 }  // namespace text
 }  // namespace tenet
 

@@ -82,7 +82,7 @@ int64_t TotalRejected() {
 std::vector<std::string> TokenTexts(const TokenizedDocument& doc) {
   std::vector<std::string> out;
   out.reserve(doc.tokens.size());
-  for (const Token& t : doc.tokens) out.push_back(t.t);
+  for (const Token& t : doc.tokens) out.emplace_back(t.t);
   return out;
 }
 

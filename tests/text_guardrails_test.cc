@@ -98,7 +98,7 @@ TEST(TokenizerLimitsTest, CleanPathMatchesUnguardedTokenizer) {
   ASSERT_EQ(plain.tokens.size(), guarded.tokens.size());
   for (size_t i = 0; i < plain.tokens.size(); ++i) {
     EXPECT_EQ(plain.tokens[i].t, guarded.tokens[i].t);
-    EXPECT_EQ(plain.tokens[i].is_punct, guarded.tokens[i].is_punct);
+    EXPECT_EQ(plain.tokens[i].is_punct(), guarded.tokens[i].is_punct());
   }
   EXPECT_EQ(plain.sentence_begin, guarded.sentence_begin);
   EXPECT_FALSE(report.truncated());

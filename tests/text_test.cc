@@ -1,5 +1,12 @@
-// Tests for the NLP substrate: tokenizer, lemmatizer, features, gazetteer.
+// Tests for the NLP substrate: tokenizer, word classes, lemmatizer,
+// features, gazetteer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/string_util.h"
 #include "text/features.h"
@@ -20,7 +27,7 @@ TEST(TokenizerTest, SplitsWordsAndPunctuation) {
   EXPECT_EQ(doc.tokens[0].t, "Rembrandt");
   EXPECT_EQ(doc.tokens[3].t, "Storm");
   EXPECT_EQ(doc.tokens[4].t, ".");
-  EXPECT_TRUE(doc.tokens[4].is_punct);
+  EXPECT_TRUE(doc.tokens[4].is_punct());
   EXPECT_EQ(doc.num_sentences(), 1);
 }
 
@@ -42,7 +49,7 @@ TEST(TokenizerTest, ColonIsPunctuationButNotSentenceEnd) {
   TokenizedDocument doc = Tokenize("Winter Crown: Harvest Elegy is good.");
   EXPECT_EQ(doc.num_sentences(), 1);
   EXPECT_EQ(doc.tokens[2].t, ":");
-  EXPECT_TRUE(doc.tokens[2].is_punct);
+  EXPECT_TRUE(doc.tokens[2].is_punct());
 }
 
 TEST(TokenizerTest, IntraWordHyphenKept) {
@@ -55,7 +62,7 @@ TEST(TokenizerTest, IntraWordHyphenKept) {
   // Free-standing hyphen is punctuation.
   int hyphens = 0;
   for (const Token& t : doc.tokens) {
-    if (t.t == "-" && t.is_punct) ++hyphens;
+    if (t.t == "-" && t.is_punct()) ++hyphens;
   }
   EXPECT_EQ(hyphens, 1);
 }
@@ -70,7 +77,7 @@ TEST(TokenizerTest, NumbersAreTokens) {
   TokenizedDocument doc = Tokenize("Apollo 11 mission");
   ASSERT_EQ(doc.tokens.size(), 3u);
   EXPECT_EQ(doc.tokens[1].t, "11");
-  EXPECT_FALSE(doc.tokens[1].is_punct);
+  EXPECT_FALSE(doc.tokens[1].is_punct());
 }
 
 TEST(TokenizerTest, HighBitBytesAgreeWithAsciiCaseFold) {
@@ -95,7 +102,7 @@ TEST(TokenizerTest, HighBitBytesAgreeWithAsciiCaseFold) {
     for (size_t i = 0; i < upper.tokens.size(); ++i) {
       EXPECT_EQ(AsciiToLower(upper.tokens[i].t), lower.tokens[i].t);
       EXPECT_EQ(upper.tokens[i].sentence, lower.tokens[i].sentence);
-      EXPECT_EQ(upper.tokens[i].is_punct, lower.tokens[i].is_punct);
+      EXPECT_EQ(upper.tokens[i].is_punct(), lower.tokens[i].is_punct());
     }
     EXPECT_EQ(upper.num_sentences(), lower.num_sentences());
   }
@@ -103,96 +110,200 @@ TEST(TokenizerTest, HighBitBytesAgreeWithAsciiCaseFold) {
 
 // ---- Lemmatizer -----------------------------------------------------------
 
+// The lemma the extractor gives the relational phrase `phrase`, whose first
+// token is a verb form.
+std::string Lemma(std::string_view phrase) {
+  TokenizedDocument doc = Tokenize(phrase);
+  return LemmatizeRelation(doc, 0, static_cast<int>(doc.tokens.size()));
+}
+
 TEST(LemmatizerTest, IrregularVerbsFromTable) {
-  EXPECT_EQ(LemmatizeVerb("wrote"), "write");
-  EXPECT_EQ(LemmatizeVerb("taught"), "teach");
-  EXPECT_EQ(LemmatizeVerb("won"), "win");
-  EXPECT_EQ(LemmatizeVerb("led"), "lead");
-  EXPECT_EQ(LemmatizeVerb("bought"), "buy");
+  EXPECT_EQ(Lemma("wrote"), "write");
+  EXPECT_EQ(Lemma("taught"), "teach");
+  EXPECT_EQ(Lemma("won"), "win");
+  EXPECT_EQ(Lemma("led"), "lead");
+  EXPECT_EQ(Lemma("bought"), "buy");
 }
 
 TEST(LemmatizerTest, RegularInflections) {
-  EXPECT_EQ(LemmatizeVerb("visited"), "visit");
-  EXPECT_EQ(LemmatizeVerb("studies"), "study");
-  EXPECT_EQ(LemmatizeVerb("studied"), "study");
-  EXPECT_EQ(LemmatizeVerb("paints"), "paint");
-  EXPECT_EQ(LemmatizeVerb("painting"), "paint");
-  EXPECT_EQ(LemmatizeVerb("starred"), "star");
+  EXPECT_EQ(Lemma("visited"), "visit");
+  EXPECT_EQ(Lemma("studies"), "study");
+  EXPECT_EQ(Lemma("studied"), "study");
+  EXPECT_EQ(Lemma("paints"), "paint");
+  EXPECT_EQ(Lemma("painting"), "paint");
+  EXPECT_EQ(Lemma("starred"), "star");
 }
 
 TEST(LemmatizerTest, CaseInsensitive) {
-  EXPECT_EQ(LemmatizeVerb("Visited"), "visit");
-  EXPECT_EQ(LemmatizeVerb("WROTE"), "write");
+  EXPECT_EQ(Lemma("Visited"), "visit");
+  EXPECT_EQ(Lemma("WROTE"), "write");
 }
 
 TEST(LemmatizerTest, LemmaIsFixpoint) {
   for (const VerbForms& v : Verbs()) {
-    EXPECT_EQ(LemmatizeVerb(v.lemma), v.lemma);
-    EXPECT_EQ(LemmatizeVerb(v.past), v.lemma);
-    EXPECT_EQ(LemmatizeVerb(v.third), v.lemma);
-    EXPECT_EQ(LemmatizeVerb(v.gerund), v.lemma);
+    EXPECT_EQ(Lemma(v.lemma), v.lemma);
+    EXPECT_EQ(Lemma(v.past), v.lemma);
+    EXPECT_EQ(Lemma(v.third), v.lemma);
+    EXPECT_EQ(Lemma(v.gerund), v.lemma);
   }
 }
 
 TEST(LemmatizerTest, RelationalPhraseKeepsParticle) {
-  EXPECT_EQ(LemmatizeRelationalPhrase("worked at"), "work at");
-  EXPECT_EQ(LemmatizeRelationalPhrase("lives in"), "live in");
-  EXPECT_EQ(LemmatizeRelationalPhrase("visited"), "visit");
-  EXPECT_EQ(LemmatizeRelationalPhrase(""), "");
+  EXPECT_EQ(Lemma("worked at"), "work at");
+  EXPECT_EQ(Lemma("lives in"), "live in");
+  EXPECT_EQ(Lemma("visited"), "visit");
 }
 
 TEST(LemmatizerTest, KnownVerbForms) {
-  EXPECT_TRUE(IsKnownVerbForm("painted"));
-  EXPECT_TRUE(IsKnownVerbForm("Paints"));
-  EXPECT_FALSE(IsKnownVerbForm("Rembrandt"));
-  EXPECT_FALSE(IsKnownVerbForm("the"));
+  EXPECT_TRUE(Tokenize("painted").tokens[0].is(kVerbForm));
+  EXPECT_TRUE(Tokenize("Paints").tokens[0].is(kVerbForm));
+  EXPECT_FALSE(Tokenize("Rembrandt").tokens[0].is(kVerbForm));
+  EXPECT_FALSE(Tokenize("the").tokens[0].is(kVerbForm));
+}
+
+// ---- Word classes -----------------------------------------------------------
+
+// The pool predicates the word-class bits replace, as the extractor used to
+// evaluate them: fold the word, scan the list.
+bool InPool(const std::vector<std::string_view>& pool, std::string_view word) {
+  const std::string lower = AsciiToLower(word);
+  return std::find(pool.begin(), pool.end(), lower) != pool.end();
+}
+
+// The first verb row with `word` as any inflection, by a scan of the table.
+const VerbForms* ReferenceVerb(std::string_view word) {
+  const std::string lower = AsciiToLower(word);
+  for (const VerbForms& v : Verbs()) {
+    if (v.lemma == lower || v.past == lower || v.third == lower ||
+        v.gerund == lower) {
+      return &v;
+    }
+  }
+  return nullptr;
+}
+
+// `word` in lowercase, uppercase and capitalized form.
+std::vector<std::string> Casings(std::string_view word) {
+  std::string upper(word);
+  for (char& c : upper) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+  std::string capitalized = AsciiToLower(word);
+  if (!capitalized.empty()) capitalized[0] = upper[0];
+  return {AsciiToLower(word), upper, capitalized};
+}
+
+TEST(WordClassTest, TokenBitsEqualThePoolPredicates) {
+  std::vector<std::string_view> words = {"Rembrandt", "quickly", "11",
+                                         "co-author", ".", ",", "(", "x"};
+  for (const auto* pool :
+       {&Stopwords(), &Determiners(), &Pronouns(), &VerbParticles(),
+        &Prepositions(), &CoordinatingConjunctions(),
+        &ConnectorPunctuation()}) {
+    words.insert(words.end(), pool->begin(), pool->end());
+  }
+  for (const VerbForms& v : Verbs()) {
+    words.insert(words.end(), {v.lemma, v.past, v.third, v.gerund});
+  }
+  int checked = 0;
+  for (std::string_view word : words) {
+    for (const std::string& form : Casings(word)) {
+      SCOPED_TRACE(form);
+      TokenizedDocument doc = Tokenize(form);
+      ASSERT_EQ(doc.tokens.size(), 1u);
+      const Token& tok = doc.tokens[0];
+      EXPECT_EQ(tok.t, form);
+      const bool punct = tok.is_punct();
+      EXPECT_EQ(tok.is(kStopword), InPool(Stopwords(), form));
+      EXPECT_EQ(tok.is(kDeterminer), InPool(Determiners(), form));
+      EXPECT_EQ(tok.is(kPronoun), InPool(Pronouns(), form));
+      EXPECT_EQ(tok.is(kParticle), InPool(VerbParticles(), form));
+      EXPECT_EQ(tok.is(kPreposition), InPool(Prepositions(), form));
+      EXPECT_EQ(tok.is(kConjunction),
+                InPool(CoordinatingConjunctions(), form));
+      EXPECT_EQ(tok.is(kConnectorPunct),
+                InPool(ConnectorPunctuation(), form));
+      EXPECT_EQ(tok.verb, ReferenceVerb(form));
+      EXPECT_EQ(tok.is(kVerbForm), ReferenceVerb(form) != nullptr);
+      EXPECT_EQ(tok.is(kCapitalized), !punct && IsCapitalized(form));
+      EXPECT_EQ(tok.is(kNumber), !punct && IsNumberWord(form));
+      EXPECT_EQ(doc.Folded(0, 1), AsciiToLower(form));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 3 * 4 * static_cast<int>(Verbs().size()));
+}
+
+TEST(WordClassTest, RelationLemmaIsTheRowLemmaPlusTheFoldedParticle) {
+  for (const VerbForms& v : Verbs()) {
+    for (std::string_view form : {v.lemma, v.past, v.third, v.gerund}) {
+      const VerbForms* row = ReferenceVerb(form);
+      ASSERT_NE(row, nullptr) << form;
+      const std::string lemma(row->lemma);
+      for (const std::string& verb : Casings(form)) {
+        EXPECT_EQ(Lemma(verb), lemma) << verb;
+        for (std::string_view particle : VerbParticles()) {
+          for (const std::string& p : Casings(particle)) {
+            EXPECT_EQ(Lemma(verb + " " + p), lemma + " " + AsciiToLower(p))
+                << verb << " " << p;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- Connector features (Sec. 5.1) ----------------------------------------
 
+// Classifies `gap`, tokenized, as the gap between two adjacent mentions.
+std::optional<Connector> ClassifyGap(std::string_view gap) {
+  TokenizedDocument doc = Tokenize(gap);
+  return ClassifyConnector(doc, 0, static_cast<int>(doc.tokens.size()));
+}
+
 TEST(FeaturesTest, ConjunctionConnector) {
-  auto c = ClassifyConnector({"and"});
+  auto c = ClassifyGap("and");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->kind, ConnectorKind::kConjunction);
   EXPECT_EQ(c->joining_text, "and");
 }
 
 TEST(FeaturesTest, PrepositionConnectors) {
-  auto c1 = ClassifyConnector({"of"});
+  auto c1 = ClassifyGap("of");
   ASSERT_TRUE(c1.has_value());
   EXPECT_EQ(c1->kind, ConnectorKind::kPreposition);
 
-  auto c2 = ClassifyConnector({"on", "the"});
+  auto c2 = ClassifyGap("on the");
   ASSERT_TRUE(c2.has_value());
   EXPECT_EQ(c2->kind, ConnectorKind::kPreposition);
   EXPECT_EQ(c2->joining_text, "on the");
 
-  auto c3 = ClassifyConnector({"Of", "The"});
+  auto c3 = ClassifyGap("Of The");
   ASSERT_TRUE(c3.has_value());
   EXPECT_EQ(c3->joining_text, "of the");
 }
 
 TEST(FeaturesTest, NumberConnector) {
-  auto c = ClassifyConnector({"11"});
+  auto c = ClassifyGap("11");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->kind, ConnectorKind::kNumber);
   EXPECT_EQ(c->joining_text, "11");
 }
 
 TEST(FeaturesTest, PunctuationConnector) {
-  auto c = ClassifyConnector({":"});
+  auto c = ClassifyGap(":");
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->kind, ConnectorKind::kPunctuation);
 }
 
 TEST(FeaturesTest, NonConnectors) {
-  EXPECT_FALSE(ClassifyConnector({}).has_value());
-  EXPECT_FALSE(ClassifyConnector({"painted"}).has_value());
-  EXPECT_FALSE(ClassifyConnector({"quickly"}).has_value());
-  EXPECT_FALSE(ClassifyConnector({"of", "quickly"}).has_value());
-  EXPECT_FALSE(ClassifyConnector({"the", "of"}).has_value());
-  EXPECT_FALSE(ClassifyConnector({"of", "the", "new"}).has_value());
-  EXPECT_FALSE(ClassifyConnector({","}).has_value());
+  EXPECT_FALSE(ClassifyGap("").has_value());
+  EXPECT_FALSE(ClassifyGap("painted").has_value());
+  EXPECT_FALSE(ClassifyGap("quickly").has_value());
+  EXPECT_FALSE(ClassifyGap("of quickly").has_value());
+  EXPECT_FALSE(ClassifyGap("the of").has_value());
+  EXPECT_FALSE(ClassifyGap("of the new").has_value());
+  EXPECT_FALSE(ClassifyGap(",").has_value());
 }
 
 // ---- Gazetteer --------------------------------------------------------------
