@@ -10,15 +10,17 @@
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "kb/byte_io.h"
 
 namespace tenet {
 namespace kb {
 namespace {
 
 // Section payload header, after the leading u64 payload checksum.
-// Version 1 payloads, which also carried a hash-bucket table, are
+// Version 1 payloads, which also carried a hash-bucket table, and
+// version 2 payloads, which also carried a per-posting kind bit array, are
 // rejected.
-constexpr uint32_t kDictVersion = 2;
+constexpr uint32_t kDictVersion = 3;
 constexpr size_t kDictHeaderBytes = 56;  // checksum + fixed fields
 constexpr size_t kPostingRecordBytes = 16;  // {i32 id, i32 pad, f64 prior}
 
@@ -101,31 +103,39 @@ bool GetVarint(const char* data, size_t end, size_t* pos, uint32_t* value) {
   return false;
 }
 
-// --- little helpers over raw serialized bytes -------------------------------
-
-void AppendPod(std::vector<unsigned char>* out, const void* data,
-               size_t size) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  out->insert(out->end(), p, p + size);
+// Decodes key `sid` of a front-coded blob into `key`.  Unless `sid` starts
+// a block, `key` holds key sid - 1 on entry and `*pos` points just past
+// its entry; `*block_end` is the end of the current block.  Returns the
+// defect of a malformed entry, or nullptr.
+const char* DecodeNextKey(std::string_view blob,
+                          std::span<const uint32_t> block_offsets,
+                          uint64_t sid, size_t* pos, size_t* block_end,
+                          std::string* key) {
+  constexpr uint32_t kBlockSize = FrozenAliasDict::kBlockSize;
+  if (sid % kBlockSize == 0) {
+    *pos = block_offsets[sid / kBlockSize];
+    *block_end = block_offsets[sid / kBlockSize + 1];
+    uint32_t len = 0;
+    if (!GetVarint(blob.data(), *block_end, pos, &len) ||
+        *pos + len > *block_end) {
+      return "truncated key block";
+    }
+    key->assign(blob.data() + *pos, len);
+    *pos += len;
+    return nullptr;
+  }
+  uint32_t lcp = 0;
+  uint32_t suffix_len = 0;
+  if (!GetVarint(blob.data(), *block_end, pos, &lcp) ||
+      !GetVarint(blob.data(), *block_end, pos, &suffix_len) ||
+      *pos + suffix_len > *block_end || lcp > key->size()) {
+    return "corrupt front-coded key entry";
+  }
+  key->resize(lcp);
+  key->append(blob.data() + *pos, suffix_len);
+  *pos += suffix_len;
+  return nullptr;
 }
-
-template <typename T>
-void AppendScalar(std::vector<unsigned char>* out, T value) {
-  AppendPod(out, &value, sizeof(value));
-}
-
-void PadTo8(std::vector<unsigned char>* out) {
-  while (out->size() % 8 != 0) out->push_back(0);
-}
-
-template <typename T>
-T ReadScalar(const unsigned char* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(value));
-  return value;
-}
-
-size_t Aligned8(size_t n) { return (n + 7) & ~size_t{7}; }
 
 Status DictError(std::string msg) {
   return Status::InvalidArgument("alias_dict: " + std::move(msg));
@@ -139,7 +149,9 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
                                    std::span<const AliasPosting> postings) {
   FrozenAliasDict& d = *dict_;
   TENET_CHECK(!folded_surface.empty()) << "empty surface";
-  TENET_CHECK(d.num_surfaces_ == 0 || prev_key_ < folded_surface)
+  TENET_CHECK(key_begin_.empty() ||
+              std::string_view(d.decoded_keys_).substr(key_begin_.back()) <
+                  folded_surface)
       << "surfaces must be added in strictly ascending folded order";
   // The serialized format stores surface ids, posting offsets and key-blob
   // offsets as u32 (and the probe table, twice the surface count, must fit
@@ -150,52 +162,44 @@ void FrozenAliasDict::Builder::Add(std::string_view folded_surface,
   const uint32_t sid = static_cast<uint32_t>(d.num_surfaces_);
   if (d.posting_offsets_.empty()) d.posting_offsets_.push_back(0);
 
-  // Front-code the key.
+  // Front-code the key against its predecessor, the arena's last key.
   if (sid % kBlockSize == 0) {
     d.block_offsets_.push_back(static_cast<uint32_t>(d.key_blob_.size()));
     PutVarint(&d.key_blob_, static_cast<uint32_t>(folded_surface.size()));
     d.key_blob_.append(folded_surface);
   } else {
+    const std::string_view prev =
+        std::string_view(d.decoded_keys_).substr(key_begin_.back());
     size_t lcp = 0;
-    size_t limit = std::min(prev_key_.size(), folded_surface.size());
-    while (lcp < limit && prev_key_[lcp] == folded_surface[lcp]) ++lcp;
+    size_t limit = std::min(prev.size(), folded_surface.size());
+    while (lcp < limit && prev[lcp] == folded_surface[lcp]) ++lcp;
     PutVarint(&d.key_blob_, static_cast<uint32_t>(lcp));
     PutVarint(&d.key_blob_,
               static_cast<uint32_t>(folded_surface.size() - lcp));
     d.key_blob_.append(folded_surface.substr(lcp));
   }
-  prev_key_.assign(folded_surface);
   TENET_CHECK_LE(d.key_blob_.size(),
                  size_t{std::numeric_limits<uint32_t>::max()})
       << "key blob overflows the dictionary's u32 restart offsets";
-  raw_key_bytes_ += folded_surface.size();
+  key_begin_.push_back(static_cast<uint32_t>(d.decoded_keys_.size()));
+  d.decoded_keys_.append(folded_surface);
   d.max_key_bytes_ = std::max(
       d.max_key_bytes_, static_cast<uint32_t>(folded_surface.size()));
 
-  // Postings: record the original interleave in kind_bits_, store grouped
-  // entities-first (within-kind order preserved).
+  // Postings: grouped entities-first, within-kind order preserved.
   const uint32_t base = d.posting_offsets_.back();
   TENET_CHECK_LE(postings.size(),
                  size_t{std::numeric_limits<uint32_t>::max() - base})
       << "posting count overflows the dictionary's u32 posting offsets";
-  uint32_t entity_count = 0;
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const size_t bit = base + i;
-    if (bit / 64 >= d.kind_bits_.size()) d.kind_bits_.push_back(0);
-    if (postings[i].concept_ref.is_predicate()) {
-      d.kind_bits_[bit / 64] |= uint64_t{1} << (bit % 64);
-    } else {
-      ++entity_count;
-    }
-  }
   for (const AliasPosting& p : postings) {
     if (p.concept_ref.is_entity()) d.postings_.push_back(p);
   }
+  d.entity_splits_.push_back(
+      static_cast<uint32_t>(d.postings_.size() - base));
   for (const AliasPosting& p : postings) {
     if (p.concept_ref.is_predicate()) d.postings_.push_back(p);
   }
   d.posting_offsets_.push_back(base + static_cast<uint32_t>(postings.size()));
-  d.entity_splits_.push_back(entity_count);
   ++d.num_surfaces_;
 }
 
@@ -203,49 +207,21 @@ std::shared_ptr<const FrozenAliasDict> FrozenAliasDict::Builder::Build() && {
   FrozenAliasDict& d = *dict_;
   if (d.posting_offsets_.empty()) d.posting_offsets_.push_back(0);
   d.block_offsets_.push_back(static_cast<uint32_t>(d.key_blob_.size()));
-  d.raw_key_bytes_ = raw_key_bytes_;
-  d.BuildProbeTables();
+  d.BuildProbeTables(key_begin_);
   return std::shared_ptr<const FrozenAliasDict>(std::move(dict_));
 }
 
 // --- lookup -----------------------------------------------------------------
 
-// Derives probe_slots_ / decoded_keys_ from the serialized arrays: decode
-// every front-coded key once into a flat arena, then insert each surface
-// into a power-of-two linear-probing table (load factor <= 1/2) whose
-// 64-byte slots interleave the key hash with the sid, the decoded-key span
-// and the posting span.  After this, a hit touches one slot chain (usually
-// one cache line) plus the key bytes — the front-coded blob and the
-// per-sid offset arrays stay cold; a miss usually ends at the first,
-// empty, slot.  Insertion in ascending sid order keeps the layout
-// deterministic (it is derived state either way — never persisted).
-void FrozenAliasDict::BuildProbeTables() {
-  decoded_keys_.clear();
-  decoded_keys_.reserve(raw_key_bytes_);
-  std::vector<uint32_t> key_begin(num_surfaces_);
-  std::string key;
-  const char* blob = key_blob_.data();
-  size_t cursor = 0;
-  size_t block_end = 0;
-  for (uint64_t sid = 0; sid < num_surfaces_; ++sid) {
-    const uint32_t block = static_cast<uint32_t>(sid) / kBlockSize;
-    uint32_t lcp = 0;
-    uint32_t suffix_len = 0;
-    if (sid % kBlockSize == 0) {
-      cursor = block_offsets_[block];
-      block_end = block_offsets_[block + 1];
-      GetVarint(blob, block_end, &cursor, &suffix_len);  // full key; lcp = 0
-    } else {
-      GetVarint(blob, block_end, &cursor, &lcp);
-      GetVarint(blob, block_end, &cursor, &suffix_len);
-    }
-    key.resize(lcp);
-    key.append(blob + cursor, suffix_len);
-    cursor += suffix_len;
-    key_begin[sid] = static_cast<uint32_t>(decoded_keys_.size());
-    decoded_keys_.append(key);
-  }
-
+// Inserts every surface into a power-of-two linear-probing table (load
+// factor <= 1/2) whose 64-byte slots interleave the key hash with the sid,
+// the decoded-key span and the posting span.  After this, a hit touches
+// one slot chain (usually one cache line) plus the key bytes — the
+// front-coded blob and the per-sid offset arrays stay cold; a miss usually
+// ends at the first, empty, slot.  Insertion in ascending sid order keeps
+// the layout deterministic (it is derived state either way — never
+// persisted).
+void FrozenAliasDict::BuildProbeTables(std::span<const uint32_t> key_begin) {
   const uint64_t table_size =
       std::bit_ceil(std::max<uint64_t>(2, 2 * num_surfaces_));
   probe_mask_ = static_cast<uint32_t>(table_size - 1);
@@ -353,42 +329,11 @@ std::span<const AliasPosting> FrozenAliasDict::Predicates(
 
 void FrozenAliasDict::KeyAt(int64_t sid, std::string* out) const {
   out->clear();
-  const uint32_t block = static_cast<uint32_t>(sid) / kBlockSize;
-  const uint32_t target = static_cast<uint32_t>(sid) % kBlockSize;
-  size_t pos = block_offsets_[block];
-  const size_t end = block_offsets_[block + 1];
-  const char* blob = key_blob_.data();
-  for (uint32_t e = 0; e <= target; ++e) {
-    uint32_t lcp = 0;
-    uint32_t suffix_len = 0;
-    if (e == 0) {
-      GetVarint(blob, end, &pos, &suffix_len);
-    } else {
-      GetVarint(blob, end, &pos, &lcp);
-      GetVarint(blob, end, &pos, &suffix_len);
-    }
-    out->resize(lcp);
-    out->append(blob + pos, suffix_len);
-    pos += suffix_len;
-  }
-}
-
-void FrozenAliasDict::AppendInterleavedAt(
-    int64_t sid, std::vector<AliasPosting>* out) const {
-  const uint32_t base = posting_offsets_[sid];
-  const uint32_t len = posting_offsets_[sid + 1] - base;
-  const uint32_t split = entity_splits_[sid];
-  uint32_t next_entity = 0;
-  uint32_t next_predicate = 0;
-  for (uint32_t i = 0; i < len; ++i) {
-    const size_t bit = base + i;
-    const bool is_predicate =
-        (kind_bits_[bit / 64] >> (bit % 64)) & uint64_t{1};
-    if (is_predicate) {
-      out->push_back(postings_[base + split + next_predicate++]);
-    } else {
-      out->push_back(postings_[base + next_entity++]);
-    }
+  size_t pos = 0;
+  size_t block_end = 0;
+  for (int64_t e = sid / kBlockSize * kBlockSize; e <= sid; ++e) {
+    DecodeNextKey(key_blob_, block_offsets_, static_cast<uint64_t>(e), &pos,
+                  &block_end, out);
   }
 }
 
@@ -396,12 +341,12 @@ void FrozenAliasDict::VisitSurfaces(
     const std::function<void(std::string_view,
                              std::span<const AliasPosting>)>& visitor) const {
   std::string key;
-  std::vector<AliasPosting> interleaved;
+  size_t pos = 0;
+  size_t block_end = 0;
   for (uint64_t sid = 0; sid < num_surfaces_; ++sid) {
-    KeyAt(static_cast<int64_t>(sid), &key);
-    interleaved.clear();
-    AppendInterleavedAt(static_cast<int64_t>(sid), &interleaved);
-    visitor(key, interleaved);
+    DecodeNextKey(key_blob_, block_offsets_, sid, &pos, &block_end, &key);
+    const uint32_t base = posting_offsets_[sid];
+    visitor(key, {postings_.data() + base, posting_offsets_[sid + 1] - base});
   }
 }
 
@@ -410,69 +355,106 @@ FrozenAliasDict::Stats FrozenAliasDict::stats() const {
   s.num_surfaces = num_surfaces_;
   s.num_postings = num_postings();
   s.key_blob_bytes = key_blob_.size();
-  s.raw_key_bytes = raw_key_bytes_;
+  s.raw_key_bytes = decoded_keys_.size();
   return s;
 }
 
 // --- serialization ----------------------------------------------------------
 
 std::vector<unsigned char> FrozenAliasDict::Serialize() const {
-  std::vector<unsigned char> out;
-  const uint32_t num_surfaces = static_cast<uint32_t>(num_surfaces_);
-  const uint32_t num_blocks =
-      static_cast<uint32_t>(block_offsets_.size()) - 1;
-  const uint64_t num_posting_records = num_postings();
-
-  AppendScalar<uint64_t>(&out, 0);  // payload checksum, patched below
-  AppendScalar<uint32_t>(&out, kDictVersion);
-  AppendScalar<uint32_t>(&out, kBlockSize);
-  AppendScalar<uint32_t>(&out, num_surfaces);
-  AppendScalar<uint32_t>(&out, num_blocks);
-  AppendScalar<uint32_t>(&out, max_key_bytes_);
-  AppendScalar<uint32_t>(&out, 0);  // pad to the u64 fields
-  AppendScalar<uint64_t>(&out, num_posting_records);
-  AppendScalar<uint64_t>(&out, static_cast<uint64_t>(key_blob_.size()));
-  AppendScalar<uint64_t>(&out, raw_key_bytes_);
+  ByteWriter out;
+  out.Append<uint64_t>(0);  // payload checksum, sealed below
+  out.Append<uint32_t>(kDictVersion);
+  out.Append<uint32_t>(kBlockSize);
+  out.Append<uint32_t>(static_cast<uint32_t>(num_surfaces_));
+  out.Append<uint32_t>(static_cast<uint32_t>(block_offsets_.size()) - 1);
+  out.Append<uint32_t>(max_key_bytes_);
+  out.Append<uint32_t>(0);  // pad to the u64 fields
+  out.Append<uint64_t>(num_postings());
+  out.Append<uint64_t>(static_cast<uint64_t>(key_blob_.size()));
+  out.Append<uint64_t>(static_cast<uint64_t>(decoded_keys_.size()));
   TENET_CHECK_EQ(out.size(), kDictHeaderBytes);
 
-  AppendPod(&out, block_offsets_.data(),
-            block_offsets_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, posting_offsets_.data(),
-            posting_offsets_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, entity_splits_.data(),
-            entity_splits_.size() * sizeof(uint32_t));
-  PadTo8(&out);
-  AppendPod(&out, kind_bits_.data(), kind_bits_.size() * sizeof(uint64_t));
-  AppendPod(&out, key_blob_.data(), key_blob_.size());
-  PadTo8(&out);
+  out.AppendBytes(block_offsets_.data(),
+                  block_offsets_.size() * sizeof(uint32_t));
+  out.PadTo8();
+  out.AppendBytes(posting_offsets_.data(),
+                  posting_offsets_.size() * sizeof(uint32_t));
+  out.PadTo8();
+  out.AppendBytes(entity_splits_.data(),
+                  entity_splits_.size() * sizeof(uint32_t));
+  out.PadTo8();
+  out.AppendBytes(key_blob_.data(), key_blob_.size());
+  out.PadTo8();
   for (const AliasPosting& p : postings_) {
-    AppendScalar<int32_t>(&out, p.concept_ref.id);
-    AppendScalar<int32_t>(&out, 0);
-    AppendScalar<double>(&out, p.prior);
+    out.Append<int32_t>(p.concept_ref.id);
+    out.Append<int32_t>(0);
+    out.Append<double>(p.prior);
   }
-
-  const uint64_t checksum = Fnv1a64(out.data() + 8, out.size() - 8);
-  std::memcpy(out.data(), &checksum, sizeof(checksum));
-  return out;
+  out.PatchAt<uint64_t>(0, Fnv1a64(out.data() + 8, out.size() - 8));
+  return std::move(out).Take();
 }
 
 namespace {
 
+// The fixed header after the leading checksum word.
+struct DictHeader {
+  uint32_t version = 0;
+  uint32_t block_size = 0;
+  uint32_t num_surfaces = 0;
+  uint32_t num_blocks = 0;
+  uint32_t max_key_bytes = 0;
+  uint32_t pad = 0;
+  uint64_t num_postings = 0;
+  uint64_t key_blob_bytes = 0;
+  uint64_t raw_key_bytes = 0;
+};
+
+// The checks ReadStats and Parse share: the header fits, the checksum
+// holds, the version is this one, and the two free u64 counts are bounded
+// by the section itself.  The bound comes before any size arithmetic, so
+// the sum in ExpectedPayloadBytes cannot wrap mod 2^64 and make a small
+// crafted payload alias a huge declared layout.
+Result<DictHeader> ReadCheckedHeader(std::span<const unsigned char> payload) {
+  if (payload.size() < kDictHeaderBytes) {
+    return DictError("section smaller than header");
+  }
+  ByteReader in(payload.data());
+  const uint64_t checksum = in.Read<uint64_t>();
+  if (Fnv1a64(payload.data() + 8, payload.size() - 8) != checksum) {
+    return DictError("payload checksum mismatch");
+  }
+  DictHeader h;
+  h.version = in.Read<uint32_t>();
+  h.block_size = in.Read<uint32_t>();
+  h.num_surfaces = in.Read<uint32_t>();
+  h.num_blocks = in.Read<uint32_t>();
+  h.max_key_bytes = in.Read<uint32_t>();
+  h.pad = in.Read<uint32_t>();
+  h.num_postings = in.Read<uint64_t>();
+  h.key_blob_bytes = in.Read<uint64_t>();
+  h.raw_key_bytes = in.Read<uint64_t>();
+  if (h.version != kDictVersion) {
+    return DictError("unsupported dictionary version " +
+                     std::to_string(h.version));
+  }
+  if (h.num_postings > payload.size() / kPostingRecordBytes ||
+      h.key_blob_bytes > payload.size()) {
+    return DictError("header counts exceed section size");
+  }
+  return h;
+}
+
 // Byte size of the serialized payload with the given header counts — the
 // exact-arithmetic companion of Serialize(), used to reject any payload
 // whose length disagrees with its own header.
-uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_blocks,
-                              uint64_t num_postings,
-                              uint64_t key_blob_bytes) {
+uint64_t ExpectedPayloadBytes(const DictHeader& h) {
   uint64_t size = kDictHeaderBytes;
-  size += Aligned8((num_blocks + 1) * sizeof(uint32_t));   // block_offsets
-  size += Aligned8((num_surfaces + 1) * sizeof(uint32_t));  // posting_offsets
-  size += Aligned8(num_surfaces * sizeof(uint32_t));       // entity_splits
-  size += ((num_postings + 63) / 64) * sizeof(uint64_t);   // kind_bits
-  size += Aligned8(key_blob_bytes);
-  size += num_postings * kPostingRecordBytes;
+  size += AlignUp8((uint64_t{h.num_blocks} + 1) * sizeof(uint32_t));
+  size += AlignUp8((uint64_t{h.num_surfaces} + 1) * sizeof(uint32_t));
+  size += AlignUp8(uint64_t{h.num_surfaces} * sizeof(uint32_t));
+  size += AlignUp8(h.key_blob_bytes);
+  size += h.num_postings * kPostingRecordBytes;
   return size;
 }
 
@@ -480,115 +462,61 @@ uint64_t ExpectedPayloadBytes(uint64_t num_surfaces, uint64_t num_blocks,
 
 Result<FrozenAliasDict::Stats> FrozenAliasDict::ReadStats(
     std::span<const unsigned char> payload) {
-  if (payload.size() < kDictHeaderBytes) {
-    return DictError("section smaller than header");
-  }
-  const unsigned char* p = payload.data();
-  const uint64_t checksum = ReadScalar<uint64_t>(p);
-  if (Fnv1a64(p + 8, payload.size() - 8) != checksum) {
-    return DictError("payload checksum mismatch");
-  }
-  const uint32_t version = ReadScalar<uint32_t>(p + 8);
-  if (version != kDictVersion) {
-    return DictError("unsupported dictionary version " +
-                     std::to_string(version));
-  }
+  TENET_ASSIGN_OR_RETURN(const DictHeader h, ReadCheckedHeader(payload));
   Stats s;
-  s.num_surfaces = ReadScalar<uint32_t>(p + 16);
-  s.num_postings = ReadScalar<uint64_t>(p + 32);
-  s.key_blob_bytes = ReadScalar<uint64_t>(p + 40);
-  s.raw_key_bytes = ReadScalar<uint64_t>(p + 48);
-  // Same bound Parse() applies: counts a checksum-valid but crafted header
-  // can carry must not be reported as plausible stats.
-  if (s.num_postings > payload.size() / kPostingRecordBytes ||
-      s.key_blob_bytes > payload.size()) {
-    return DictError("header counts exceed section size");
-  }
+  s.num_surfaces = h.num_surfaces;
+  s.num_postings = h.num_postings;
+  s.key_blob_bytes = h.key_blob_bytes;
+  s.raw_key_bytes = h.raw_key_bytes;
   return s;
 }
 
 Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     std::span<const unsigned char> payload, const ParseLimits& limits) {
-  if (payload.size() < kDictHeaderBytes) {
-    return DictError("section smaller than header");
+  TENET_ASSIGN_OR_RETURN(const DictHeader h, ReadCheckedHeader(payload));
+  if (h.block_size != kBlockSize) {
+    return DictError("unsupported block size " +
+                     std::to_string(h.block_size));
   }
-  const unsigned char* p = payload.data();
-  const uint64_t checksum = ReadScalar<uint64_t>(p);
-  if (Fnv1a64(p + 8, payload.size() - 8) != checksum) {
-    return DictError("payload checksum mismatch");
-  }
-  const uint32_t version = ReadScalar<uint32_t>(p + 8);
-  const uint32_t block_size = ReadScalar<uint32_t>(p + 12);
-  const uint32_t num_surfaces = ReadScalar<uint32_t>(p + 16);
-  const uint32_t num_blocks = ReadScalar<uint32_t>(p + 20);
-  const uint32_t max_key_bytes = ReadScalar<uint32_t>(p + 24);
-  const uint32_t header_pad = ReadScalar<uint32_t>(p + 28);
-  const uint64_t num_postings = ReadScalar<uint64_t>(p + 32);
-  const uint64_t key_blob_bytes = ReadScalar<uint64_t>(p + 40);
-  const uint64_t raw_key_bytes = ReadScalar<uint64_t>(p + 48);
-
-  if (version != kDictVersion) {
-    return DictError("unsupported dictionary version " +
-                     std::to_string(version));
-  }
-  if (block_size != kBlockSize) {
-    return DictError("unsupported block size " + std::to_string(block_size));
-  }
-  if (header_pad != 0) {
+  if (h.pad != 0) {
     return DictError("header has a nonzero pad word");
   }
-  if (num_surfaces > (uint32_t{1} << 31)) {
+  if (h.num_surfaces > (uint32_t{1} << 31)) {
     return DictError("surface count overflows the probe table");
   }
-  if (num_blocks !=
-      (num_surfaces + kBlockSize - 1) / kBlockSize) {
+  if (h.num_blocks != (h.num_surfaces + kBlockSize - 1) / kBlockSize) {
     return DictError("block count disagrees with surface count");
   }
-  // num_surfaces/num_blocks are u32 and mutually constrained above, but
-  // num_postings and key_blob_bytes are free u64 header fields.
-  // Bound them against the section itself before any size arithmetic so
-  // the sum in ExpectedPayloadBytes cannot wrap mod 2^64 and make a small
-  // crafted payload alias a huge declared layout.
-  if (num_postings > payload.size() / kPostingRecordBytes ||
-      key_blob_bytes > payload.size()) {
-    return DictError("header counts exceed section size");
-  }
-  if (ExpectedPayloadBytes(num_surfaces, num_blocks, num_postings,
-                           key_blob_bytes) != payload.size()) {
+  if (ExpectedPayloadBytes(h) != payload.size()) {
     return DictError("section size disagrees with header counts");
   }
+  const uint32_t num_surfaces = h.num_surfaces;
+  const uint64_t num_postings = h.num_postings;
 
   auto dict = std::make_unique<FrozenAliasDict>();
   FrozenAliasDict& d = *dict;
   d.num_surfaces_ = num_surfaces;
-  d.max_key_bytes_ = max_key_bytes;
-  d.raw_key_bytes_ = raw_key_bytes;
+  d.max_key_bytes_ = h.max_key_bytes;
 
+  const unsigned char* p = payload.data();
   size_t pos = kDictHeaderBytes;
   auto read_u32s = [&](std::vector<uint32_t>* out, size_t count) {
     out->resize(count);
     if (count != 0) {  // data() is null for empty vectors; memcpy forbids it
       std::memcpy(out->data(), p + pos, count * sizeof(uint32_t));
     }
-    pos = Aligned8(pos + count * sizeof(uint32_t));
+    pos = AlignUp8(pos + count * sizeof(uint32_t));
   };
-  auto read_u64s = [&](std::vector<uint64_t>* out, size_t count) {
-    out->resize(count);
-    if (count != 0) {
-      std::memcpy(out->data(), p + pos, count * sizeof(uint64_t));
-    }
-    pos += count * sizeof(uint64_t);
-  };
-  read_u32s(&d.block_offsets_, num_blocks + 1);
+  read_u32s(&d.block_offsets_, h.num_blocks + 1);
   read_u32s(&d.posting_offsets_, static_cast<size_t>(num_surfaces) + 1);
   read_u32s(&d.entity_splits_, num_surfaces);
-  read_u64s(&d.kind_bits_, (num_postings + 63) / 64);
-  d.key_blob_.assign(reinterpret_cast<const char*>(p + pos), key_blob_bytes);
-  pos = Aligned8(pos + key_blob_bytes);
+  d.key_blob_.assign(reinterpret_cast<const char*>(p + pos),
+                     h.key_blob_bytes);
+  pos = AlignUp8(pos + h.key_blob_bytes);
 
   // Offset tables: monotone, exact endpoints.
   if (d.block_offsets_.front() != 0 ||
-      d.block_offsets_.back() != key_blob_bytes ||
+      d.block_offsets_.back() != h.key_blob_bytes ||
       !std::is_sorted(d.block_offsets_.begin(), d.block_offsets_.end())) {
     return DictError("corrupt block offsets");
   }
@@ -599,47 +527,28 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     return DictError("corrupt posting offsets");
   }
 
-  // Decode every key: strictly ascending, non-empty, folded, within
-  // max_key_bytes.
-  std::string prev_key;
+  // Decode every key once, into the arena the probe table indexes:
+  // strictly ascending, non-empty, folded, within max_key_bytes.
+  std::vector<uint32_t> key_begin(num_surfaces);
+  // A key is no longer than its block's bytes, so a block decodes to at
+  // most kBlockSize times its size: that bounds what a crafted header can
+  // make this reserve.
+  d.decoded_keys_.reserve(
+      std::min(h.raw_key_bytes, uint64_t{kBlockSize} * h.key_blob_bytes));
   std::string key;
-  uint64_t raw_sum = 0;
   uint32_t observed_max = 0;
-  const char* blob = d.key_blob_.data();
   size_t cursor = 0;
   size_t block_end = 0;
   for (uint32_t sid = 0; sid < num_surfaces; ++sid) {
-    const uint32_t block = sid / kBlockSize;
-    const uint32_t entry = sid % kBlockSize;
-    if (entry == 0) {
-      cursor = d.block_offsets_[block];
-      block_end = d.block_offsets_[block + 1];
-      key.clear();
-      uint32_t len = 0;
-      if (!GetVarint(blob, block_end, &cursor, &len) ||
-          cursor + len > block_end) {
-        return DictError("truncated key block");
-      }
-      key.assign(blob + cursor, len);
-      cursor += len;
-    } else {
-      // `key` still holds sid - 1's bytes; decode against it.
-      uint32_t lcp = 0;
-      uint32_t suffix_len = 0;
-      if (!GetVarint(blob, block_end, &cursor, &lcp) ||
-          !GetVarint(blob, block_end, &cursor, &suffix_len) ||
-          cursor + suffix_len > block_end || lcp > key.size()) {
-        return DictError("corrupt front-coded key entry");
-      }
-      key.resize(lcp);
-      key.append(blob + cursor, suffix_len);
-      cursor += suffix_len;
+    if (const char* defect = DecodeNextKey(d.key_blob_, d.block_offsets_,
+                                           sid, &cursor, &block_end, &key)) {
+      return DictError(defect);
     }
-    if ((entry == kBlockSize - 1 || sid == num_surfaces - 1) &&
+    if ((sid % kBlockSize == kBlockSize - 1 || sid == num_surfaces - 1) &&
         cursor != block_end) {
       return DictError("key block has trailing bytes");
     }
-    if (key.empty() || key.size() > max_key_bytes) {
+    if (key.empty() || key.size() > h.max_key_bytes) {
       return DictError("key length out of range");
     }
     for (char c : key) {
@@ -647,22 +556,24 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
         return DictError("key is not case-folded");
       }
     }
-    if (sid > 0 && !(prev_key < key)) {
+    if (sid > 0 &&
+        !(std::string_view(d.decoded_keys_).substr(key_begin[sid - 1]) <
+          key)) {
       return DictError("keys out of sorted order");
     }
-    prev_key = key;
-    raw_sum += key.size();
+    key_begin[sid] = static_cast<uint32_t>(d.decoded_keys_.size());
+    d.decoded_keys_.append(key);
     observed_max = std::max(observed_max,
                             static_cast<uint32_t>(key.size()));
   }
-  if (raw_sum != raw_key_bytes) {
+  if (d.decoded_keys_.size() != h.raw_key_bytes) {
     return DictError("raw key byte count disagrees with header");
   }
-  if (num_surfaces > 0 && observed_max != max_key_bytes) {
+  if (num_surfaces > 0 && observed_max != h.max_key_bytes) {
     return DictError("max key length disagrees with header");
   }
   if (num_surfaces == 0 &&
-      (max_key_bytes != 0 || key_blob_bytes != 0 || num_postings != 0)) {
+      (h.max_key_bytes != 0 || h.key_blob_bytes != 0 || num_postings != 0)) {
     return DictError("empty dictionary with nonzero payload counts");
   }
 
@@ -677,34 +588,14 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
   }
 
-  // kind_bits_: predicate popcount per list must equal len - split, and the
-  // slack bits past num_postings must be zero.
-  for (uint32_t sid = 0; sid < num_surfaces; ++sid) {
-    const uint32_t base = d.posting_offsets_[sid];
-    const uint32_t len = d.posting_offsets_[sid + 1] - base;
-    uint32_t predicates = 0;
-    for (uint32_t i = 0; i < len; ++i) {
-      const size_t bit = base + i;
-      predicates += (d.kind_bits_[bit / 64] >> (bit % 64)) & uint64_t{1};
-    }
-    if (predicates != len - d.entity_splits_[sid]) {
-      return DictError("kind bits disagree with the entity split");
-    }
-  }
-  for (uint64_t bit = num_postings; bit < d.kind_bits_.size() * 64; ++bit) {
-    if ((d.kind_bits_[bit / 64] >> (bit % 64)) & uint64_t{1}) {
-      return DictError("kind bits set past the posting count");
-    }
-  }
-
   // Posting records: ids in range, priors finite and positive, pad words
   // zero.
   d.postings_.resize(num_postings);
+  ByteReader records(p + pos);
   for (uint64_t i = 0; i < num_postings; ++i) {
-    const unsigned char* rec = p + pos + i * kPostingRecordBytes;
-    const int32_t id = ReadScalar<int32_t>(rec);
-    const int32_t pad = ReadScalar<int32_t>(rec + 4);
-    const double prior = ReadScalar<double>(rec + 8);
+    const int32_t id = records.Read<int32_t>();
+    const int32_t pad = records.Read<int32_t>();
+    const double prior = records.Read<double>();
     if (pad != 0) {
       return DictError("posting record has a nonzero pad word");
     }
@@ -731,7 +622,7 @@ Result<std::shared_ptr<const FrozenAliasDict>> FrozenAliasDict::Parse(
     }
   }
 
-  d.BuildProbeTables();
+  d.BuildProbeTables(key_begin);
   return std::shared_ptr<const FrozenAliasDict>(std::move(dict));
 }
 

@@ -17,7 +17,7 @@ namespace tenet {
 namespace kb {
 
 // Immutable, cache-friendly dictionary from case-folded surface forms to
-// posting-list spans — the frozen tier of the two-tier AliasIndex and the
+// posting-list spans — the alias state of a finalized AliasIndex and the
 // in-memory image of the `alias_dict` TENETKB2 section.  Design in
 // DESIGN.md §15.
 //
@@ -27,8 +27,9 @@ namespace kb {
 //     (a restart point), later keys as (lcp, suffix) varint pairs against
 //     their predecessor.  Raw key bytes shrink ~2-4x on realistic alias
 //     tables, and a block decode touches one contiguous byte run.
-//   - Lookup goes through an in-memory probe table rebuilt from the
-//     payload at Build/Parse time (never serialized): a power-of-two
+//   - Lookup goes through an in-memory probe table built at Build/Parse
+//     time (never serialized) over the keys that Builder::Add or Parse's
+//     validation pass decoded, once each, into one arena: a power-of-two
 //     linear-probing table at load factor <= 1/2 whose 64-byte slots
 //     interleave a chunked SWAR key hash (8 case-folded bytes per
 //     multiply) with the surface id, the posting span and the key bytes
@@ -39,8 +40,8 @@ namespace kb {
 //   - Postings live in one arena, grouped entities-first per surface, so
 //     Entities()/Predicates() each return one contiguous borrowed span in
 //     CanonicalPostingOrder (delta-touched lists: stable by-prior order).
-//     `kind_bits_` remembers the original entity/predicate interleave so
-//     serialization reproduces posting lists byte-for-byte.
+//     The grouped order is the only one: it is what lookups read, what
+//     VisitSurfaces yields and what the section stores.
 //
 // The dictionary is immutable after construction; concurrent readers need
 // no synchronization, which is what keeps lookups lock-free across RCU
@@ -69,8 +70,9 @@ class FrozenAliasDict {
 
   // Streaming builder.  Keys must arrive in strictly ascending folded-byte
   // order, non-empty, already case-folded; postings in their finalized
-  // order.  Build order is deterministic, so two builds of the same index
-  // produce byte-identical Serialize() output.
+  // order, which Add groups entities-first without reordering either kind.
+  // Build order is deterministic, so two builds of the same index produce
+  // byte-identical Serialize() output.
   class Builder {
    public:
     void Add(std::string_view folded_surface,
@@ -79,11 +81,10 @@ class FrozenAliasDict {
     std::shared_ptr<const FrozenAliasDict> Build() &&;
 
    private:
-    friend class FrozenAliasDict;
     std::unique_ptr<FrozenAliasDict> dict_ =
         std::make_unique<FrozenAliasDict>();
-    std::string prev_key_;
-    uint64_t raw_key_bytes_ = 0;
+    // Offset of each added key in the dictionary's decoded-key arena.
+    std::vector<uint32_t> key_begin_;
   };
 
   FrozenAliasDict() = default;
@@ -107,15 +108,10 @@ class FrozenAliasDict {
   /// Decodes the key of surface id `sid` into `out` (cleared first).
   void KeyAt(int64_t sid, std::string* out) const;
 
-  /// Appends the posting list of surface id `sid` in its ORIGINAL
-  /// interleaved order (reconstructed from kind_bits) — the list the
-  /// source AliasIndex held, byte for byte.
-  void AppendInterleavedAt(int64_t sid, std::vector<AliasPosting>* out) const;
-
-  /// Visits every surface in sorted folded order with its posting list in
-  /// the ORIGINAL interleaved order (reconstructed from kind_bits), i.e.
-  /// exactly the list the source AliasIndex held — serialization round
-  /// trips byte-for-byte.  The surface view is only valid during the call.
+  /// Visits every surface in sorted folded order with its grouped posting
+  /// list: EntitiesAt(sid) followed by PredicatesAt(sid).  The keys are
+  /// decoded in one sequential pass.  The surface view is only valid
+  /// during the call.
   void VisitSurfaces(
       const std::function<void(std::string_view surface,
                                std::span<const AliasPosting> postings)>&
@@ -128,7 +124,7 @@ class FrozenAliasDict {
   Stats stats() const;
 
   /// Serializes to the `alias_dict` section payload (leading 64-bit
-  /// payload checksum, 56-byte header, 8-aligned arrays).
+  /// payload checksum, 56-byte header, 8-aligned arrays; format version 3).
   std::vector<unsigned char> Serialize() const;
 
   /// Deserializes and fully validates a section payload: checksum, exact
@@ -156,8 +152,8 @@ class FrozenAliasDict {
   // Entities()/Predicates() resolve most probes with a single random
   // access and never touch posting_offsets_ / entity_splits_ on the hot
   // path.  key_len == 0 marks an empty slot
-  // (keys are non-empty by construction).  Derived state — rebuilt from
-  // the serialized arrays by BuildProbeTables(), never persisted.
+  // (keys are non-empty by construction).  Derived state — built by
+  // BuildProbeTables(), never persisted.
   struct alignas(64) ProbeSlot {
     uint64_t hash = 0;
     uint32_t sid = 0;
@@ -170,16 +166,18 @@ class FrozenAliasDict {
   };
   static_assert(sizeof(ProbeSlot) == 64);
 
-  // Rebuilds probe_slots_ / decoded_keys_ from the serialized arrays.
-  void BuildProbeTables();
+  // Builds probe_slots_ over decoded_keys_, where key sid starts at
+  // key_begin[sid].
+  void BuildProbeTables(std::span<const uint32_t> key_begin);
 
   // Probe-table lookup; nullptr when the surface is absent.
   const ProbeSlot* FindSlot(std::string_view probe) const;
 
   // --- lookup table ---
   // Derived probe acceleration (see ProbeSlot): a power-of-two
-  // linear-probing table at load factor <= 1/2, plus every key decoded
-  // once into a flat arena for direct compares.
+  // linear-probing table at load factor <= 1/2, plus every key, in sid
+  // order, in a flat arena for direct compares.  The arena's size is the
+  // raw key byte count.
   std::vector<ProbeSlot> probe_slots_;
   uint32_t probe_mask_ = 0;  // probe_slots_.size() - 1
   std::string decoded_keys_;
@@ -197,12 +195,8 @@ class FrozenAliasDict {
   std::vector<AliasPosting> postings_;
   std::vector<uint32_t> posting_offsets_;
   std::vector<uint32_t> entity_splits_;
-  // Bit i of the packed array = 1 iff the i-th posting of the ORIGINAL
-  // interleaved arena order was a predicate.
-  std::vector<uint64_t> kind_bits_;
 
   uint64_t num_surfaces_ = 0;
-  uint64_t raw_key_bytes_ = 0;
 };
 
 }  // namespace kb

@@ -68,31 +68,16 @@ void AliasIndex::Finalize() {
   finalized_ = true;
 }
 
-void AliasIndex::AdoptFrozen(std::shared_ptr<const FrozenAliasDict> dict,
-                             OverlayMap overlay) {
+void AliasIndex::AdoptFrozen(std::shared_ptr<const FrozenAliasDict> dict) {
   TENET_CHECK(!finalized_) << "AliasIndex::AdoptFrozen after Finalize";
   TENET_CHECK(dict != nullptr);
   dict_ = std::move(dict);
-  overlay_ = std::move(overlay);
   building_ = {};
   finalized_ = true;
 }
 
 size_t AliasIndex::num_surfaces() const {
-  if (!finalized_) return building_.size();
-  // Overlay entries either shadow a dictionary surface (tombstones subtract
-  // it, replacements are a wash) or introduce a new one.
-  size_t total = dict_->num_surfaces();
-  std::string key;
-  for (const auto& [surface, entry] : overlay_) {
-    const bool in_dict = dict_->Find(surface) >= 0;
-    if (entry.interleaved.empty()) {
-      if (in_dict) --total;  // tombstone
-    } else if (!in_dict) {
-      ++total;  // overlay-only surface
-    }
-  }
-  return total;
+  return finalized_ ? dict_->num_surfaces() : building_.size();
 }
 
 std::span<const AliasPosting> AliasIndex::Lookup(
@@ -107,22 +92,8 @@ std::span<const AliasPosting> AliasIndex::Lookup(
       *new obs::DependencyOpCounters("kb/alias_lookup");
   ops.Record(!faulted);
   if (faulted) return {};
-  if (!overlay_.empty()) {
-    // Rare tier (only populated between delta apply and the next compact):
-    // pay the fold allocation here to keep the common path allocation-free.
-    std::string key = AsciiToLower(surface);
-    auto it = overlay_.find(std::string_view(key));
-    if (it != overlay_.end()) {
-      const OverlayEntry& entry = it->second;
-      if (kind == ConceptRef::Kind::kEntity) {
-        return {entry.grouped.data(), entry.entity_count};
-      }
-      return {entry.grouped.data() + entry.entity_count,
-              entry.grouped.size() - entry.entity_count};
-    }
-  }
-  // Hot path: the dictionary folds the probe on the fly — no allocation,
-  // no posting copy.
+  // The dictionary folds the probe on the fly — no allocation, no posting
+  // copy.
   return kind == ConceptRef::Kind::kEntity ? dict_->Entities(surface)
                                            : dict_->Predicates(surface);
 }
@@ -137,49 +108,6 @@ std::span<const AliasPosting> AliasIndex::LookupPredicates(
   return Lookup(surface, ConceptRef::Kind::kPredicate);
 }
 
-bool AliasIndex::ContainsSurface(std::string_view surface,
-                                 ConceptRef::Kind kind) const {
-  std::string key = AsciiToLower(surface);
-  if (!finalized_) {
-    auto it = building_.find(key);
-    if (it == building_.end()) return false;
-    for (const AliasPosting& posting : it->second) {
-      if (posting.concept_ref.kind == kind) return true;
-    }
-    return false;
-  }
-  if (!overlay_.empty()) {
-    auto it = overlay_.find(std::string_view(key));
-    if (it != overlay_.end()) {
-      const OverlayEntry& entry = it->second;
-      if (kind == ConceptRef::Kind::kEntity) return entry.entity_count > 0;
-      return entry.grouped.size() > entry.entity_count;
-    }
-  }
-  const int64_t sid = dict_->Find(key);
-  if (sid < 0) return false;
-  return kind == ConceptRef::Kind::kEntity
-             ? !dict_->EntitiesAt(sid).empty()
-             : !dict_->PredicatesAt(sid).empty();
-}
-
-bool AliasIndex::GetInterleavedPostings(std::string_view folded_surface,
-                                        std::vector<AliasPosting>* out) const {
-  TENET_CHECK(finalized_)
-      << "AliasIndex::GetInterleavedPostings before Finalize";
-  auto it = overlay_.find(folded_surface);
-  if (it != overlay_.end()) {
-    if (it->second.interleaved.empty()) return false;  // tombstone
-    out->insert(out->end(), it->second.interleaved.begin(),
-                it->second.interleaved.end());
-    return true;
-  }
-  const int64_t sid = dict_->Find(folded_surface);
-  if (sid < 0) return false;
-  dict_->AppendInterleavedAt(sid, out);
-  return true;
-}
-
 void AliasIndex::VisitPostings(
     const std::function<void(std::string_view, const AliasPosting&)>&
         visitor) const {
@@ -191,70 +119,12 @@ void AliasIndex::VisitPostings(
     }
     return;
   }
-  if (overlay_.empty()) {
-    dict_->VisitSurfaces(
-        [&](std::string_view surface, std::span<const AliasPosting> list) {
-          for (const AliasPosting& posting : list) {
-            visitor(surface, posting);
-          }
-        });
-    return;
-  }
-  // Sorted two-way merge: overlay keys shadow dictionary keys.
-  std::vector<std::string_view> overlay_keys;
-  overlay_keys.reserve(overlay_.size());
-  for (const auto& [surface, entry] : overlay_) {
-    overlay_keys.push_back(surface);
-  }
-  std::sort(overlay_keys.begin(), overlay_keys.end());
-  size_t next_overlay = 0;
-  auto emit_overlay = [&](std::string_view surface) {
-    const OverlayEntry& entry = overlay_.find(surface)->second;
-    for (const AliasPosting& posting : entry.interleaved) {
-      visitor(surface, posting);  // tombstones have no postings: silent
-    }
-  };
   dict_->VisitSurfaces(
       [&](std::string_view surface, std::span<const AliasPosting> list) {
-        while (next_overlay < overlay_keys.size() &&
-               overlay_keys[next_overlay] < surface) {
-          emit_overlay(overlay_keys[next_overlay++]);
-        }
-        if (next_overlay < overlay_keys.size() &&
-            overlay_keys[next_overlay] == surface) {
-          emit_overlay(overlay_keys[next_overlay++]);  // overlay wins
-          return;
-        }
         for (const AliasPosting& posting : list) {
           visitor(surface, posting);
         }
       });
-  while (next_overlay < overlay_keys.size()) {
-    emit_overlay(overlay_keys[next_overlay++]);
-  }
-}
-
-std::shared_ptr<const FrozenAliasDict> AliasIndex::SerializableDict() const {
-  TENET_CHECK(finalized_)
-      << "AliasIndex::SerializableDict before Finalize";
-  if (overlay_.empty()) return dict_;
-  // Compile the merged view; VisitPostings already yields sorted surfaces
-  // with consecutive postings.
-  FrozenAliasDict::Builder builder;
-  std::string current;
-  std::vector<AliasPosting> list;
-  bool have_current = false;
-  VisitPostings([&](std::string_view surface, const AliasPosting& posting) {
-    if (!have_current || surface != current) {
-      if (have_current) builder.Add(current, list);
-      current.assign(surface);
-      list.clear();
-      have_current = true;
-    }
-    list.push_back(posting);
-  });
-  if (have_current) builder.Add(current, list);
-  return std::move(builder).Build();
 }
 
 }  // namespace kb

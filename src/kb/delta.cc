@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
+#include <map>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -16,6 +15,7 @@
 #include "common/logging.h"
 #include "common/mmap_file.h"
 #include "common/string_util.h"
+#include "kb/byte_io.h"
 
 namespace tenet {
 namespace kb {
@@ -33,59 +33,6 @@ constexpr size_t kRecordHeaderBytes = 16;  // op+len+payload checksum
 // and the text/embedding length words.  Variable tails follow.
 constexpr size_t kRecordFixedPayloadBytes = 44;
 constexpr uint32_t kMaxDeltaOp = static_cast<uint32_t>(DeltaOp::kSetEmbedding);
-
-// Same shape as the snapshot writers' simulated crash: the injected fault
-// leaves half-written `<path>.tmp` debris and never touches `path`.
-Status SimulateTornDeltaWrite(const std::string& path, const void* data,
-                              size_t size) {
-  std::ofstream debris(path + ".tmp", std::ios::trunc | std::ios::binary);
-  if (debris) {
-    debris.write(static_cast<const char*>(data),
-                 static_cast<std::streamsize>(size / 2));
-  }
-  return Status::DataLoss(std::string("injected fault: write of ") + path +
-                          " crashed mid-segment; previous file left intact");
-}
-
-// Append-only little-endian buffer (io.cc keeps its own copy; the snapshot
-// and delta writers share the format conventions, not the TU).
-class ByteWriter {
- public:
-  template <typename T>
-  void Append(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    unsigned char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    bytes_.insert(bytes_.end(), raw, raw + sizeof(T));
-  }
-  void AppendBytes(const void* data, size_t size) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
-  }
-  size_t size() const { return bytes_.size(); }
-  const unsigned char* data() const { return bytes_.data(); }
-
- private:
-  std::vector<unsigned char> bytes_;
-};
-
-// Bounds-unchecked typed reads over a range whose length was already
-// validated.
-class RecordReader {
- public:
-  explicit RecordReader(const std::byte* p) : p_(p) {}
-  template <typename T>
-  T Read() {
-    T value;
-    std::memcpy(&value, p_, sizeof(T));
-    p_ += sizeof(T);
-    return value;
-  }
-  const std::byte* position() const { return p_; }
-
- private:
-  const std::byte* p_;
-};
 
 void EncodeRecordPayload(const DeltaRecord& record, ByteWriter* out) {
   out->Append<int32_t>(record.id);
@@ -130,7 +77,7 @@ Status Corrupt(const std::string& path, size_t record, const char* what) {
                                  std::to_string(record) + ": " + what);
 }
 
-Result<DeltaRecord> DecodeRecord(uint32_t op, const std::byte* payload,
+Result<DeltaRecord> DecodeRecord(uint32_t op, const unsigned char* payload,
                                  uint32_t payload_len,
                                  const std::string& path, size_t index) {
   if (payload_len < kRecordFixedPayloadBytes) {
@@ -138,7 +85,7 @@ Result<DeltaRecord> DecodeRecord(uint32_t op, const std::byte* payload,
   }
   DeltaRecord record;
   record.op = static_cast<DeltaOp>(op);
-  RecordReader reader(payload);
+  ByteReader reader(payload);
   record.id = reader.Read<int32_t>();
   record.type = reader.Read<int32_t>();
   record.domain = reader.Read<int32_t>();
@@ -317,7 +264,7 @@ Status WriteDeltaSegment(const DeltaSegment& segment,
                          const std::string& path) {
   const ByteWriter file = SerializeSegment(segment.records);
   if (TENET_FAULT_POINT("kb/io/write_delta")) {
-    return SimulateTornDeltaWrite(path, file.data(), file.size());
+    return SimulateTornWrite(path, file.data(), file.size(), "segment");
   }
   return AtomicWriteFile(path, file.data(), file.size());
 }
@@ -338,7 +285,7 @@ Result<DeltaSegment> LoadDeltaSegment(const std::string& path) {
     return Status::InvalidArgument("delta segment " + path +
                                    ": bad magic (not a TENETDELTA1 file)");
   }
-  RecordReader header(bytes.data() + sizeof(kDeltaMagic));
+  ByteReader header(bytes.data() + sizeof(kDeltaMagic));
   const uint32_t endian = header.Read<uint32_t>();
   if (endian != kDeltaEndianTag) {
     return Status::InvalidArgument("delta segment " + path +
@@ -370,13 +317,14 @@ Result<DeltaSegment> LoadDeltaSegment(const std::string& path) {
   DeltaSegment segment;
   segment.path = path;
   segment.records.reserve(record_count);
-  const std::byte* cursor = bytes.data() + kDeltaHeaderBytes;
+  const unsigned char* cursor =
+      reinterpret_cast<const unsigned char*>(bytes.data()) + kDeltaHeaderBytes;
   uint64_t remaining = payload_bytes;
   for (uint64_t i = 0; i < record_count; ++i) {
     if (remaining < kRecordHeaderBytes) {
       return Corrupt(path, i, "truncated record header");
     }
-    RecordReader reader(cursor);
+    ByteReader reader(cursor);
     const uint32_t op = reader.Read<uint32_t>();
     const uint32_t payload_len = reader.Read<uint32_t>();
     const uint64_t payload_checksum = reader.Read<uint64_t>();
@@ -386,7 +334,7 @@ Result<DeltaSegment> LoadDeltaSegment(const std::string& path) {
     if (payload_len > remaining - kRecordHeaderBytes) {
       return Corrupt(path, i, "record payload overruns the file");
     }
-    const std::byte* payload = reader.position();
+    const unsigned char* payload = reader.position();
     if (payload_checksum != Fnv1a64(payload, payload_len)) {
       return Corrupt(path, i, "payload checksum mismatch");
     }
@@ -462,9 +410,9 @@ Result<AppliedDelta> ApplyDeltas(
 
   std::vector<PendingEntity> new_entities;
   std::vector<PendingPredicate> new_predicates;
-  // Folded surface -> ordered delta ops.  node-based map: the keys back
-  // the string_views the restore entries hold for delta-only surfaces.
-  std::unordered_map<std::string, std::vector<PendingAliasOp>> alias_ops;
+  // Folded surface -> ordered delta ops, sorted for the merge with the
+  // base dictionary.
+  std::map<std::string, std::vector<PendingAliasOp>> alias_ops;
   std::unordered_set<int32_t> dead_entities;
   std::unordered_set<int32_t> dead_predicates;
   std::vector<Triple> delta_facts;
@@ -675,103 +623,96 @@ Result<AppliedDelta> ApplyDeltas(
     ++stats.added_facts;
   }
 
-  // ---- Alias index: shared frozen dictionary + composed overlay -----------
-  // Untouched surfaces pass through bit-exact by *sharing* the base's
-  // frozen dictionary — no rebuild, no copy.  Only surfaces named by an
-  // alias op or carrying a tombstoned concept are recomposed, into the
-  // overlay, which wins over the dictionary on conflict (an empty overlay
-  // entry is a tombstone).  The base's own overlay — earlier deltas in the
-  // chain — is carried over first, then overwritten where this chain
-  // touches it; GetInterleavedPostings below already consults it, so the
-  // composition starts from the base's *effective* posting lists.
-  AliasIndex::OverlayMap overlay = base.alias_index().overlay();
-
+  // ---- Alias dictionary: one compile ---------------------------------------
+  // A sorted merge of the base dictionary with the alias ops.  A surface
+  // that an op names or that holds a tombstoned concept is recomposed;
+  // every other surface's spans go to the builder unchanged, so their
+  // priors stay bit-exact.
+  const bool has_dead = !dead_entities.empty() || !dead_predicates.empty();
   const auto posting_is_dead = [&](const AliasPosting& p) {
     return p.concept_ref.is_entity()
                ? dead_entities.count(p.concept_ref.id) != 0
                : dead_predicates.count(p.concept_ref.id) != 0;
   };
-  std::unordered_set<std::string> touched_surfaces;
-  touched_surfaces.reserve(alias_ops.size());
-  for (const auto& [surface, ops] : alias_ops) {
-    touched_surfaces.insert(surface);
-  }
-  if (!dead_entities.empty() || !dead_predicates.empty()) {
-    base.alias_index().VisitPostings(
-        [&](std::string_view surface, const AliasPosting& posting) {
-          // The surface view is only valid during the callback: copy it.
-          if (posting_is_dead(posting)) {
-            touched_surfaces.insert(std::string(surface));
-          }
-        });
-  }
-
+  FrozenAliasDict::Builder builder;
   std::vector<AliasPosting> composed;
-  for (const std::string& surface : touched_surfaces) {
-    composed.clear();
-    base.alias_index().GetInterleavedPostings(surface, &composed);
-    auto ops_it = alias_ops.find(surface);
-    if (ops_it != alias_ops.end()) {
-      for (const PendingAliasOp& op : ops_it->second) {
-        auto posting = std::find_if(
-            composed.begin(), composed.end(),
-            [&op](const AliasPosting& p) { return p.concept_ref == op.ref; });
-        if (op.adjust) {
-          if (posting == composed.end()) {
-            return Status::InvalidArgument(
-                "delta apply: prior adjustment for surface \"" + surface +
-                "\" names concept " + ConceptRefToString(op.ref) +
-                ", which has no posting there");
-          }
-          posting->prior = op.weight;
-        } else if (posting != composed.end()) {
-          posting->prior += op.weight;  // duplicates accumulate, as in Add()
-        } else {
-          composed.push_back({op.ref, op.weight});
+  // Recomposes one surface from its base postings (empty for a surface the
+  // base lacks) and its ops (empty when only a tombstone touches it).
+  const auto compose = [&](std::string_view surface,
+                           std::span<const AliasPosting> postings,
+                           std::span<const PendingAliasOp> ops) -> Status {
+    composed.assign(postings.begin(), postings.end());
+    for (const PendingAliasOp& op : ops) {
+      auto posting = std::find_if(
+          composed.begin(), composed.end(),
+          [&op](const AliasPosting& p) { return p.concept_ref == op.ref; });
+      if (op.adjust) {
+        if (posting == composed.end()) {
+          return Status::InvalidArgument(
+              "delta apply: prior adjustment for surface \"" +
+              std::string(surface) + "\" names concept " +
+              ConceptRefToString(op.ref) + ", which has no posting there");
         }
+        posting->prior = op.weight;
+      } else if (posting != composed.end()) {
+        posting->prior += op.weight;  // duplicates accumulate, as in Add()
+      } else {
+        composed.push_back({op.ref, op.weight});
       }
     }
     composed.erase(
         std::remove_if(composed.begin(), composed.end(), posting_is_dead),
         composed.end());
+    // A surface composed down to nothing is left out.
+    if (composed.empty()) return Status::Ok();
 
-    // Touched surfaces renormalize over the composed weights — the base's
-    // finalized priors count as the existing weights — the way
-    // AliasIndex::Finalize does: per-kind totals, divide, then a
-    // descending stable sort.  A surface composed down to nothing becomes
-    // a tombstone.
-    AliasIndex::OverlayEntry entry;
-    if (!composed.empty()) {
-      double entity_total = 0.0;
-      double predicate_total = 0.0;
-      for (const AliasPosting& p : composed) {
-        (p.concept_ref.is_entity() ? entity_total : predicate_total) +=
-            p.prior;
-      }
-      for (AliasPosting& p : composed) {
-        const double total =
-            p.concept_ref.is_entity() ? entity_total : predicate_total;
-        p.prior = total > 0.0 ? p.prior / total : 0.0;
-      }
-      std::stable_sort(composed.begin(), composed.end(),
-                       [](const AliasPosting& a, const AliasPosting& b) {
-                         return a.prior > b.prior;
-                       });
-      ++stats.touched_surfaces;
-      entry.interleaved = composed;
-      entry.grouped.reserve(composed.size());
-      for (const AliasPosting& p : composed) {
-        if (p.concept_ref.is_entity()) entry.grouped.push_back(p);
-      }
-      entry.entity_count = static_cast<uint32_t>(entry.grouped.size());
-      for (const AliasPosting& p : composed) {
-        if (p.concept_ref.is_predicate()) entry.grouped.push_back(p);
-      }
+    // Renormalize over the composed weights — the base's finalized priors
+    // count as the existing weights — the way AliasIndex::Finalize does:
+    // per-kind totals, divide, then a descending stable sort.
+    double entity_total = 0.0;
+    double predicate_total = 0.0;
+    for (const AliasPosting& p : composed) {
+      (p.concept_ref.is_entity() ? entity_total : predicate_total) += p.prior;
     }
-    overlay[surface] = std::move(entry);
-  }
+    for (AliasPosting& p : composed) {
+      const double total =
+          p.concept_ref.is_entity() ? entity_total : predicate_total;
+      p.prior = total > 0.0 ? p.prior / total : 0.0;
+    }
+    std::stable_sort(composed.begin(), composed.end(),
+                     [](const AliasPosting& a, const AliasPosting& b) {
+                       return a.prior > b.prior;
+                     });
+    ++stats.touched_surfaces;
+    builder.Add(surface, composed);
+    return Status::Ok();
+  };
 
-  kb.AdoptAliasState(base.alias_index().frozen_dict(), std::move(overlay));
+  Status status;
+  auto next_ops = alias_ops.begin();
+  base.alias_index().frozen_dict()->VisitSurfaces(
+      [&](std::string_view surface, std::span<const AliasPosting> postings) {
+        for (; status.ok() && next_ops != alias_ops.end() &&
+               next_ops->first < surface;
+             ++next_ops) {
+          status = compose(next_ops->first, {}, next_ops->second);
+        }
+        if (!status.ok()) return;
+        if (next_ops != alias_ops.end() && next_ops->first == surface) {
+          status = compose(surface, postings, next_ops->second);
+          ++next_ops;
+        } else if (has_dead && std::any_of(postings.begin(), postings.end(),
+                                           posting_is_dead)) {
+          status = compose(surface, postings, {});
+        } else {
+          builder.Add(surface, postings);
+        }
+      });
+  for (; status.ok() && next_ops != alias_ops.end(); ++next_ops) {
+    status = compose(next_ops->first, {}, next_ops->second);
+  }
+  if (!status.ok()) return status;
+  kb.AdoptAliasState(std::move(builder).Build());
   kb.Finalize();
 
   // ---- Embeddings: base rows copied, delta rows zero unless set -----------

@@ -6,8 +6,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "kb/alias_dict.h"
+#include "kb/byte_io.h"
 #include "obs/metrics.h"
 
 namespace tenet {
@@ -67,63 +68,6 @@ const char* SectionName(uint32_t id) {
     default: return nullptr;
   }
 }
-
-// Simulated crash mid-write for the corruption matrix: the injected fault
-// leaves half-written debris at `<path>.tmp` — exactly what a real crash
-// between the temp write and the rename leaves behind — and NEVER touches
-// `path` itself.  The previous snapshot (if any) survives intact; loaders
-// never look at the temp name.
-Status SimulateTornWrite(const std::string& path, const void* data,
-                         size_t size, const char* what) {
-  std::ofstream debris(path + ".tmp", std::ios::trunc | std::ios::binary);
-  if (debris) {
-    debris.write(static_cast<const char*>(data),
-                 static_cast<std::streamsize>(size / 2));
-  }
-  return Status::DataLoss(std::string("injected fault: write of ") + path +
-                          " crashed mid-" + what +
-                          "; previous file left intact");
-}
-
-// Append-only little-endian buffer for the writer.
-class ByteWriter {
- public:
-  template <typename T>
-  void Append(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    unsigned char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    bytes_.insert(bytes_.end(), raw, raw + sizeof(T));
-  }
-  void AppendBytes(const void* data, size_t size) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
-  }
-  void PadTo8() { bytes_.resize((bytes_.size() + 7) & ~size_t{7}, 0); }
-  size_t size() const { return bytes_.size(); }
-  const unsigned char* data() const { return bytes_.data(); }
-
- private:
-  std::vector<unsigned char> bytes_;
-};
-
-// Bounds-unchecked typed reads over a section whose length was already
-// validated against its record count.
-class RecordReader {
- public:
-  explicit RecordReader(std::span<const std::byte> bytes)
-      : p_(bytes.data()) {}
-  template <typename T>
-  T Read() {
-    T value;
-    std::memcpy(&value, p_, sizeof(T));
-    p_ += sizeof(T);
-    return value;
-  }
-
- private:
-  const std::byte* p_;
-};
 
 // Interns strings; the blob and end-offset array form the string table
 // section.
@@ -375,7 +319,7 @@ Result<KnowledgeBase> DecodeKnowledgeBase(std::span<const std::byte> bytes) {
              static_cast<int32_t>(predicates.item_count),
              static_cast<int32_t>(facts.item_count));
 
-  RecordReader entity_reader(bytes.subspan(entities.offset));
+  ByteReader entity_reader(bytes.data() + entities.offset);
   for (uint64_t i = 0; i < entities.item_count; ++i) {
     uint32_t label_ref = entity_reader.Read<uint32_t>();
     int32_t type = entity_reader.Read<int32_t>();
@@ -394,7 +338,7 @@ Result<KnowledgeBase> DecodeKnowledgeBase(std::span<const std::byte> bytes) {
                  /*register_label_alias=*/false);
   }
 
-  RecordReader predicate_reader(bytes.subspan(predicates.offset));
+  ByteReader predicate_reader(bytes.data() + predicates.offset);
   for (uint64_t i = 0; i < predicates.item_count; ++i) {
     uint32_t label_ref = predicate_reader.Read<uint32_t>();
     int32_t domain = predicate_reader.Read<int32_t>();
@@ -424,9 +368,9 @@ Result<KnowledgeBase> DecodeKnowledgeBase(std::span<const std::byte> bytes) {
     return Status::InvalidArgument(
         "alias_dict item count disagrees with its payload");
   }
-  kb.AdoptAliasState(std::move(dict), {});
+  kb.AdoptAliasState(std::move(dict));
 
-  RecordReader fact_reader(bytes.subspan(facts.offset));
+  ByteReader fact_reader(bytes.data() + facts.offset);
   for (uint64_t i = 0; i < facts.item_count; ++i) {
     int32_t subject = fact_reader.Read<int32_t>();
     int32_t predicate = fact_reader.Read<int32_t>();
@@ -493,28 +437,28 @@ Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
   // Postings persist as the frozen alias dictionary: finalized priors in
   // their finalized (descending-prior) order, surfaces sorted by folded
   // bytes — so two saves of the same KB emit byte-identical snapshots.
-  std::shared_ptr<const FrozenAliasDict> dict =
-      kb.alias_index().SerializableDict();
-  std::vector<unsigned char> dict_bytes = dict->Serialize();
-  ByteWriter alias_dict;
-  alias_dict.AppendBytes(dict_bytes.data(), dict_bytes.size());
+  const FrozenAliasDict& dict = *kb.alias_index().frozen_dict();
+  const std::vector<unsigned char> alias_dict = dict.Serialize();
 
   ByteWriter string_table;
   strings.Serialize(&string_table);
 
   struct Pending {
     uint32_t id;
-    const ByteWriter* payload;
+    std::span<const unsigned char> payload;
     uint64_t item_count;
   };
+  auto bytes_of = [](const ByteWriter& w) {
+    return std::span<const unsigned char>(w.data(), w.size());
+  };
   const Pending sections[kNumSections] = {
-      {kSectionStrings, &string_table, strings.size()},
-      {kSectionEntities, &entities,
+      {kSectionStrings, bytes_of(string_table), strings.size()},
+      {kSectionEntities, bytes_of(entities),
        static_cast<uint64_t>(kb.num_entities())},
-      {kSectionPredicates, &predicates,
+      {kSectionPredicates, bytes_of(predicates),
        static_cast<uint64_t>(kb.num_predicates())},
-      {kSectionFacts, &facts, static_cast<uint64_t>(kb.num_facts())},
-      {kSectionAliasDict, &alias_dict, dict->num_postings()},
+      {kSectionFacts, bytes_of(facts), static_cast<uint64_t>(kb.num_facts())},
+      {kSectionAliasDict, alias_dict, dict.num_postings()},
   };
 
   ByteWriter table;
@@ -523,9 +467,9 @@ Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
     table.Append<uint32_t>(s.id);
     table.Append<uint32_t>(0);
     table.Append<uint64_t>(offset);
-    table.Append<uint64_t>(static_cast<uint64_t>(s.payload->size()));
+    table.Append<uint64_t>(static_cast<uint64_t>(s.payload.size()));
     table.Append<uint64_t>(s.item_count);
-    offset += (s.payload->size() + 7) & ~uint64_t{7};  // 8-byte aligned
+    offset += AlignUp8(s.payload.size());
   }
   const uint64_t file_size = offset;
 
@@ -541,7 +485,7 @@ Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path) {
   file.Append<uint64_t>(Fnv1a64(table.data(), table.size()));
   file.AppendBytes(table.data(), table.size());
   for (const Pending& s : sections) {
-    file.AppendBytes(s.payload->data(), s.payload->size());
+    file.AppendBytes(s.payload.data(), s.payload.size());
     file.PadTo8();
   }
   TENET_CHECK_EQ(file.size(), file_size);

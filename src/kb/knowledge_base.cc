@@ -96,10 +96,9 @@ void KnowledgeBase::Reserve(int32_t num_entities, int32_t num_predicates,
 }
 
 void KnowledgeBase::AdoptAliasState(
-    std::shared_ptr<const FrozenAliasDict> dict,
-    AliasIndex::OverlayMap overlay) {
+    std::shared_ptr<const FrozenAliasDict> dict) {
   TENET_CHECK(!finalized_);
-  alias_index_.AdoptFrozen(std::move(dict), std::move(overlay));
+  alias_index_.AdoptFrozen(std::move(dict));
 }
 
 Status KnowledgeBase::AddFact(EntityId subject, PredicateId predicate,

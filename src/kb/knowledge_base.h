@@ -97,12 +97,11 @@ class KnowledgeBase {
   void Reserve(int32_t num_entities, int32_t num_predicates,
                int32_t num_facts);
 
-  /// Adopts an already-built frozen alias dictionary plus overlay in place
-  /// of the Add build path — the snapshot load and the delta compose both
-  /// use it (see AliasIndex::AdoptFrozen).  The alias index becomes
-  /// finalized immediately; Finalize() then skips it.
-  void AdoptAliasState(std::shared_ptr<const FrozenAliasDict> dict,
-                       AliasIndex::OverlayMap overlay);
+  /// Adopts an already-built frozen alias dictionary in place of the Add
+  /// build path — the snapshot load and the delta compose both use it (see
+  /// AliasIndex::AdoptFrozen).  The alias index becomes finalized
+  /// immediately; Finalize() then skips it.
+  void AdoptAliasState(std::shared_ptr<const FrozenAliasDict> dict);
 
   /// Adds the fact (subject, predicate, object_entity).
   Status AddFact(EntityId subject, PredicateId predicate,

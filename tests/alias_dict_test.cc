@@ -111,6 +111,16 @@ void ExpectIndexMatchesReplica(const AliasIndex& index,
   }
 }
 
+// The postings of `list` of one kind, in their order in `list`.
+std::vector<AliasPosting> Grouped(std::span<const AliasPosting> list,
+                                  bool entities) {
+  std::vector<AliasPosting> out;
+  for (const AliasPosting& p : list) {
+    if (p.concept_ref.is_entity() == entities) out.push_back(p);
+  }
+  return out;
+}
+
 // --- direct Builder/Parse unit tests ---------------------------------------
 
 TEST(FrozenAliasDictTest, EmptyDictionaryRoundTrips) {
@@ -129,9 +139,9 @@ TEST(FrozenAliasDictTest, EmptyDictionaryRoundTrips) {
   EXPECT_EQ((*parsed)->Serialize(), bytes);
 }
 
-TEST(FrozenAliasDictTest, InterleavedPostingsRoundTripExactly) {
-  // Mixed entity/predicate lists in a deliberately non-grouped interleave;
-  // enough keys to cross several front-coding blocks.
+TEST(FrozenAliasDictTest, GroupedPostingsRoundTripExactly) {
+  // Mixed entity/predicate lists added in a deliberately non-grouped
+  // interleave; enough keys to cross several front-coding blocks.
   constexpr int kKeys = 3 * FrozenAliasDict::kBlockSize + 5;
   std::vector<std::pair<std::string, std::vector<AliasPosting>>> rows;
   for (int i = 0; i < kKeys; ++i) {
@@ -161,25 +171,17 @@ TEST(FrozenAliasDictTest, InterleavedPostingsRoundTripExactly) {
     std::string upper = key;
     for (char& c : upper) c = static_cast<char>(std::toupper(c));
     EXPECT_EQ(dict->Find(upper), sid) << key;
-    // The original interleave comes back verbatim.
-    std::vector<AliasPosting> interleaved;
-    dict->AppendInterleavedAt(sid, &interleaved);
-    ExpectSamePostings(interleaved, list, key);
     // Kind-filtered spans preserve within-kind order.
-    std::vector<AliasPosting> entities;
-    std::vector<AliasPosting> predicates;
-    for (const AliasPosting& p : list) {
-      (p.concept_ref.is_entity() ? entities : predicates).push_back(p);
-    }
-    ExpectSamePostings(dict->EntitiesAt(sid), entities, key);
-    ExpectSamePostings(dict->PredicatesAt(sid), predicates, key);
+    ExpectSamePostings(dict->EntitiesAt(sid), Grouped(list, true), key);
+    ExpectSamePostings(dict->PredicatesAt(sid), Grouped(list, false), key);
   }
   EXPECT_EQ(dict->Find("alias key"), -1);          // prefix of a real key
   EXPECT_EQ(dict->Find("alias key a00 more"), -1); // extension of one
   EXPECT_EQ(dict->Find(""), -1);
 
   // Serialize -> Parse -> Serialize is byte-identical, and the parsed
-  // dictionary visits the same (surface, interleave) stream.
+  // dictionary visits the same surfaces, each with its grouped list:
+  // entities, then predicates, each kind in its added order.
   std::vector<unsigned char> bytes = dict->Serialize();
   Result<std::shared_ptr<const FrozenAliasDict>> parsed =
       FrozenAliasDict::Parse(bytes,
@@ -191,7 +193,11 @@ TEST(FrozenAliasDictTest, InterleavedPostingsRoundTripExactly) {
       [&](std::string_view surface, std::span<const AliasPosting> postings) {
         ASSERT_LT(row, rows.size());
         EXPECT_EQ(surface, rows[row].first);
-        ExpectSamePostings(postings, rows[row].second, surface);
+        std::vector<AliasPosting> grouped = Grouped(rows[row].second, true);
+        for (const AliasPosting& p : Grouped(rows[row].second, false)) {
+          grouped.push_back(p);
+        }
+        ExpectSamePostings(postings, grouped, surface);
         ++row;
       });
   EXPECT_EQ(row, rows.size());
@@ -282,9 +288,9 @@ TEST(AliasDictPropertyTest, AdversarialProbesAgreeWithReplica) {
   ExpectIndexMatchesReplica(index, replica, probes);
 }
 
-// --- property: post-delta overlay state -------------------------------------
+// --- property: post-delta state ---------------------------------------------
 
-TEST(AliasDictPropertyTest, PostDeltaOverlaySharesDictAndMatchesReplica) {
+TEST(AliasDictPropertyTest, PostDeltaDictMatchesReplica) {
   Rng rng(95);
   SyntheticKbOptions options;
   options.num_domains = 4;
@@ -311,11 +317,6 @@ TEST(AliasDictPropertyTest, PostDeltaOverlaySharesDictAndMatchesReplica) {
   ASSERT_TRUE(applied.ok()) << applied.status();
   const AliasIndex& updated = applied->kb.alias_index();
 
-  // The frozen tier is *shared* with the base — deltas never copy it —
-  // and every touched surface lives in the overlay.
-  EXPECT_EQ(updated.frozen_dict().get(), base.alias_index().frozen_dict().get());
-  EXPECT_FALSE(updated.overlay().empty());
-
   Replica replica = Replica::Of(updated);
   std::vector<std::string> probes = {AsciiToLower(adjusted),
                                      "brand new alias",
@@ -324,31 +325,20 @@ TEST(AliasDictPropertyTest, PostDeltaOverlaySharesDictAndMatchesReplica) {
                                      "delta added entity"};
   ExpectIndexMatchesReplica(updated, replica, probes);
 
-  // Tombstoned surfaces are really gone, even though the frozen dictionary
-  // still carries them.
+  // Tombstoned surfaces are really gone.
   const std::string dead = AsciiToLower(base.entity(2).label);
   if (replica.postings.find(dead) == replica.postings.end()) {
     EXPECT_TRUE(updated.LookupEntities(dead).empty());
-    std::vector<AliasPosting> via_interleave;
-    EXPECT_FALSE(updated.GetInterleavedPostings(dead, &via_interleave));
   }
 
-  // A snapshot of the composed KB round-trips through the merged
-  // dictionary: saving compiles dict+overlay into a fresh frozen dict.
-  std::shared_ptr<const FrozenAliasDict> merged = updated.SerializableDict();
-  ASSERT_NE(merged, nullptr);
-  Replica merged_replica;
-  merged->VisitSurfaces(
-      [&](std::string_view surface, std::span<const AliasPosting> postings) {
-        auto& list = merged_replica.postings[std::string(surface)];
-        list.insert(list.end(), postings.begin(), postings.end());
-      });
-  ASSERT_EQ(merged_replica.postings.size(), replica.postings.size());
-  for (const auto& [surface, postings] : replica.postings) {
-    auto it = merged_replica.postings.find(surface);
-    ASSERT_NE(it, merged_replica.postings.end()) << surface;
-    ExpectSamePostings(it->second, postings, surface);
-  }
+  // A snapshot of the composed KB round-trips: the reloaded index matches
+  // the same replica.
+  const std::string path = TempPath("post_delta.tenetkb");
+  ASSERT_TRUE(SaveKnowledgeBase(applied->kb, path).ok());
+  Result<KnowledgeBase> loaded = LoadKnowledgeBase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->alias_index().num_surfaces(), replica.postings.size());
+  ExpectIndexMatchesReplica(loaded->alias_index(), replica, probes);
 }
 
 // --- determinism: build-twice byte equality ---------------------------------
@@ -468,11 +458,14 @@ TEST_F(AliasDictCorruptionTest, TruncationInsideTheDictionaryIsRejected) {
 }
 
 TEST_F(AliasDictCorruptionTest, UnknownVersionIsRejected) {
-  std::string bytes = bytes_;
-  uint32_t version = 99;
-  std::memcpy(bytes.data() + dict_.offset + 8, &version, sizeof(version));
-  ResealDictChecksum(&bytes, dict_);
-  ExpectRejected(bytes, "bad version");
+  // Version 2 carried a kind-bit array after the entity splits; a version
+  // 3 payload relabelled as 2 must not be read as one.
+  for (uint32_t version : {uint32_t{2}, uint32_t{99}}) {
+    std::string bytes = bytes_;
+    std::memcpy(bytes.data() + dict_.offset + 8, &version, sizeof(version));
+    ResealDictChecksum(&bytes, dict_);
+    ExpectRejected(bytes, "bad version");
+  }
 }
 
 TEST_F(AliasDictCorruptionTest, BadRestartOffsetsAreRejected) {
@@ -526,10 +519,10 @@ TEST_F(AliasDictCorruptionTest, WrapInducingHeaderCountsAreRejected) {
   // num_postings and key_blob_bytes are free u64 header fields.  Craft a
   // pair whose unchecked expected-size sum wraps mod 2^64 back to the real
   // section size: num_postings = 2^60 contributes 2^60 * 16 = 0 (mod 2^64)
-  // posting bytes plus 2^57 kind-bit bytes, and key_blob_bytes cancels the
-  // rest.  A parser doing unchecked arithmetic would pass its exact-size
-  // check and then read far past the ~KB payload; the counts must instead
-  // be rejected up front with kInvalidArgument.
+  // posting bytes, and key_blob_bytes takes the rest of the section.  A
+  // parser doing unchecked arithmetic would pass its exact-size check and
+  // then read far past the ~KB payload; the counts must instead be
+  // rejected up front with kInvalidArgument.
   const char* payload = bytes_.data() + dict_.offset;
   uint32_t num_surfaces = 0;
   uint32_t num_blocks = 0;
@@ -541,15 +534,12 @@ TEST_F(AliasDictCorruptionTest, WrapInducingHeaderCountsAreRejected) {
   fixed += aligned8((num_surfaces + uint64_t{1}) * 4);  // posting_offsets
   fixed += aligned8(uint64_t{num_surfaces} * 4);        // entity_splits
   const uint64_t num_postings = uint64_t{1} << 60;  // * 16 wraps to 0
-  const uint64_t kind_bit_bytes = ((num_postings + 63) / 64) * 8;  // 2^57
-  const uint64_t key_blob_bytes =
-      uint64_t{dict_.size} - fixed - kind_bit_bytes;  // wraps "negative"
+  const uint64_t key_blob_bytes = uint64_t{dict_.size} - fixed;
   // Sanity: these counts reproduce the section size exactly under wrapping
   // u64 arithmetic (key_blob_bytes lands 8-aligned, so aligned8 is a
   // no-op on it) — i.e. an unchecked parser would accept them.
   ASSERT_EQ(key_blob_bytes % 8, 0u);
-  ASSERT_EQ(fixed + kind_bit_bytes + aligned8(key_blob_bytes) +
-                num_postings * 16,
+  ASSERT_EQ(fixed + aligned8(key_blob_bytes) + num_postings * 16,
             uint64_t{dict_.size});
   std::string bytes = bytes_;
   std::memcpy(bytes.data() + dict_.offset + 32, &num_postings,

@@ -59,9 +59,10 @@ TEST(AliasIndexTest, UnknownSurfaceIsEmpty) {
   index.Add("known", ConceptRef::Entity(0), 1.0);
   index.Finalize();
   EXPECT_TRUE(index.LookupEntities("unknown").empty());
+  EXPECT_TRUE(index.LookupPredicates("unknown").empty());
   EXPECT_TRUE(index.LookupPredicates("known").empty());
-  EXPECT_FALSE(index.ContainsSurface("known", ConceptRef::Kind::kPredicate));
-  EXPECT_TRUE(index.ContainsSurface("Known", ConceptRef::Kind::kEntity));
+  EXPECT_TRUE(index.LookupPredicates("Known").empty());
+  EXPECT_FALSE(index.LookupEntities("Known").empty());
 }
 
 TEST(AliasIndexTest, EmptySurfaceIgnored) {
