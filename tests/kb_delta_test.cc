@@ -1,13 +1,14 @@
 // TENETDELTA1 suite: segment round-trip, the loader's corruption matrix,
 // crash-safe (torn-write) behavior, and the ApplyDeltas semantics — dense
 // append-only ids, composed alias weights with bit-exact untouched
-// surfaces, tombstones, and near-tie prior flips.  Registered under the
-// `kbupdate` ctest label.
+// surfaces, tombstones, near-tie prior flips and the op order of tied
+// priors.  Registered under the `kbupdate` ctest label.
 #include "kb/delta.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -279,6 +280,32 @@ TEST(ApplyDeltasTest, PriorAdjustmentFlipsANearTie) {
   EXPECT_EQ(after[0].entity, base.paris_person) << "the tie did not flip";
   EXPECT_NEAR(after[0].prior, 0.8 / (0.8 + 0.51), 1e-12);
   EXPECT_NEAR(after[1].prior, 0.51 / (0.8 + 0.51), 1e-12);
+}
+
+TEST(ApplyDeltasTest, TiedPriorsKeepTheirOpOrder) {
+  // More postings than an insertion sort handles alone: an unstable sort
+  // of this many equal priors reorders them, a stable one keeps the order
+  // the ops added them in.
+  Base base = MakeBase();
+  DeltaBuilder builder(base.kb);
+  std::vector<EntityId> crowd;
+  for (int i = 0; i < 24; ++i) {
+    crowd.push_back(builder.AddEntity("Member " + std::to_string(i),
+                                      EntityType::kPerson));
+    builder.AddEntityAlias(crowd.back(), "the crowd", 1.0);
+  }
+  std::vector<DeltaSegment> segments{builder.Build()};
+  Result<AppliedDelta> applied =
+      ApplyDeltas(base.kb, base.embeddings, segments);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+
+  std::span<const AliasPosting> postings =
+      applied->kb.alias_index().LookupEntities("the crowd");
+  ASSERT_EQ(postings.size(), crowd.size());
+  for (size_t i = 0; i < crowd.size(); ++i) {
+    EXPECT_EQ(postings[i].concept_ref, ConceptRef::Entity(crowd[i])) << i;
+    EXPECT_EQ(postings[i].prior, postings[0].prior) << i;
+  }
 }
 
 TEST(ApplyDeltasTest, TombstoneStripsCandidatesAndDropsFacts) {
