@@ -1,8 +1,7 @@
 // google-benchmark micro-suite over the algorithmic kernels of TENET:
-// Kruskal and Prim MST, Hopcroft-Karp matching, tree splitting, Dijkstra,
-// pairwise similarity (scalar baseline vs the vectorized DotUnit kernel),
-// coherence graph construction, tree-cover solving and greedy
-// disambiguation.
+// Kruskal MST, Hopcroft-Karp matching, tree splitting, pairwise
+// similarity (scalar baseline vs the vectorized DotUnit kernel), coherence
+// graph construction, tree-cover solving and greedy disambiguation.
 //
 // Besides the interactive google-benchmark suite, `--json <path>` runs a
 // hand-rolled deterministic measurement pass over the pairwise-similarity
@@ -24,7 +23,6 @@
 #include "core/tree_split.h"
 #include "embedding/dot_kernel.h"
 #include "embedding/embedding_store.h"
-#include "graph/dijkstra.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/mst.h"
 #include "json_out.h"
@@ -60,25 +58,6 @@ void BM_KruskalMst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_KruskalMst)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_PrimMst(benchmark::State& state) {
-  graph::WeightedGraph g =
-      RandomGraph(static_cast<int>(state.range(0)), 0.1, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::PrimMst(g));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_PrimMst)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_Dijkstra(benchmark::State& state) {
-  graph::WeightedGraph g =
-      RandomGraph(static_cast<int>(state.range(0)), 0.1, 43);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::Dijkstra(g, 0));
-  }
-}
-BENCHMARK(BM_Dijkstra)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_HopcroftKarp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

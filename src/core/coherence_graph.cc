@@ -1,5 +1,6 @@
 #include "core/coherence_graph.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +9,12 @@
 
 namespace tenet {
 namespace core {
+namespace {
+
+// The matrix entry of a pair Definition 4 draws no edge between.
+constexpr double kNoEdge = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 int CoherenceGraph::MentionOfNode(int node) const {
   TENET_CHECK(node >= 0 && node < num_nodes());
@@ -25,6 +32,23 @@ const std::vector<int>& CoherenceGraph::ConceptNodesOfMention(
     int mention) const {
   TENET_CHECK(mention >= 0 && mention < num_mentions());
   return concepts_of_mention_[mention];
+}
+
+double CoherenceGraph::EdgeWeight(int u, int v, double missing) const {
+  if (u > v) std::swap(u, v);
+  const int m = num_mentions();
+  if (u < 0 || v >= num_nodes() || v < m) return missing;
+  if (u < m) {  // a mention edge joins a mention to its own candidates
+    return concept_nodes_[v - m].mention == u ? mention_edge_weight_[v - m]
+                                               : missing;
+  }
+  const double weight =
+      distance_[static_cast<size_t>(u - m) * num_concept_nodes() + (v - m)];
+  return weight == kNoEdge ? missing : weight;
+}
+
+bool CoherenceGraph::HasEdge(int u, int v) const {
+  return EdgeWeight(u, v, kNoEdge) != kNoEdge;
 }
 
 CoherenceGraphBuilder::CoherenceGraphBuilder(
@@ -74,28 +98,19 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
   text::RecordInputTruncated(text::InputTruncateReason::kCandidates,
                              candidate_overflow);
 
-  CoherenceGraph cg(std::move(mentions),
-                    static_cast<int>(concept_nodes.size()));
+  CoherenceGraph cg(std::move(mentions));
   cg.concept_nodes_ = std::move(concept_nodes);
+  const int num_concepts = cg.num_concept_nodes();
+  cg.mention_edge_weight_.resize(num_concepts);
   for (int m = 0; m < num_mentions; ++m) {
     for (int local : of_mention[m]) {
       cg.concepts_of_mention_[m].push_back(num_mentions + local);
-    }
-  }
-
-  // The edge list: mention -> candidate edges (local semantic distance,
-  // Eqs. 1-2), then the concept x concept edges in (i, j) order.  As
-  // emitted it is unique and lexicographic, so the graph takes it as is.
-  std::vector<graph::Edge> edges;
-  for (int m = 0; m < num_mentions; ++m) {
-    for (int node : cg.concepts_of_mention_[m]) {
-      double prior = cg.concept_node(node).prior;
-      edges.push_back(graph::Edge{m, node, 1.0 - prior});
+      // Local semantic distance, Eqs. 1-2.
+      cg.mention_edge_weight_[local] = 1.0 - cg.concept_nodes_[local].prior;
     }
   }
 
   // Concept x concept edges (global semantic distance, Eqs. 3-5).
-  const int num_concepts = cg.num_concept_nodes();
   if (num_concepts == 0) return cg;
 
   // Whether the pair (i, j) gets an edge at all: entity pairs always
@@ -111,28 +126,30 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
 
   // Batched kernel: one gather of every candidate's unit row into a
   // contiguous row-major scratch (a single dependency operation for the
-  // whole document), then one row-major triangular sweep that appends each
-  // connected pair straight to the edge list, so the list stays in (i, j)
-  // order.  The scratch holds verbatim copies of the store's unit rows, so
-  // every weight is bit-identical to a per-pair Cosine() call.
+  // whole document), then one row-major triangular sweep that writes each
+  // connected pair into both halves of the matrix.  The scratch holds
+  // verbatim copies of the store's unit rows, so every weight is
+  // bit-identical to a per-pair Cosine() call.
   const int dim = view_->dimension();
   std::vector<kb::ConceptRef> refs(num_concepts);
   for (int i = 0; i < num_concepts; ++i) refs[i] = cg.concept_nodes_[i].ref;
   std::vector<double> rows(static_cast<size_t>(num_concepts) * dim);
   view_->GatherUnit(refs, rows.data());
+  const size_t n = static_cast<size_t>(num_concepts);
+  cg.distance_.assign(n * n, kNoEdge);
   for (int i = 0; i < num_concepts; ++i) {
     const CoherenceGraph::ConceptNode& a = cg.concept_nodes_[i];
     const double* ri = rows.data() + static_cast<size_t>(i) * dim;
     for (int j = i + 1; j < num_concepts; ++j) {
       if (!connected(a, cg.concept_nodes_[j])) continue;
       const double* rj = rows.data() + static_cast<size_t>(j) * dim;
-      edges.push_back(graph::Edge{
-          num_mentions + i, num_mentions + j,
-          1.0 - embedding::ClampCosine(embedding::DotUnit(ri, rj, dim))});
+      const double weight =
+          1.0 - embedding::ClampCosine(embedding::DotUnit(ri, rj, dim));
+      cg.distance_[i * n + j] = weight;
+      cg.distance_[j * n + i] = weight;
+      ++cg.num_concept_pairs_;
     }
   }
-
-  cg.graph_ = graph::WeightedGraph(cg.num_nodes(), std::move(edges));
   return cg;
 }
 

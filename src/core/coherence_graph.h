@@ -3,12 +3,12 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/mention.h"
 #include "embedding/embedding_store.h"
-#include "graph/graph.h"
 #include "kb/kb_view.h"
 #include "kb/knowledge_base.h"
 
@@ -35,6 +35,12 @@ struct CoherenceGraphOptions {
 //   * predicate -> predicate of a different relational phrase in the same
 //     sentence, 1 - cos                                      (Eq. 4)
 //   * entity -> predicate whose phrases share a sentence, 1 - cos (Eq. 5)
+//
+// Storage is dense, because a document's graph is nearly complete: each
+// concept's mention-edge weight, and a symmetric C x C matrix of concept
+// distances, +inf where Definition 4 draws no edge (the diagonal, two
+// candidates of one mention, phrases that share no sentence).  Concept
+// index i is node M + i.
 class CoherenceGraph {
  public:
   // One candidate concept node.
@@ -44,14 +50,20 @@ class CoherenceGraph {
     double prior = 0.0;  // P(c | mention)
   };
 
-  const graph::WeightedGraph& graph() const { return graph_; }
+  /// Itself; kept for perfbench's `graph().num_edges()` until ROADMAP
+  /// item 1.
+  const CoherenceGraph& graph() const { return *this; }
   const MentionSet& mentions() const { return mentions_; }
+  /// Moves the mention universe out of a graph that is done with.
+  MentionSet TakeMentions() && { return std::move(mentions_); }
 
   int num_mentions() const { return mentions_.num_mentions(); }
   int num_concept_nodes() const {
     return static_cast<int>(concept_nodes_.size());
   }
-  int num_nodes() const { return graph_.num_nodes(); }
+  int num_nodes() const { return num_mentions() + num_concept_nodes(); }
+  /// One mention edge per concept node, plus the connected concept pairs.
+  int num_edges() const { return num_concept_nodes() + num_concept_pairs_; }
 
   bool IsMentionNode(int node) const { return node < num_mentions(); }
 
@@ -65,17 +77,31 @@ class CoherenceGraph {
   /// Node ids of the candidates of `mention`.
   const std::vector<int>& ConceptNodesOfMention(int mention) const;
 
+  /// The weight of concept i's mention edge, 1 - P(c|m), by concept index.
+  std::span<const double> MentionEdgeWeights() const {
+    return mention_edge_weight_;
+  }
+  /// The C x C concept-distance matrix, row-major by concept index.
+  std::span<const double> ConceptDistances() const { return distance_; }
+
+  /// Weight of the edge (u, v) between node ids, or `missing` when absent.
+  double EdgeWeight(int u, int v, double missing) const;
+
+  /// True when the edge (u, v) exists.
+  bool HasEdge(int u, int v) const;
+
  private:
   friend class CoherenceGraphBuilder;
-  CoherenceGraph(MentionSet mentions, int num_concepts)
+  explicit CoherenceGraph(MentionSet mentions)
       : mentions_(std::move(mentions)),
-        graph_(mentions_.num_mentions() + num_concepts),
         concepts_of_mention_(mentions_.num_mentions()) {}
 
   MentionSet mentions_;
-  graph::WeightedGraph graph_;
   std::vector<ConceptNode> concept_nodes_;
   std::vector<std::vector<int>> concepts_of_mention_;
+  std::vector<double> mention_edge_weight_;  // by concept index
+  std::vector<double> distance_;             // C x C, +inf: no edge
+  int num_concept_pairs_ = 0;                // finite cells above the diagonal
 };
 
 // Builds CoherenceGraphs for documents against one KB + embedding store.
@@ -85,10 +111,8 @@ class CoherenceGraph {
 // GatherUnit fetches every candidate's unit row into a contiguous
 // row-major scratch (a single dependency operation), then one row-major
 // triangular sweep computes each connected pair's weight with the DotUnit
-// reduction — identical values to per-pair Cosine() calls — and appends it
-// straight to the edge list in lexicographic (i, j) order.  That list,
-// mention edges first, is unique and lexicographic, so the graph is built
-// from it without a merge (see graph::WeightedGraph).
+// reduction — identical values to per-pair Cosine() calls — and writes it
+// straight into both halves of the distance matrix.
 class CoherenceGraphBuilder {
  public:
   /// Builds against the KB substrate behind `view`; the view is

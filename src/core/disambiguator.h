@@ -1,7 +1,7 @@
 #ifndef TENET_CORE_DISAMBIGUATOR_H_
 #define TENET_CORE_DISAMBIGUATOR_H_
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/coherence_graph.h"
@@ -13,17 +13,18 @@ namespace core {
 // Output of Algorithm 5: the mapping Gamma from selected mentions to the
 // concept chosen for each.
 struct DisambiguationResult {
-  /// mention id -> selected concept node (coherence-graph node id).
-  std::unordered_map<int, int> selected_node;
+  /// (mention id, selected concept node), ascending mention ids.
+  std::vector<std::pair<int, int>> selected_node;
+  /// The selected concept node (coherence-graph node id) per mention, or
+  /// -1 when the mention is not linked.
+  std::vector<int> node_of_mention;
   /// Groups whose canopy completed, i.e. were resolved before the edge
   /// stream ran dry.
   std::vector<bool> group_resolved;
   /// Index of the completed canopy per group, or -1 when unresolved.
   std::vector<int> winning_canopy;
 
-  bool IsLinked(int mention) const {
-    return selected_node.count(mention) > 0;
-  }
+  bool IsLinked(int mention) const { return node_of_mention[mention] >= 0; }
 };
 
 // Ablation knobs of the disambiguator.  The defaults are the published

@@ -38,24 +38,26 @@ struct TreeCover {
 
 // Solver statistics, reported for the efficiency experiments.
 struct TreeCoverStats {
-  int pruned_edges = 0;      // edges dropped in step (a)
   int mst_edges = 0;         // MST size in step (c)
   int subtrees = 0;          // carved by step (e)
   int matched_subtrees = 0;  // assigned by step (f)
   int cover_total_edges = 0; // sum of per-tree edges of the final cover
 };
 
-// Implements Algorithm 1 (TreeCoverDetermination):
+// Implements Algorithm 1 (TreeCoverDetermination) on the coherence graph's
+// dense layout:
 //   (a) prune edges heavier than the bound B;
 //   (b) contract all mention nodes into a major root r;
 //   (c) MST over {r} ∪ C in Kruskal's (weight, edge index) order,
-//       computed by graph::PrimMst (concept-concept edges included — the
-//       paper's running example, Fig. 2; see DESIGN.md faithfulness notes);
+//       computed by graph::DenseMst, an O(C^2) array Prim whose weight cap
+//       is step (a) (concept-concept edges included — the paper's running
+//       example, Fig. 2; see DESIGN.md faithfulness notes);
 //   (d) decompose r back into the mentions, yielding one rooted tree per
 //       mention (mentions without concepts become isolated singletons);
 //   (e) split each tree into a leftover (<= B) and subtrees in (B, 2B];
 //   (f) maximum matching (Hopcroft–Karp) of subtrees to mentions within
-//       shortest-path distance <= B, then merge leftover + path + subtree.
+//       shortest-path distance <= B (an array Dijkstra that stops past B),
+//       then merge leftover + path + subtree.
 //
 // Returns kBoundTooSmall (the paper's failure warning) when the pruned
 // contracted graph is disconnected or the matching cannot place every

@@ -1,31 +1,27 @@
 #include "graph/mst.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <utility>
 
+#include "common/logging.h"
 #include "graph/union_find.h"
 
 namespace tenet {
 namespace graph {
-namespace {
-
-// The strict total order both algorithms rank edges by.
-bool Lighter(const std::vector<Edge>& edges, int a, int b) {
-  if (edges[a].weight != edges[b].weight) {
-    return edges[a].weight < edges[b].weight;
-  }
-  return a < b;
-}
-
-}  // namespace
 
 SpanningForest KruskalMst(const WeightedGraph& g) {
   SpanningForest result;
   std::vector<int> order(g.num_edges());
   for (int i = 0; i < g.num_edges(); ++i) order[i] = i;
   const std::vector<Edge>& edges = g.edges();
-  std::sort(order.begin(), order.end(),
-            [&edges](int a, int b) { return Lighter(edges, a, b); });
+  std::sort(order.begin(), order.end(), [&edges](int a, int b) {
+    if (edges[a].weight != edges[b].weight) {
+      return edges[a].weight < edges[b].weight;
+    }
+    return a < b;
+  });
 
   UnionFind uf(g.num_nodes());
   for (int idx : order) {
@@ -40,52 +36,70 @@ SpanningForest KruskalMst(const WeightedGraph& g) {
   return result;
 }
 
-SpanningForest PrimMst(const WeightedGraph& g) {
-  SpanningForest result;
-  const int n = g.num_nodes();
-  if (n == 0) {
-    result.spans_all = true;
-    return result;
-  }
-  const std::vector<Edge>& edges = g.edges();
-  auto lighter = [&edges](int a, int b) { return Lighter(edges, a, b); };
-  std::vector<int> best(n, -1);  // lightest edge seen from the tree
-  std::vector<bool> in_tree(n, false);
-  // (edge, node it reaches): a min-heap on the edge.
-  std::vector<std::pair<int, int>> heap;
-  auto heap_order = [&lighter](const std::pair<int, int>& a,
-                               const std::pair<int, int>& b) {
-    return lighter(b.first, a.first);
+std::vector<Edge> DenseMst(std::span<const double> root,
+                           std::span<const double> block,
+                           double max_edge_weight) {
+  const int k = static_cast<int>(root.size());  // nodes 1..k besides 0
+  TENET_CHECK_EQ(block.size(), static_cast<size_t>(k) * k);
+  // +inf entries stay absent even under an infinite bound.
+  const double cap =
+      std::min(max_edge_weight, std::numeric_limits<double>::max());
+  // The (lo, hi) order of two edges, given their endpoints.
+  auto key_less = [](int a_from, int a_to, int b_from, int b_to) {
+    return std::pair(std::min(a_from, a_to), std::max(a_from, a_to)) <
+           std::pair(std::min(b_from, b_to), std::max(b_from, b_to));
   };
-  auto attach = [&](int node) {
-    in_tree[node] = true;
-    for (int edge : g.IncidentEdges(node)) {
-      const int other = g.OtherEndpoint(edge, node);
-      if (in_tree[other] ||
-          (best[other] >= 0 && !lighter(edge, best[other]))) {
-        continue;
+  // The nodes outside the tree, as a swap-remove list: rest[p] is reached
+  // from the tree by its lightest known edge, of weight best[p] from tree
+  // node from[p] (-1 while no edge is known).
+  std::vector<int> rest(k);
+  std::iota(rest.begin(), rest.end(), 1);
+  std::vector<double> best(k, std::numeric_limits<double>::infinity());
+  std::vector<int> from(k, -1);
+  std::vector<Edge> tree;
+  tree.reserve(k);
+  int joined = 0;                   // the node that joined the tree last
+  const double* row = root.data();  // its edge weights, by node - 1
+  while (!rest.empty()) {
+    // One pass relaxes the edges from `joined` and picks the lightest
+    // edge leaving the tree.  Weights decide; the endpoints are read only
+    // on a tie.
+    const int size = static_cast<int>(rest.size());
+    int pick = -1;
+    double pick_weight = std::numeric_limits<double>::infinity();
+    for (int p = 0; p < size; ++p) {
+      const double w = row[rest[p] - 1];
+      // Both edges end at rest[p], so their (lo, hi) order is the order
+      // of their other endpoints.
+      if (w <= cap && (w < best[p] || (w == best[p] && joined < from[p]))) {
+        best[p] = w;
+        from[p] = joined;
       }
-      best[other] = edge;
-      heap.emplace_back(edge, other);
-      std::push_heap(heap.begin(), heap.end(), heap_order);
+      if (best[p] < pick_weight ||
+          (best[p] == pick_weight && pick >= 0 &&
+           key_less(from[p], rest[p], from[pick], rest[pick]))) {
+        pick = p;
+        pick_weight = best[p];
+      }
     }
-  };
-  attach(0);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_order);
-    const auto [edge, node] = heap.back();
-    heap.pop_back();
-    if (in_tree[node]) continue;  // superseded by a lighter edge
-    result.edge_indices.push_back(edge);
-    attach(node);
+    if (pick < 0) break;  // nothing left is reachable from node 0
+    joined = rest[pick];
+    tree.push_back(Edge{from[pick], joined, pick_weight});
+    rest[pick] = rest[size - 1];
+    best[pick] = best[size - 1];
+    from[pick] = from[size - 1];
+    rest.pop_back();
+    best.pop_back();
+    from.pop_back();
+    row = block.data() + static_cast<size_t>(joined - 1) * k;
   }
   // Kruskal accepts the tree's edges lightest first.
-  std::sort(result.edge_indices.begin(), result.edge_indices.end(), lighter);
-  for (int edge : result.edge_indices) {
-    result.total_weight += edges[edge].weight;
-  }
-  result.spans_all = static_cast<int>(result.edge_indices.size()) == n - 1;
-  return result;
+  std::sort(tree.begin(), tree.end(),
+            [&key_less](const Edge& a, const Edge& b) {
+              if (a.weight != b.weight) return a.weight < b.weight;
+              return key_less(a.u, a.v, b.u, b.v);
+            });
+  return tree;
 }
 
 }  // namespace graph

@@ -75,7 +75,7 @@ TEST(DisambiguatorTest, PriorsDecideWithoutCoherence) {
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
 
   ASSERT_TRUE(gamma.IsLinked(0));
-  EXPECT_EQ(cg.concept_node(gamma.selected_node.at(0)).ref.id, popular);
+  EXPECT_EQ(cg.concept_node(gamma.node_of_mention[0]).ref.id, popular);
 }
 
 TEST(DisambiguatorTest, CoherenceOverridesPrior) {
@@ -99,8 +99,8 @@ TEST(DisambiguatorTest, CoherenceOverridesPrior) {
   ASSERT_TRUE(gamma.IsLinked(1));
   // Anchor is unambiguous (prior 1 -> edge weight 0), links first, and its
   // d=0 coherence edge to the rare sense vouches for it (strategy 2).
-  EXPECT_EQ(cg.concept_node(gamma.selected_node.at(1)).ref.id, anchor);
-  EXPECT_EQ(cg.concept_node(gamma.selected_node.at(0)).ref.id, rare);
+  EXPECT_EQ(cg.concept_node(gamma.node_of_mention[1]).ref.id, anchor);
+  EXPECT_EQ(cg.concept_node(gamma.node_of_mention[0]).ref.id, rare);
 }
 
 TEST(DisambiguatorTest, OneConceptPerMention) {
@@ -116,7 +116,8 @@ TEST(DisambiguatorTest, OneConceptPerMention) {
   TreeCover cover = TreeCoverSolver().Solve(cg, 10.0).value();
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
   // Exactly one of the two equal candidates is selected, never both.
-  EXPECT_EQ(gamma.selected_node.count(0), 1u);
+  ASSERT_EQ(gamma.selected_node.size(), 1u);
+  EXPECT_EQ(gamma.selected_node[0].first, 0);
 }
 
 TEST(DisambiguatorTest, CanopyExclusionSelectsOneReading) {
@@ -200,8 +201,8 @@ TEST(DisambiguatorTest, IsolatedMentionLinksItsOwnCandidate) {
   DisambiguationResult gamma = Disambiguator().Run(cg, cover);
   ASSERT_TRUE(gamma.IsLinked(0));
   ASSERT_TRUE(gamma.IsLinked(1));
-  EXPECT_EQ(cg.concept_node(gamma.selected_node.at(0)).ref.id, a);
-  EXPECT_EQ(cg.concept_node(gamma.selected_node.at(1)).ref.id, b);
+  EXPECT_EQ(cg.concept_node(gamma.node_of_mention[0]).ref.id, a);
+  EXPECT_EQ(cg.concept_node(gamma.node_of_mention[1]).ref.id, b);
 }
 
 }  // namespace

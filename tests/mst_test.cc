@@ -1,6 +1,8 @@
 #include "graph/mst.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,24 +37,42 @@ TEST(KruskalTest, SingleNodeSpansTrivially) {
   EXPECT_TRUE(mst.edge_indices.empty());
 }
 
-TEST(PrimTest, MatchesKruskalOnTriangle) {
-  SpanningForest prim = PrimMst(Triangle());
-  EXPECT_TRUE(prim.spans_all);
-  EXPECT_DOUBLE_EQ(prim.total_weight, 3.0);
-  EXPECT_EQ(prim.edge_indices, (std::vector<int>{0, 1}));
+// The triangle in DenseMst's layout: node 0's row, then nodes 1..2.
+constexpr double kNoEdge = std::numeric_limits<double>::infinity();
+const std::vector<double> kTriangleRoot = {1.0, 3.0};
+const std::vector<double> kTriangleBlock = {kNoEdge, 2.0, 2.0, kNoEdge};
+
+TEST(DenseMstTest, MatchesKruskalOnTriangle) {
+  const std::vector<Edge> mst =
+      DenseMst(kTriangleRoot, kTriangleBlock, kNoEdge);
+  ASSERT_EQ(mst.size(), 2u);
+  EXPECT_EQ(mst[0].u, 0);
+  EXPECT_EQ(mst[0].v, 1);
+  EXPECT_EQ(mst[0].weight, 1.0);
+  EXPECT_EQ(mst[1].u, 1);
+  EXPECT_EQ(mst[1].v, 2);
+  EXPECT_EQ(mst[1].weight, 2.0);
 }
 
-TEST(PrimTest, SingleNodeSpansTrivially) {
-  SpanningForest mst = PrimMst(WeightedGraph(1));
-  EXPECT_TRUE(mst.spans_all);
-  EXPECT_TRUE(mst.edge_indices.empty());
+TEST(DenseMstTest, PrunesEdgesHeavierThanTheBound) {
+  const std::vector<Edge> mst = DenseMst(kTriangleRoot, kTriangleBlock, 1.5);
+  ASSERT_EQ(mst.size(), 1u);  // node 2 is out of reach
+  EXPECT_EQ(mst[0].v, 1);
 }
 
-TEST(PrimTest, CoversOnlyNodeZerosComponent) {
-  WeightedGraph g(5, {{0, 1, 1.0}, {3, 4, 1.0}});
-  SpanningForest prim = PrimMst(g);
-  EXPECT_FALSE(prim.spans_all);
-  EXPECT_EQ(prim.edge_indices, std::vector<int>{0});
+TEST(DenseMstTest, SingleNodeSpansTrivially) {
+  EXPECT_TRUE(DenseMst({}, {}, kNoEdge).empty());
+}
+
+TEST(DenseMstTest, CoversOnlyNodeZerosComponent) {
+  // Edges 0-1 and 3-4 over five nodes.
+  const std::vector<double> root = {1.0, kNoEdge, kNoEdge, kNoEdge};
+  std::vector<double> block(16, kNoEdge);
+  block[2 * 4 + 3] = block[3 * 4 + 2] = 1.0;
+  const std::vector<Edge> mst = DenseMst(root, block, kNoEdge);
+  ASSERT_EQ(mst.size(), 1u);
+  EXPECT_EQ(mst[0].u, 0);
+  EXPECT_EQ(mst[0].v, 1);
 }
 
 WeightedGraph RandomConnectedGraph(Rng& rng, int n, double extra_edge_prob) {
@@ -71,23 +91,18 @@ WeightedGraph RandomConnectedGraph(Rng& rng, int n, double extra_edge_prob) {
   return WeightedGraph(n, std::move(edges));
 }
 
-// Property test: Prim returns Kruskal's tree in Kruskal's order, the MST is
-// acyclic and spanning, and removing any MST edge disconnects the MST (tree
-// property) on random connected graphs.
+// Property test: the MST is acyclic and spanning on random connected
+// graphs (mst_equivalence_test holds DenseMst to it).
 class MstPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MstPropertyTest, KruskalEqualsPrimAndIsTree) {
+TEST_P(MstPropertyTest, KruskalIsASpanningTree) {
   Rng rng(GetParam());
   const int n = 3 + static_cast<int>(rng.NextUint64(30));
   WeightedGraph g = RandomConnectedGraph(rng, n, 0.3);
 
   SpanningForest kruskal = KruskalMst(g);
-  SpanningForest prim = PrimMst(g);
   ASSERT_TRUE(kruskal.spans_all);
-  ASSERT_TRUE(prim.spans_all);
   EXPECT_EQ(kruskal.edge_indices.size(), static_cast<size_t>(n - 1));
-  EXPECT_EQ(prim.edge_indices, kruskal.edge_indices);
-  EXPECT_EQ(prim.total_weight, kruskal.total_weight);
 
   // MST edges form a spanning tree: n-1 edges, no cycles.
   UnionFind uf(n);

@@ -47,11 +47,11 @@ TEST(CoherenceGraphTest, FigureOneStructure) {
   EXPECT_EQ(cg.concept_node(candidates[0]).ref.id, world.player);
   EXPECT_NEAR(cg.concept_node(candidates[0]).prior, 0.7, 1e-9);
   // Mention-candidate edge weight = 1 - prior (Eq. 1).
-  EXPECT_NEAR(cg.graph().EdgeWeight(mj, candidates[0], -1.0), 0.3, 1e-9);
-  EXPECT_NEAR(cg.graph().EdgeWeight(mj, candidates[1], -1.0), 0.7, 1e-9);
+  EXPECT_NEAR(cg.EdgeWeight(mj, candidates[0], -1.0), 0.3, 1e-9);
+  EXPECT_NEAR(cg.EdgeWeight(mj, candidates[1], -1.0), 0.7, 1e-9);
 
   // No edge between two candidates of the same mention.
-  EXPECT_FALSE(cg.graph().HasEdge(candidates[0], candidates[1]));
+  EXPECT_FALSE(cg.HasEdge(candidates[0], candidates[1]));
 
   // Every concept node belongs to its mention.
   for (int m = 0; m < cg.num_mentions(); ++m) {
@@ -82,7 +82,7 @@ TEST(CoherenceGraphTest, SentenceRulesForPredicateEdges) {
   // Predicates of different sentences are never connected (Eq. 4).
   for (int u : cg.ConceptNodesOfMention(study)) {
     for (int v : cg.ConceptNodesOfMention(visit)) {
-      EXPECT_FALSE(cg.graph().HasEdge(u, v));
+      EXPECT_FALSE(cg.HasEdge(u, v));
     }
   }
 
@@ -95,10 +95,10 @@ TEST(CoherenceGraphTest, SentenceRulesForPredicateEdges) {
   ASSERT_GE(brooklyn, 0);
   for (int u : cg.ConceptNodesOfMention(brooklyn)) {
     for (int v : cg.ConceptNodesOfMention(visit)) {
-      EXPECT_TRUE(cg.graph().HasEdge(u, v));
+      EXPECT_TRUE(cg.HasEdge(u, v));
     }
     for (int v : cg.ConceptNodesOfMention(study)) {
-      EXPECT_FALSE(cg.graph().HasEdge(u, v));
+      EXPECT_FALSE(cg.HasEdge(u, v));
     }
   }
 }

@@ -69,14 +69,14 @@ TEST(TreeCoverWalkthroughTest, GraphWeightsMatchHandComputation) {
   ASSERT_EQ(cg.num_mentions(), 2);
   ASSERT_EQ(cg.num_concept_nodes(), 3);
 
-  EXPECT_NEAR(cg.graph().EdgeWeight(0, 2, -1), 0.2, 1e-9);  // 1 - 0.8
-  EXPECT_NEAR(cg.graph().EdgeWeight(0, 3, -1), 0.8, 1e-9);  // 1 - 0.2
-  EXPECT_NEAR(cg.graph().EdgeWeight(1, 4, -1), 0.0, 1e-9);  // 1 - 1.0
+  EXPECT_NEAR(cg.EdgeWeight(0, 2, -1), 0.2, 1e-9);  // 1 - 0.8
+  EXPECT_NEAR(cg.EdgeWeight(0, 3, -1), 0.8, 1e-9);  // 1 - 0.2
+  EXPECT_NEAR(cg.EdgeWeight(1, 4, -1), 0.0, 1e-9);  // 1 - 1.0
   // Concept-concept distances: 1 - cos.
-  EXPECT_NEAR(cg.graph().EdgeWeight(2, 4, -1), 0.0, 1e-9);  // same axis
-  EXPECT_NEAR(cg.graph().EdgeWeight(3, 4, -1), 1.0, 1e-9);  // orthogonal
+  EXPECT_NEAR(cg.EdgeWeight(2, 4, -1), 0.0, 1e-9);  // same axis
+  EXPECT_NEAR(cg.EdgeWeight(3, 4, -1), 1.0, 1e-9);  // orthogonal
   // No edge between candidates of the same mention.
-  EXPECT_FALSE(cg.graph().HasEdge(2, 3));
+  EXPECT_FALSE(cg.HasEdge(2, 3));
 }
 
 TEST(TreeCoverWalkthroughTest, MstAndDecompositionAtGenerousBound) {
@@ -92,7 +92,6 @@ TEST(TreeCoverWalkthroughTest, MstAndDecompositionAtGenerousBound) {
   // r-A2 contracted from m0-A2 (0.8) [A2's only light connection is via
   // its mention edge; A2-B1 costs 1.0 > 0.8].
   EXPECT_EQ(stats.mst_edges, 3);
-  EXPECT_EQ(stats.pruned_edges, 0);
   EXPECT_EQ(stats.subtrees, 0);  // total weight 0.8 <= B = 2
 
   // Decomposition: B1's component (B1 + A1) hangs off m1 (weight-0 star
