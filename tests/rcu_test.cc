@@ -91,6 +91,33 @@ TEST(RcuCellTest, APinKeepsItsValueAliveThroughManyPublishes) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
+TEST(RcuCellTest, PublishFreesAValueRetiredWhileUnpinned) {
+  auto initial = std::make_shared<const Tracked>(1);
+  std::weak_ptr<const Tracked> watch = initial;
+  RcuCell<Tracked> cell(std::move(initial));
+  ASSERT_TRUE(cell.Publish(std::make_shared<const Tracked>(2)).ok());
+  // Retired with no reader: gone now, not when the ring next reuses its
+  // slot num_slots publishes later.
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(cell.Current()->value, 2);
+}
+
+TEST(RcuCellTest, APinnedRetiredValueDiesAtThePublishAfterItsPinDrops) {
+  auto initial = std::make_shared<const Tracked>(1);
+  std::weak_ptr<const Tracked> watch = initial;
+  RcuCell<Tracked> cell(std::move(initial));
+  RcuCell<Tracked>::Pin pin = cell.Acquire();
+  ASSERT_TRUE(cell.Publish(std::make_shared<const Tracked>(2)).ok());
+  EXPECT_FALSE(watch.expired());  // retired while pinned
+  ASSERT_TRUE(pin->Intact());
+  pin.Release();
+  // Released, but freed only by a publish, on the publishing thread.
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(cell.Publish(std::make_shared<const Tracked>(3)).ok());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(Tracked::live.load(), 1);  // only the current value is left
+}
+
 TEST(RcuCellTest, PinCopiesEachHoldTheirOwnPin) {
   RcuCell<Tracked> cell(std::make_shared<const Tracked>(5));
   RcuCell<Tracked>::Pin a = cell.Acquire();
