@@ -127,9 +127,9 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
   // Batched kernel: one gather of every candidate's unit row into a
   // contiguous row-major scratch (a single dependency operation for the
   // whole document), then one row-major triangular sweep that writes each
-  // connected pair into both halves of the matrix.  The scratch holds
-  // verbatim copies of the store's unit rows, so every weight is
-  // bit-identical to a per-pair Cosine() call.
+  // connected pair into both halves of the matrix.  The scratch holds the
+  // same unit rows a per-pair Cosine() call writes, so every weight is
+  // bit-identical to it.
   const int dim = view_->dimension();
   std::vector<kb::ConceptRef> refs(num_concepts);
   for (int i = 0; i < num_concepts; ++i) refs[i] = cg.concept_nodes_[i].ref;

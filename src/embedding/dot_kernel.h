@@ -6,7 +6,8 @@ namespace embedding {
 
 // The pairwise-similarity kernel of the coherence graph (Eqs. 3-5), over
 // unit-normalized rows: cosine(a, b) is a pure dot product once both rows
-// have been divided by their norms at Finalize() time.
+// have been divided by their norms (EmbeddingStore writes each unit row
+// from its float row and the norm Finalize() computed).
 //
 // DotUnit reduces in a fixed blocked, multi-accumulator order: eight
 // independent double accumulators over stride-8 blocks, a scalar tail, and
@@ -18,11 +19,11 @@ namespace embedding {
 // single-pass document sweep — gets bit-identical values for the same
 // pair.
 //
-// The rows are double, not float: the unit matrix keeps full precision so
-// the kernel's cosines stay within ~1e-14 of the historical
+// The rows are double, not float: a unit row keeps full precision so the
+// kernel's cosines stay within ~1e-14 of the historical
 // dot(raw)/(norm*norm) arithmetic — close enough that no downstream
-// near-tie (disambiguation order, candidate choice) ever flips.  A float
-// matrix halves the bandwidth but drifts ~1e-6, which measurably changes
+// near-tie (disambiguation order, candidate choice) ever flips.  Float
+// unit rows halve the bandwidth but drift ~1e-6, which measurably changes
 // linking decisions on tie-heavy corpora.
 //
 // `a` and `b` need not be aligned; `dim` may be any non-negative count.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/dependency_health.h"
 #include "common/fault_injection.h"
@@ -48,26 +49,36 @@ std::span<const float> EmbeddingStore::Vector(kb::ConceptRef ref) const {
   return std::span<const float>(data_.data() + Offset(ref), dimension_);
 }
 
-std::span<const double> EmbeddingStore::UnitVector(kb::ConceptRef ref) const {
-  TENET_CHECK(finalized_) << "UnitVector before Finalize";
-  return std::span<const double>(unit_data_.data() + Offset(ref), dimension_);
-}
-
-void EmbeddingStore::Finalize() {
-  TENET_CHECK(!finalized_) << "Finalize called twice";
-  size_t count = static_cast<size_t>(num_entities_) + num_predicates_;
-  unit_data_.assign(data_.size(), 0.0);
+bool EmbeddingStore::ComputeNorms() {
+  const size_t count = static_cast<size_t>(num_entities_) + num_predicates_;
+  norm_.resize(count);
+  // A float squared is exact in double and a row's sum stays far inside
+  // the double range, so a norm is finite exactly when its row is.
+  bool finite = true;
   for (size_t i = 0; i < count; ++i) {
     const float* v = data_.data() + i * dimension_;
     double sum = 0.0;
     for (int d = 0; d < dimension_; ++d) sum += double{v[d]} * v[d];
-    double norm = std::sqrt(sum);
-    if (norm <= 0.0) continue;  // zero rows stay zero: cosine 0 by design
-    double* unit = unit_data_.data() + i * dimension_;
-    for (int d = 0; d < dimension_; ++d) {
-      unit[d] = double{v[d]} / norm;
-    }
+    norm_[i] = std::sqrt(sum);
+    finite = finite && std::isfinite(norm_[i]);
   }
+  return finite;
+}
+
+void EmbeddingStore::WriteUnit(kb::ConceptRef ref, double* out) const {
+  const size_t row = RowIndex(ref);
+  const float* v = data_.data() + row * dimension_;
+  const double norm = norm_[row];
+  if (norm <= 0.0) {  // zero rows stay zero: cosine 0 by design
+    std::memset(out, 0, static_cast<size_t>(dimension_) * sizeof(double));
+    return;
+  }
+  for (int d = 0; d < dimension_; ++d) out[d] = double{v[d]} / norm;
+}
+
+void EmbeddingStore::Finalize() {
+  TENET_CHECK(!finalized_) << "Finalize called twice";
+  ComputeNorms();
   finalized_ = true;
 }
 
@@ -79,25 +90,7 @@ Status EmbeddingStore::LoadMatrix(const void* matrix, size_t count_floats) {
   // memcpy tolerates any source alignment — mmapped payloads start at a
   // file offset the format does not promise to be float-aligned.
   std::memcpy(data_.data(), matrix, count_floats * sizeof(float));
-  size_t count = static_cast<size_t>(num_entities_) + num_predicates_;
-  unit_data_.assign(data_.size(), 0.0);
-  for (size_t i = 0; i < count; ++i) {
-    const float* v = data_.data() + i * dimension_;
-    double sum = 0.0;
-    for (int d = 0; d < dimension_; ++d) {
-      if (!std::isfinite(v[d])) {
-        unit_data_.clear();
-        return Status::DataLoss("non-finite embedding payload");
-      }
-      sum += double{v[d]} * v[d];
-    }
-    double norm = std::sqrt(sum);
-    if (norm <= 0.0) continue;  // zero rows stay zero: cosine 0 by design
-    double* unit = unit_data_.data() + i * dimension_;
-    for (int d = 0; d < dimension_; ++d) {
-      unit[d] = double{v[d]} / norm;
-    }
-  }
+  if (!ComputeNorms()) return Status::DataLoss("non-finite embedding payload");
   finalized_ = true;
   return Status::Ok();
 }
@@ -110,9 +103,19 @@ double EmbeddingStore::Cosine(kb::ConceptRef a, kb::ConceptRef b) const {
   TENET_OBSERVE_DEPENDENCY("embedding/fetch", !faulted);
   ops_.Record(!faulted);
   if (faulted) return 0.0;
-  const double* ua = unit_data_.data() + Offset(a);
-  const double* ub = unit_data_.data() + Offset(b);
-  return ClampCosine(DotUnit(ua, ub, dimension_));
+  // Both unit rows go to the stack; only a store wider than any shipped
+  // world (32 dimensions) takes the heap.
+  constexpr int kStackDim = 64;
+  double stack_rows[2 * kStackDim];
+  std::vector<double> heap_rows;
+  double* rows = stack_rows;
+  if (dimension_ > kStackDim) {
+    heap_rows.resize(2 * static_cast<size_t>(dimension_));
+    rows = heap_rows.data();
+  }
+  WriteUnit(a, rows);
+  WriteUnit(b, rows + dimension_);
+  return ClampCosine(DotUnit(rows, rows + dimension_, dimension_));
 }
 
 void EmbeddingStore::GatherUnit(std::span<const kb::ConceptRef> refs,
@@ -121,14 +124,12 @@ void EmbeddingStore::GatherUnit(std::span<const kb::ConceptRef> refs,
   const bool faulted = TENET_FAULT_POINT("embedding/fetch");
   TENET_OBSERVE_DEPENDENCY("embedding/fetch", !faulted);
   ops_.Record(!faulted);
-  const size_t row_bytes = static_cast<size_t>(dimension_) * sizeof(double);
   if (faulted) {
-    std::memset(out, 0, refs.size() * row_bytes);
+    std::memset(out, 0, refs.size() * dimension_ * sizeof(double));
     return;
   }
   for (size_t i = 0; i < refs.size(); ++i) {
-    std::memcpy(out + i * static_cast<size_t>(dimension_),
-                unit_data_.data() + Offset(refs[i]), row_bytes);
+    WriteUnit(refs[i], out + i * static_cast<size_t>(dimension_));
   }
 }
 

@@ -19,16 +19,16 @@ namespace embedding {
 // similarity (Equations 3-5).
 //
 // Build phase: write through MutableVector, then Finalize().
-// Query phase: Vector() / UnitVector() / Cosine() / GatherUnit().
+// Query phase: Vector() / Cosine() / GatherUnit().
 //
-// Finalize() stores, next to the raw matrix, a unit-normalized double copy
-// (each row divided by its L2 norm; zero rows stay zero).  Cosine then
-// degenerates to a pure dot product over unit rows, computed by the fixed
+// Each row is stored once, as floats, beside one double L2 norm per row
+// (computed by Finalize or LoadMatrix).  GatherUnit and Cosine write the
+// unit row double(v[d]) / norm on the fly (zero rows stay zero), then
+// Cosine is a pure dot product over unit rows, computed by the fixed
 // blocked DotUnit reduction (dot_kernel.h) — the same kernel the coherence
 // graph's batched path runs over gathered rows, so per-pair and batched
-// similarities are bit-identical (and within ~1e-14 of the historical
-// dot/norms arithmetic; see dot_kernel.h).  The copy triples the store's
-// memory; DESIGN.md §10 discusses the tradeoff.
+// similarities are bit-identical.  At 32 dimensions a row costs 128 + 8
+// bytes; DESIGN.md §10 has the measurement.
 class EmbeddingStore {
  public:
   EmbeddingStore(int dimension, int32_t num_entities,
@@ -44,20 +44,15 @@ class EmbeddingStore {
   /// Read-only view of the raw vector of `ref`.
   std::span<const float> Vector(kb::ConceptRef ref) const;
 
-  /// Read-only view of the unit-normalized vector of `ref` (all zeros for
-  /// a zero vector).  Only after Finalize().
-  std::span<const double> UnitVector(kb::ConceptRef ref) const;
-
-  /// Builds the unit-normalized copy; must be called once after all writes.
+  /// Computes the row norms; must be called once after all writes.
   void Finalize();
   bool finalized() const { return finalized_; }
 
-  /// Bulk load + finalize in one pass: copies `count_floats` floats from
-  /// `matrix` (row-major, entities then predicates; any alignment — the
-  /// snapshot loader points this straight at an mmapped file) into the raw
-  /// matrix and builds the unit-normalized rows from the same sweep, so a
-  /// snapshot load pays exactly one copy instead of per-row reads plus a
-  /// Finalize re-scan.  `count_floats` must equal
+  /// Bulk load + finalize: copies `count_floats` floats from `matrix`
+  /// (row-major, entities then predicates; any alignment — the snapshot
+  /// loader points this straight at an mmapped file) into the matrix and
+  /// computes the row norms, so a snapshot load pays one copy and one pass
+  /// instead of per-row reads.  `count_floats` must equal
   /// dimension() * (num_entities() + num_predicates()).  DataLoss on
   /// non-finite payloads (a NaN row would silently poison every cosine);
   /// the store is left un-finalized on error.
@@ -74,7 +69,7 @@ class EmbeddingStore {
     return 1.0 - Cosine(a, b);
   }
 
-  /// Batched fetch: copies the unit rows of `refs` into `out` (row-major,
+  /// Batched fetch: writes the unit rows of `refs` into `out` (row-major,
   /// refs.size() x dimension(), caller-allocated).  The whole gather is a
   /// single dependency operation — one fault-point probe and one
   /// observation, however many rows — so a document's coherence stage costs
@@ -94,12 +89,17 @@ class EmbeddingStore {
  private:
   size_t Offset(kb::ConceptRef ref) const;
   size_t RowIndex(kb::ConceptRef ref) const;
+  /// The one norm pass behind Finalize and LoadMatrix; false when a row
+  /// holds a non-finite value.
+  bool ComputeNorms();
+  /// Writes the unit row of `ref` to `out` (dimension() doubles).
+  void WriteUnit(kb::ConceptRef ref, double* out) const;
 
   int dimension_;
   int32_t num_entities_;
   int32_t num_predicates_;
-  std::vector<float> data_;        // entities first, then predicates
-  std::vector<double> unit_data_;  // unit-normalized copy, by Finalize()
+  std::vector<float> data_;   // entities first, then predicates
+  std::vector<double> norm_;  // one L2 norm per row, by Finalize()
   bool finalized_ = false;
   obs::DependencyOpCounters ops_;
 };

@@ -556,8 +556,8 @@ Result<embedding::EmbeddingStore> LoadEmbeddings(
   TENET_ASSIGN_OR_RETURN(const uint64_t count,
                          CheckEmbeddingHeader(header, bytes.size()));
   embedding::EmbeddingStore store(header[0], header[1], header[2]);
-  // Bulk load straight from the mapped payload into the unit-normalized
-  // matrix — one copy, one pass, non-finite payloads rejected as DataLoss.
+  // Bulk load straight from the mapped payload — one copy, one norm pass,
+  // non-finite payloads rejected as DataLoss.
   TENET_RETURN_IF_ERROR(store.LoadMatrix(
       bytes.data() + kEmbHeaderBytes, static_cast<size_t>(count)));
   RecordLoad("embeddings", file.zero_copy() ? "binary_mmap" : "binary",

@@ -23,9 +23,9 @@ namespace kb {
 // frozen alias dictionary) behind a checksummed header, loaded zero-copy
 // through common/mmap_file (with a buffered fallback) and restored without
 // re-tokenizing a single float.  Embeddings persist as the "TENETEMB1"
-// binary container; the loader maps it and bulk-loads the matrix straight
-// into the store's unit-normalized form (EmbeddingStore::LoadMatrix — one
-// copy, no per-row reads).
+// binary container; the loader maps it and bulk-loads the float matrix
+// straight into the store (EmbeddingStore::LoadMatrix — one copy and one
+// norm pass, no per-row reads).
 //
 // Round-trip contract: alias priors are persisted as the *finalized*
 // probabilities inside the alias dictionary and adopted as-is on load — a

@@ -1,5 +1,5 @@
 // The vectorized coherence kernel's contract (DESIGN.md §10): the DotUnit
-// reduction, the unit-row store and the builder's gathered single-pass
+// reduction, the store's unit rows and the builder's gathered single-pass
 // sweep must produce the SAME numbers as a per-pair Cosine reference
 // computed here — bit-identical edge weights, in the same (i, j) order.
 // The golden equivalence test here is what lets the performance work
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,8 @@ TEST(DotKernelTest, ClampCosineBounds) {
 
 // --- Unit rows and the gather --------------------------------------------
 
-embedding::EmbeddingStore SmallStore() {
-  embedding::EmbeddingStore store(/*dimension=*/24, /*num_entities=*/6,
+embedding::EmbeddingStore SmallStore(int dimension = 24) {
+  embedding::EmbeddingStore store(dimension, /*num_entities=*/6,
                                   /*num_predicates=*/2);
   Rng rng(11);
   for (int e = 0; e < 5; ++e) {  // entity 5 stays the zero vector
@@ -92,42 +93,73 @@ embedding::EmbeddingStore SmallStore() {
   return store;
 }
 
+// The unit row the store must write for `ref`, computed here from the
+// float row: divided by its L2 norm, summed in index order; a zero row
+// stays zero.
+std::vector<double> ReferenceUnit(const embedding::EmbeddingStore& store,
+                                  kb::ConceptRef ref) {
+  std::span<const float> v = store.Vector(ref);
+  double sum = 0.0;
+  for (float x : v) sum += double{x} * x;
+  const double norm = std::sqrt(sum);
+  std::vector<double> unit(v.size(), 0.0);
+  if (norm > 0.0) {
+    for (size_t d = 0; d < v.size(); ++d) unit[d] = double{v[d]} / norm;
+  }
+  return unit;
+}
+
+std::vector<double> GatherOne(const embedding::EmbeddingStore& store,
+                              kb::ConceptRef ref) {
+  std::vector<double> unit(store.dimension(), -1.0);  // must be overwritten
+  store.GatherUnit({&ref, 1}, unit.data());
+  return unit;
+}
+
 TEST(EmbeddingStoreKernelTest, UnitRowsHaveUnitNorm) {
   embedding::EmbeddingStore store = SmallStore();
   for (int e = 0; e < 5; ++e) {
-    std::span<const double> unit =
-        store.UnitVector(kb::ConceptRef::Entity(e));
+    const kb::ConceptRef ref = kb::ConceptRef::Entity(e);
     double norm = 0.0;
-    for (double x : unit) norm += x * x;
+    for (double x : GatherOne(store, ref)) norm += x * x;
     EXPECT_NEAR(norm, 1.0, 1e-12) << "entity " << e;
-    EXPECT_NEAR(store.Cosine(kb::ConceptRef::Entity(e),
-                             kb::ConceptRef::Entity(e)),
-                1.0, 1e-12);
+    EXPECT_NEAR(store.Cosine(ref, ref), 1.0, 1e-12);
   }
 }
 
 TEST(EmbeddingStoreKernelTest, ZeroRowsStayZeroAndCosineZero) {
   embedding::EmbeddingStore store = SmallStore();
-  for (double x : store.UnitVector(kb::ConceptRef::Entity(5))) {
+  for (double x : GatherOne(store, kb::ConceptRef::Entity(5))) {
     EXPECT_EQ(x, 0.0);
   }
   EXPECT_EQ(store.Cosine(kb::ConceptRef::Entity(5), kb::ConceptRef::Entity(0)),
             0.0);
 }
 
-TEST(EmbeddingStoreKernelTest, GatherUnitCopiesUnitRowsVerbatim) {
-  embedding::EmbeddingStore store = SmallStore();
-  std::vector<kb::ConceptRef> refs = {
-      kb::ConceptRef::Entity(3), kb::ConceptRef::Predicate(1),
-      kb::ConceptRef::Entity(5), kb::ConceptRef::Entity(0)};
-  std::vector<double> rows(refs.size() * store.dimension());
-  store.GatherUnit(refs, rows.data());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    std::span<const double> unit = store.UnitVector(refs[i]);
-    EXPECT_EQ(std::memcmp(rows.data() + i * store.dimension(), unit.data(),
-                          store.dimension() * sizeof(double)),
-              0)
-        << "row " << i;
+// GatherUnit and Cosine against the reference above, bit for bit, the zero
+// row included; 100 dimensions run past Cosine's stack buffer.
+TEST(EmbeddingStoreKernelTest, GatherUnitMatchesReferenceBitForBit) {
+  for (int dim : {24, 100}) {
+    embedding::EmbeddingStore store = SmallStore(dim);
+    std::vector<kb::ConceptRef> refs = {
+        kb::ConceptRef::Entity(3), kb::ConceptRef::Predicate(1),
+        kb::ConceptRef::Entity(5), kb::ConceptRef::Entity(0)};
+    std::vector<double> rows(refs.size() * dim);
+    store.GatherUnit(refs, rows.data());
+    for (size_t i = 0; i < refs.size(); ++i) {
+      std::vector<double> unit = ReferenceUnit(store, refs[i]);
+      EXPECT_EQ(std::memcmp(rows.data() + i * dim, unit.data(),
+                            dim * sizeof(double)),
+                0)
+          << "dim " << dim << " row " << i;
+      for (size_t j = 0; j < refs.size(); ++j) {
+        std::vector<double> other = ReferenceUnit(store, refs[j]);
+        EXPECT_EQ(store.Cosine(refs[i], refs[j]),
+                  embedding::ClampCosine(
+                      embedding::DotUnit(unit.data(), other.data(), dim)))
+            << "dim " << dim << " pair " << i << ", " << j;
+      }
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,14 +151,30 @@ TEST(KbIoTest, EmbeddingsRoundTripBitExact) {
   ASSERT_EQ(loaded->dimension(), world.embeddings.dimension());
   ASSERT_EQ(loaded->num_entities(), world.embeddings.num_entities());
   ASSERT_EQ(loaded->num_predicates(), world.embeddings.num_predicates());
+  std::vector<ConceptRef> refs;
   for (EntityId e = 0; e < loaded->num_entities(); ++e) {
-    std::span<const float> va =
-        world.embeddings.Vector(ConceptRef::Entity(e));
-    std::span<const float> vb = loaded->Vector(ConceptRef::Entity(e));
+    refs.push_back(ConceptRef::Entity(e));
+  }
+  for (PredicateId p = 0; p < loaded->num_predicates(); ++p) {
+    refs.push_back(ConceptRef::Predicate(p));
+  }
+  for (ConceptRef ref : refs) {
+    std::span<const float> va = world.embeddings.Vector(ref);
+    std::span<const float> vb = loaded->Vector(ref);
     for (int d = 0; d < loaded->dimension(); ++d) {
       EXPECT_EQ(va[d], vb[d]);  // bit-exact
     }
   }
+  // Finalize (the in-memory store) and LoadMatrix (the loaded one) share
+  // one norm pass, so every unit row agrees to the last bit.
+  const size_t row_doubles = refs.size() * loaded->dimension();
+  std::vector<double> rows_in_memory(row_doubles);
+  std::vector<double> rows_loaded(row_doubles);
+  world.embeddings.GatherUnit(refs, rows_in_memory.data());
+  loaded->GatherUnit(refs, rows_loaded.data());
+  EXPECT_EQ(std::memcmp(rows_in_memory.data(), rows_loaded.data(),
+                        row_doubles * sizeof(double)),
+            0);
   // Cosines agree exactly as well.
   EXPECT_DOUBLE_EQ(
       world.embeddings.Cosine(ConceptRef::Entity(0), ConceptRef::Entity(1)),
