@@ -62,8 +62,6 @@ constexpr const char* kSwapHelp =
     "KB generation swap attempts: ok = published, rolled_back = failed "
     "(injected fault, id regression, or all RCU slots pinned) with the old "
     "generation kept serving.";
-constexpr const char* kMergeHelp =
-    "Background delta merges (compact + reload + swap), by outcome.";
 
 std::shared_ptr<const ServingTarget> LegacyTarget(
     const baselines::Linker* linker) {
@@ -132,11 +130,6 @@ BatchLinkingService::Instruments BatchLinkingService::MakeInstruments(
   m.swaps_rolled_back =
       registry->GetCounter("tenet_kb_swaps_total", kSwapHelp,
                            obs::LabelPair("outcome", "rolled_back"));
-  m.merges_ok = registry->GetCounter(
-      "tenet_kb_merges_total", kMergeHelp, obs::LabelPair("outcome", "ok"));
-  m.merges_failed =
-      registry->GetCounter("tenet_kb_merges_total", kMergeHelp,
-                           obs::LabelPair("outcome", "failed"));
   m.swap_latency = registry->GetHistogram(
       "tenet_kb_swap_latency_ms",
       "Wall time of a successful SwapGeneration, from the call to the "
@@ -339,7 +332,6 @@ Status BatchLinkingService::SwapGeneration(
   const uint64_t current_id = target_.Current()->generation_id();
   if (next->id() <= current_id) {
     m_.swaps_rolled_back->Increment();
-    TENET_OBSERVE_DEPENDENCY("serving/kb_swap", false);
     return Status::FailedPrecondition(
         "SwapGeneration: generation ids must advance (serving " +
         std::to_string(current_id) + ", offered " +
@@ -348,7 +340,6 @@ Status BatchLinkingService::SwapGeneration(
   const uint64_t next_id = next->id();
   if (TENET_FAULT_POINT("serving/kb_swap")) {
     m_.swaps_rolled_back->Increment();
-    TENET_OBSERVE_DEPENDENCY("serving/kb_swap", false);
     return Status::DataLoss(
         "injected fault: kb swap failed; still serving generation " +
         std::to_string(current_id));
@@ -357,65 +348,11 @@ Status BatchLinkingService::SwapGeneration(
       GenerationTarget(std::move(next)));
   if (!published.ok()) {
     m_.swaps_rolled_back->Increment();
-    TENET_OBSERVE_DEPENDENCY("serving/kb_swap", false);
     return published.status();
   }
   m_.generation->Set(static_cast<double>(next_id));
   m_.swaps_ok->Increment();
   m_.swap_latency->Observe(timer.ElapsedMillis());
-  TENET_OBSERVE_DEPENDENCY("serving/kb_swap", true);
-  return Status::Ok();
-}
-
-void BatchLinkingService::RunMerge(std::string kb_path,
-                                   std::string embeddings_path,
-                                   uint64_t next_id,
-                                   std::function<void(Status)> done) {
-  const auto finish = [&](Status status) {
-    (status.ok() ? m_.merges_ok : m_.merges_failed)->Increment();
-    if (done != nullptr) done(std::move(status));
-  };
-  // Compact the generation serving *now*; anything swapped in after this
-  // point simply is not part of this merge.
-  std::shared_ptr<const KbGeneration> current =
-      target_.Current()->generation;
-  if (current == nullptr) {
-    finish(Status::FailedPrecondition(
-        "merge: the service serves a legacy fixed substrate, not a "
-        "KbGeneration"));
-    return;
-  }
-  Status compacted = current->Compact(kb_path, embeddings_path);
-  if (!compacted.ok()) {
-    finish(std::move(compacted));
-    return;
-  }
-  KbGenerationOptions reload;
-  reload.linker_options = current->linker().pipeline().options();
-  Result<std::shared_ptr<const KbGeneration>> merged =
-      KbGeneration::Load(kb_path, embeddings_path, {}, next_id, reload);
-  if (!merged.ok()) {
-    finish(merged.status());
-    return;
-  }
-  finish(SwapGeneration(std::move(merged).value()));
-}
-
-Status BatchLinkingService::ScheduleMerge(std::string kb_path,
-                                          std::string embeddings_path,
-                                          uint64_t next_id,
-                                          std::function<void(Status)> done) {
-  Status queued = pool_.Submit(
-      [this, kb_path = std::move(kb_path),
-       embeddings_path = std::move(embeddings_path), next_id,
-       done = std::move(done)]() mutable {
-        RunMerge(std::move(kb_path), std::move(embeddings_path), next_id,
-                 std::move(done));
-      });
-  if (!queued.ok()) {
-    return Status::ResourceExhausted("merge not scheduled: " +
-                                     queued.message());
-  }
   return Status::Ok();
 }
 
@@ -468,8 +405,6 @@ ServiceStats BatchLinkingService::Stats() const {
   stats.generation = static_cast<int64_t>(m_.generation->Value());
   stats.swaps_ok = m_.swaps_ok->Value();
   stats.swaps_rolled_back = m_.swaps_rolled_back->Value();
-  stats.merges_ok = m_.merges_ok->Value();
-  stats.merges_failed = m_.merges_failed->Value();
   stats.kb_alias_breaker = kb_alias_breaker_.state();
   stats.embedding_breaker = embedding_breaker_.state();
   stats.cover_breaker = cover_breaker_.state();

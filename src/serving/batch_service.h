@@ -95,8 +95,6 @@ struct ServiceStats {
   int64_t generation = 0;        // id of the serving KB generation
   int64_t swaps_ok = 0;          // successful generation swaps
   int64_t swaps_rolled_back = 0;  // failed swaps (old generation kept)
-  int64_t merges_ok = 0;         // background merges that landed
-  int64_t merges_failed = 0;     // background merges rolled back
   BreakerState kb_alias_breaker = BreakerState::kClosed;
   BreakerState embedding_breaker = BreakerState::kClosed;
   BreakerState cover_breaker = BreakerState::kClosed;
@@ -149,10 +147,8 @@ struct ServingTarget {
 // two calls on the same thread straddling a swap may legitimately see
 // different KBs.  A pinned generation cannot be freed until its last
 // request finishes; a failed swap (injected fault, id regression, or all
-// RCU slots pinned) rolls back: the old generation keeps serving, the
-// failure is counted and reported to the dependency-health plumbing as
-// "serving/kb_swap".  ScheduleMerge runs the delta-folding compaction on
-// the worker pool and swaps in the merged snapshot the same way.
+// RCU slots pinned) rolls back: the old generation keeps serving and the
+// failure is counted.
 //
 // The service must outlive every callback; the destructor drains queued
 // requests and joins the workers.
@@ -197,16 +193,6 @@ class BatchLinkingService {
   /// slot is still pinned by in-flight readers (kResourceExhausted; retry
   /// after requests drain).  Thread-safe; swaps are serialized internally.
   Status SwapGeneration(std::shared_ptr<const KbGeneration> next);
-
-  /// Schedules the merge on the worker pool: compact the current
-  /// generation into a fresh TENETKB2/TENETEMB1 pair at the given paths
-  /// (atomic writes), reload it as generation `next_id`, and swap it in.
-  /// Any failure — write, reload, or swap — rolls back to the serving
-  /// generation.  `done` (optional) receives the outcome from the worker.
-  /// kResourceExhausted if the queue refuses the merge task.
-  Status ScheduleMerge(std::string kb_path, std::string embeddings_path,
-                       uint64_t next_id,
-                       std::function<void(Status)> done = nullptr);
 
   /// The currently serving generation (null under the legacy raw-Linker
   /// constructor before any swap).
@@ -261,8 +247,6 @@ class BatchLinkingService {
     obs::Gauge* generation;
     obs::Counter* swaps_ok;
     obs::Counter* swaps_rolled_back;
-    obs::Counter* merges_ok;
-    obs::Counter* merges_failed;
     obs::Histogram* swap_latency;
   };
 
@@ -286,8 +270,6 @@ class BatchLinkingService {
   void Process(Request request);
   Result<core::LinkingResult> LinkOnce(const Request& request) const;
   CircuitBreaker* MutableBreaker(const char* dependency);
-  void RunMerge(std::string kb_path, std::string embeddings_path,
-                uint64_t next_id, std::function<void(Status)> done);
 
   const ServingOptions options_;
   obs::MetricsRegistry* registry_;
@@ -299,8 +281,8 @@ class BatchLinkingService {
   RetryBudget retry_budget_;
   AdmissionController admission_;
 
-  // Serializes SwapGeneration/merge bookkeeping (the RCU cell serializes
-  // its own publishes; this covers the id check + metrics as one unit).
+  // Serializes SwapGeneration's bookkeeping (the RCU cell serializes its
+  // own publishes; this covers the id check + metrics as one unit).
   std::mutex swap_mu_;
 
   // Declaration order is the destruction contract: the pool (last member)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/utf8.h"
@@ -56,13 +55,9 @@ Result<ExtractionResult> Extractor::ExtractFromText(
         std::to_string(limits.max_document_bytes));
   }
 
-  {
-    const bool faulted = TENET_FAULT_POINT("text/tokenize");
-    TENET_OBSERVE_DEPENDENCY("text/tokenize", !faulted);
-    if (faulted) {
-      RecordInputRejected(InputRejectReason::kTokenizeFault);
-      return Status::Internal("injected fault at text/tokenize");
-    }
+  if (TENET_FAULT_POINT("text/tokenize")) {
+    RecordInputRejected(InputRejectReason::kTokenizeFault);
+    return Status::Internal("injected fault at text/tokenize");
   }
 
   // Invalid bytes never reach the tokenizer or the ASCII case fold: they
@@ -92,13 +87,9 @@ Result<ExtractionResult> Extractor::ExtractFromText(
     RecordInputTruncated(InputTruncateReason::kTokenCount);
   }
 
-  {
-    const bool faulted = TENET_FAULT_POINT("text/extract");
-    TENET_OBSERVE_DEPENDENCY("text/extract", !faulted);
-    if (faulted) {
-      RecordInputRejected(InputRejectReason::kExtractFault);
-      return Status::Internal("injected fault at text/extract");
-    }
+  if (TENET_FAULT_POINT("text/extract")) {
+    RecordInputRejected(InputRejectReason::kExtractFault);
+    return Status::Internal("injected fault at text/extract");
   }
 
   ExtractionResult result = Extract(doc);

@@ -73,7 +73,7 @@ class Extractor {
   /// the lemmatizer's case fold, word runs and token counts are clipped in
   /// the tokenizer, and the mention/relation lists are truncated after
   /// extraction.  Carries the fault points "text/tokenize" and
-  /// "text/extract" (observed as dependencies, like kb/alias_lookup).
+  /// "text/extract"; a fired one rejects the document with kInternal.
   /// Every effect is counted into tenet_input_*_total and, when `report`
   /// is non-null, mirrored there for per-document accounting.
   Result<ExtractionResult> ExtractFromText(std::string_view document_text,

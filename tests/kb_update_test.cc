@@ -2,10 +2,9 @@
 // hot swaps under a running BatchLinkingService.  Covers the acceptance
 // contract — requests pinned before a swap finish on their generation
 // with byte-identical results, requests after see the delta, failed swaps
-// roll back and are counted, background merges compact + swap, and an
-// embedding delta moves the links of the requests after its swap.
+// roll back and are counted, and an embedding delta moves the links of the
+// requests after its swap.
 // Registered under the `kbupdate` ctest label (ASan + TSan in CI).
-#include <cstdio>
 #include <latch>
 #include <memory>
 #include <string>
@@ -32,10 +31,6 @@ using testing_support::FigureOneWorld;
 constexpr char kAcademicDoc[] =
     "Michael Jordan studied machine learning and artificial intelligence .";
 constexpr char kTravelDoc[] = "Michael Jordan will visit Tokyo .";
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // The ids of BuildFigureOneWorld, which survive the move of its substrate
 // into a generation (deltas only append, so they stay valid there too).
@@ -266,75 +261,6 @@ TEST(KbUpdateTest, FailedSwapsRollBackToTheServingGeneration) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.swaps_ok, 1);
   EXPECT_EQ(stats.swaps_rolled_back, 2);
-}
-
-TEST(KbUpdateTest, BackgroundMergeCompactsDeltasIntoAFreshSnapshot) {
-  obs::MetricsRegistry registry;
-  WorldIds ids;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1, &ids);
-  BatchLinkingService service(gen1, UpdateTestOptions(&registry));
-
-  kb::EntityId tokyo = -1;
-  Result<std::shared_ptr<const KbGeneration>> gen2 =
-      gen1->WithDeltas(TokyoDelta(*gen1, &tokyo), /*id=*/2);
-  ASSERT_TRUE(gen2.ok()) << gen2.status();
-  ASSERT_TRUE(service.SwapGeneration(*gen2).ok());
-
-  std::string kb_path = TempPath("merge_out.tenetkb");
-  std::string emb_path = TempPath("merge_out.tenetemb");
-  Status merge_status = Status::Internal("callback never ran");
-  std::latch merged(1);
-  ASSERT_TRUE(service
-                  .ScheduleMerge(kb_path, emb_path, /*next_id=*/3,
-                                 [&merge_status, &merged](Status s) {
-                                   merge_status = std::move(s);
-                                   merged.count_down();
-                                 })
-                  .ok());
-  merged.wait();
-  ASSERT_TRUE(merge_status.ok()) << merge_status;
-  EXPECT_EQ(service.generation_id(), 3u);
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.merges_ok, 1);
-  EXPECT_EQ(stats.merges_failed, 0);
-  EXPECT_EQ(stats.swaps_ok, 2);  // the delta swap + the merge's swap
-
-  // The merged snapshot retains the delta (Tokyo resolves), and the
-  // compacted pair reloads on its own: delta-free, same substrate.
-  ServedResult served = LinkOne(service, kTravelDoc);
-  ASSERT_TRUE(served.result.ok()) << served.result.status();
-  EXPECT_TRUE(LinksEntity(*served.result, tokyo));
-  Result<std::shared_ptr<const KbGeneration>> reloaded =
-      KbGeneration::Load(kb_path, emb_path, {}, /*id=*/9);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ((*reloaded)->kb().num_entities(), (*gen2)->kb().num_entities());
-  EXPECT_EQ((*reloaded)->delta_stats().added_entities, 0);
-}
-
-TEST(KbUpdateTest, MergeFailureRollsBackAndCounts) {
-  obs::MetricsRegistry registry;
-  std::shared_ptr<const KbGeneration> gen1 = FigureOneGeneration(1);
-  BatchLinkingService service(gen1, UpdateTestOptions(&registry));
-
-  std::string kb_path = TempPath("merge_fail.tenetkb");
-  std::string emb_path = TempPath("merge_fail.tenetemb");
-  std::remove(kb_path.c_str());
-  FaultInjector faults(13);
-  faults.Arm("kb/io/write_truncation", 1.0);
-  Status merge_status = Status::Ok();
-  std::latch merged(1);
-  ASSERT_TRUE(service
-                  .ScheduleMerge(kb_path, emb_path, /*next_id=*/2,
-                                 [&merge_status, &merged](Status s) {
-                                   merge_status = std::move(s);
-                                   merged.count_down();
-                                 })
-                  .ok());
-  merged.wait();
-  ASSERT_FALSE(merge_status.ok());
-  EXPECT_EQ(service.generation_id(), 1u) << "a failed merge must not swap";
-  EXPECT_EQ(service.Stats().merges_failed, 1);
-  EXPECT_EQ(service.Stats().merges_ok, 0);
 }
 
 // The coherence near-tie across a swap: in generation 1 the academic
