@@ -54,10 +54,11 @@ class CoherenceGraph {
   /// item 1.
   const CoherenceGraph& graph() const { return *this; }
   const MentionSet& mentions() const { return mentions_; }
-  /// Moves the mention universe out of a graph that is done with.
+  /// Moves the mention universe out.  Every node query keeps working, since
+  /// the graph keeps its own mention count; mentions() is empty after.
   MentionSet TakeMentions() && { return std::move(mentions_); }
 
-  int num_mentions() const { return mentions_.num_mentions(); }
+  int num_mentions() const { return num_mentions_; }
   int num_concept_nodes() const {
     return static_cast<int>(concept_nodes_.size());
   }
@@ -94,9 +95,11 @@ class CoherenceGraph {
   friend class CoherenceGraphBuilder;
   explicit CoherenceGraph(MentionSet mentions)
       : mentions_(std::move(mentions)),
-        concepts_of_mention_(mentions_.num_mentions()) {}
+        num_mentions_(mentions_.num_mentions()),
+        concepts_of_mention_(num_mentions_) {}
 
   MentionSet mentions_;
+  int num_mentions_;
   std::vector<ConceptNode> concept_nodes_;
   std::vector<std::vector<int>> concepts_of_mention_;
   std::vector<double> mention_edge_weight_;  // by concept index

@@ -423,8 +423,9 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
     Status cause = !interrupted.ok() ? interrupted : cover.status();
     if (!options_.degrade_to_prior) return cause;
     return Degrade(deadline.expired() ? Mode::kPriorOnly : Mode::kPairLink,
-                   cause.ToString(), /*stages_degraded=*/2, cg.mentions(),
-                   &cg, timings, context, deadline);
+                   cause.ToString(), /*stages_degraded=*/2,
+                   std::move(cg).TakeMentions(), &cg, timings, context,
+                   deadline);
   }
 
   // ---- Rung 2: cover done but budget gone -> degrade the last stage ------
@@ -434,8 +435,8 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
           "deadline expired before disambiguation");
     }
     return Degrade(Mode::kPriorOnly, "deadline expired before disambiguation",
-                   /*stages_degraded=*/1, cg.mentions(), &cg, timings,
-                   context, deadline);
+                   /*stages_degraded=*/1, std::move(cg).TakeMentions(), &cg,
+                   timings, context, deadline);
   }
 
   result.used_bound = schedule.value();
