@@ -1,7 +1,9 @@
 // Snapshot-load benchmark: the TENETKB2 snapshot loaded buffered and
-// zero-copy (mmap), the same snapshot with a stack of TENETDELTA1 segments
-// replayed on top, and the TENETEMB1 embedding container streamed vs
-// mapped.  This is the number behind the README loading-time table.
+// zero-copy (mmap), the gazetteer derived from its alias dictionary, the
+// whole KbGeneration::Load of the snapshot pair, the same snapshot with a
+// stack of TENETDELTA1 segments replayed on top, and the TENETEMB1
+// embedding container streamed vs mapped.  This is the number behind the
+// README loading-time table.
 //
 // `--json <path>` writes {bench, ns_per_op, pairs_per_sec} records (the
 // BENCH_kb_load.json trajectory CI archives); `--smoke` shrinks the sizes
@@ -19,6 +21,8 @@
 #include "kb/delta.h"
 #include "kb/io.h"
 #include "kb/synthetic_kb.h"
+#include "serving/kb_generation.h"
+#include "text/gazetteer.h"
 
 namespace {
 
@@ -108,6 +112,36 @@ int main(int argc, char** argv) {
                   items / (ms / 1e3));
       records.push_back(bench::JsonRecord{
           std::string("kb_load/") + name + "/" + size.name, ms * 1e6,
+          items / (ms / 1e3)});
+    }
+
+    // The rest of a generation's set-up: the spotter's gazetteer derived
+    // from the loaded KB's alias dictionary, then the whole
+    // KbGeneration::Load (both loads, the derivation and the linker).
+    {
+      Result<kb::KnowledgeBase> loaded = kb::LoadKnowledgeBase(bin_path);
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "loading %s KB failed\n", size.name);
+        return 1;
+      }
+      const double surfaces =
+          static_cast<double>(loaded->alias_index().num_surfaces());
+      double ms = BestMillis(reps, [&loaded] {
+        return Result<text::Gazetteer>(kb::DeriveGazetteer(*loaded));
+      });
+      std::printf("%-8s %-16s %12.3f %12.0f\n", size.name,
+                  "derive_gazetteer", ms, surfaces / (ms / 1e3));
+      records.push_back(bench::JsonRecord{
+          std::string("kb_load/derive_gazetteer/") + size.name, ms * 1e6,
+          surfaces / (ms / 1e3)});
+      ms = BestMillis(reps, [&bin_path, &emb_path] {
+        return serving::KbGeneration::Load(bin_path, emb_path, {},
+                                           /*id=*/1);
+      });
+      std::printf("%-8s %-16s %12.3f %12.0f\n", size.name, "generation", ms,
+                  items / (ms / 1e3));
+      records.push_back(bench::JsonRecord{
+          std::string("kb_load/generation/") + size.name, ms * 1e6,
           items / (ms / 1e3)});
     }
 

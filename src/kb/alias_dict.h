@@ -117,6 +117,22 @@ class FrozenAliasDict {
                                std::span<const AliasPosting> postings)>&
           visitor) const;
 
+  /// Visits every surface as `visitor(key, entities)`: the folded key read
+  /// in place from the decoded-key arena and the span EntitiesAt(sid)
+  /// returns.  Surfaces arrive in probe-table order, not sorted order.
+  /// Nothing is decoded or allocated, so a caller that derives per-surface
+  /// state (kb::DeriveGazetteer) pays one pass over the probe table.
+  template <typename Visitor>
+  void VisitKeyEntities(Visitor&& visitor) const {
+    for (const ProbeSlot& slot : probe_slots_) {
+      if (slot.key_len == 0) continue;
+      visitor(std::string_view(decoded_keys_.data() + slot.key_begin,
+                               slot.key_len),
+              std::span<const AliasPosting>(
+                  postings_.data() + slot.posting_base, slot.entity_count));
+    }
+  }
+
   uint64_t num_surfaces() const { return num_surfaces_; }
   uint64_t num_postings() const {
     return posting_offsets_.empty() ? 0 : posting_offsets_.back();

@@ -616,25 +616,25 @@ Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path) {
 
 text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb) {
   TENET_CHECK(kb.finalized());
+  const FrozenAliasDict& dict = *kb.alias_index().frozen_dict();
   text::Gazetteer gazetteer;
-  // Collect, per surface, the highest-prior entity posting.
-  std::unordered_map<std::string, std::pair<double, EntityId>> best;
-  kb.alias_index().VisitPostings(
-      [&best](std::string_view surface, const AliasPosting& posting) {
-        if (!posting.concept_ref.is_entity()) return;
-        auto [it, inserted] = best.emplace(
-            std::string(surface),
-            std::make_pair(posting.prior, posting.concept_ref.id));
-        if (!inserted && (posting.prior > it->second.first ||
-                          (posting.prior == it->second.first &&
-                           posting.concept_ref.id < it->second.second))) {
-          it->second = {posting.prior, posting.concept_ref.id};
-        }
-      });
-  for (const auto& [surface, sense] : best) {
-    const bool lowercase = !surface.empty() && IsAsciiLowerChar(surface[0]);
-    gazetteer.AddSurface(surface, kb.entity(sense.second).type, lowercase);
-  }
+  gazetteer.Reserve(dict.num_surfaces(), dict.stats().raw_key_bytes);
+  dict.VisitKeyEntities([&](std::string_view key,
+                            std::span<const AliasPosting> entities) {
+    if (entities.empty()) return;
+    // The maximum, not the first posting: a delta-touched list is only
+    // stably sorted by prior, so a tie need not lead with the lower id.
+    const AliasPosting* best = &entities[0];
+    for (const AliasPosting& posting : entities.subspan(1)) {
+      if (posting.prior > best->prior ||
+          (posting.prior == best->prior &&
+           posting.concept_ref.id < best->concept_ref.id)) {
+        best = &posting;
+      }
+    }
+    gazetteer.AddSurface(key, kb.entity(best->concept_ref.id).type,
+                         IsAsciiLowerChar(key[0]));
+  });
   return gazetteer;
 }
 

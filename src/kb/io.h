@@ -95,12 +95,16 @@ struct EmbFileInfo {
 /// Reads only the header of a TENETEMB1 file and validates its size.
 Result<EmbFileInfo> InspectEmbeddingsFile(const std::string& path);
 
-/// Derives an NER gazetteer from a (finalized) KB: every alias surface is
-/// registered under the type of its most probable entity sense (ties
-/// broken toward the smaller entity id, so the result is independent of
-/// posting visitation order); surfaces that start lowercase are marked
-/// spottable in lowercase text.  This is how a loaded KB becomes usable by
-/// the extraction pipeline without persisting the gazetteer separately.
+/// Derives an NER gazetteer from a (finalized) KB: every alias surface with
+/// an entity sense is registered under the type of its most probable one
+/// (the maximum prior, ties broken toward the smaller entity id, so the
+/// result does not depend on posting order, which a delta leaves only
+/// stably sorted by prior); surfaces whose folded key starts with an ASCII
+/// lowercase letter are marked spottable in lowercase text.  One pass over
+/// the alias dictionary's probe table into a gazetteer pre-sized from its
+/// surface and key-byte counts, reading each key in place.  This is how a
+/// loaded KB becomes usable by the extraction pipeline without persisting
+/// the gazetteer separately.
 text::Gazetteer DeriveGazetteer(const KnowledgeBase& kb);
 
 }  // namespace kb

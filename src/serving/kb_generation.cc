@@ -1,6 +1,11 @@
 #include "serving/kb_generation.h"
 
+#include <string>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/logging.h"
 #include "kb/io.h"
@@ -21,6 +26,38 @@ kb::DeltaApplyStats Accumulate(kb::DeltaApplyStats base,
   base.set_embeddings += more.set_embeddings;
   base.touched_surfaces += more.touched_surfaces;
   return base;
+}
+
+// Every lookup assumes one embedding row per concept; a pair without it
+// would load and then abort on the first request reaching a missing row.
+Status CheckConceptCounts(const kb::KnowledgeBase& kb,
+                          const embedding::EmbeddingStore& embeddings) {
+  if (embeddings.num_entities() == kb.num_entities() &&
+      embeddings.num_predicates() == kb.num_predicates()) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "KB and embeddings disagree on concept counts: the KB has " +
+      std::to_string(kb.num_entities()) + " entities and " +
+      std::to_string(kb.num_predicates()) +
+      " predicates, the embeddings " +
+      std::to_string(embeddings.num_entities()) + " and " +
+      std::to_string(embeddings.num_predicates()));
+}
+
+// The deleter of every generation.  Once a Huge generation's large arrays
+// are freed, glibc's dynamic mmap threshold puts the next generation's
+// arrays in the main heap, and repeated load/drop cycles fragment it
+// (DESIGN.md §10); the trim hands the free pages back to the OS.  It runs
+// on the thread that drops the last reference.  Workers hold only
+// raw-pointer RCU pins, so that is RcuCell::Publish on the swapping thread
+// (under the service's swap mutex and the RCU writer mutex), the service's
+// destructor or a caller dropping its generation() copy, never a request.
+void DestroyGeneration(const KbGeneration* generation) {
+  delete generation;
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -50,14 +87,25 @@ KbGeneration::KbGeneration(kb::KnowledgeBase kb,
                                                      options.linker_options);
 }
 
+Result<std::shared_ptr<const KbGeneration>> KbGeneration::Create(
+    kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
+    kb::DeltaApplyStats delta_stats, const KbGenerationOptions& options) {
+  TENET_RETURN_IF_ERROR(CheckConceptCounts(kb, embeddings));
+  // Not make_shared: the constructor is private, and the deleter trims.
+  return std::shared_ptr<const KbGeneration>(
+      new KbGeneration(std::move(kb), std::move(embeddings), id, delta_stats,
+                       options),
+      DestroyGeneration);
+}
+
 std::shared_ptr<const KbGeneration> KbGeneration::FromSubstrate(
     kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
     const KbGenerationOptions& options) {
-  // Not make_shared: the constructor is private, and the control block
-  // sharing make_shared buys is noise next to the KB itself.
-  return std::shared_ptr<const KbGeneration>(
-      new KbGeneration(std::move(kb), std::move(embeddings), id,
-                       kb::DeltaApplyStats{}, options));
+  // A mismatched in-memory substrate is a caller bug: value() aborts,
+  // naming both counts.
+  return Create(std::move(kb), std::move(embeddings), id,
+                kb::DeltaApplyStats{}, options)
+      .value();
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
@@ -69,7 +117,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
   TENET_ASSIGN_OR_RETURN(embedding::EmbeddingStore embeddings,
                          kb::LoadEmbeddings(embeddings_path));
   if (delta_paths.empty()) {
-    return FromSubstrate(std::move(kb), std::move(embeddings), id, options);
+    return Create(std::move(kb), std::move(embeddings), id,
+                  kb::DeltaApplyStats{}, options);
   }
   std::vector<kb::DeltaSegment> segments;
   segments.reserve(delta_paths.size());
@@ -80,9 +129,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::Load(
   }
   TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
                          kb::ApplyDeltas(kb, embeddings, segments));
-  return std::shared_ptr<const KbGeneration>(
-      new KbGeneration(std::move(applied.kb), std::move(applied.embeddings),
-                       id, applied.stats, options));
+  return Create(std::move(applied.kb), std::move(applied.embeddings), id,
+                applied.stats, options);
 }
 
 Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
@@ -90,9 +138,8 @@ Result<std::shared_ptr<const KbGeneration>> KbGeneration::WithDeltas(
     const KbGenerationOptions& options) const {
   TENET_ASSIGN_OR_RETURN(kb::AppliedDelta applied,
                          kb::ApplyDeltas(kb_, embeddings_, segments));
-  return std::shared_ptr<const KbGeneration>(new KbGeneration(
-      std::move(applied.kb), std::move(applied.embeddings), id,
-      Accumulate(delta_stats_, applied.stats), options));
+  return Create(std::move(applied.kb), std::move(applied.embeddings), id,
+                Accumulate(delta_stats_, applied.stats), options);
 }
 
 Status KbGeneration::Compact(const std::string& kb_path,

@@ -34,19 +34,25 @@ struct KbGenerationOptions {
 //
 // Generations are heap-only (shared_ptr from the factories, never moved):
 // the linker holds raw pointers into the sibling members, which therefore
-// must sit at their final addresses before it is built.  The `id` is the
-// monotonically increasing generation number the caller assigns; the
-// serving layer requires each published generation's id to exceed the one
-// it replaces.
+// must sit at their final addresses before it is built.  Every factory
+// goes through one private Create, which rejects a KB and embedding store
+// whose concept counts disagree (a row per concept is what every lookup
+// assumes) and gives the shared_ptr a deleter that hands the freed pages
+// back to the OS (malloc_trim) once a retired generation is destroyed.
+// The `id` is the monotonically increasing generation number the caller
+// assigns; the serving layer requires each published generation's id to
+// exceed the one it replaces.
 class KbGeneration {
  public:
-  /// Loads the snapshot pair and applies `delta_paths` in order.
+  /// Loads the snapshot pair and applies `delta_paths` in order.  A pair
+  /// whose concept counts disagree is InvalidArgument, naming both.
   static Result<std::shared_ptr<const KbGeneration>> Load(
       const std::string& kb_path, const std::string& embeddings_path,
       std::span<const std::string> delta_paths, uint64_t id,
       const KbGenerationOptions& options = {});
 
-  /// Wraps an already-built substrate (both must be finalized).
+  /// Wraps an already-built substrate (both must be finalized and agree
+  /// on the concept counts; a mismatch aborts).
   static std::shared_ptr<const KbGeneration> FromSubstrate(
       kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
       const KbGenerationOptions& options = {});
@@ -59,8 +65,9 @@ class KbGeneration {
 
   /// Persists this generation as a fresh TENETKB2 + TENETEMB1 pair — the
   /// merge step that folds applied deltas back into a base snapshot.  Both
-  /// writes are atomic; a crash between the two leaves a loadable (if
-  /// mismatched-by-one) pair, never a torn file.
+  /// writes are atomic, so neither file is ever torn; a crash between the
+  /// two leaves the new KB beside the old embeddings, a pair that Load
+  /// rejects when the deltas added concepts.
   Status Compact(const std::string& kb_path,
                  const std::string& embeddings_path) const;
 
@@ -82,6 +89,11 @@ class KbGeneration {
   KbGeneration(kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings,
                uint64_t id, kb::DeltaApplyStats delta_stats,
                const KbGenerationOptions& options);
+
+  // The one factory behind Load, FromSubstrate and WithDeltas.
+  static Result<std::shared_ptr<const KbGeneration>> Create(
+      kb::KnowledgeBase kb, embedding::EmbeddingStore embeddings, uint64_t id,
+      kb::DeltaApplyStats delta_stats, const KbGenerationOptions& options);
 
   const uint64_t id_;
   kb::KnowledgeBase kb_;

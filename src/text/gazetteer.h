@@ -2,12 +2,11 @@
 #define TENET_TEXT_GAZETTEER_H_
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "kb/types.h"
 
@@ -24,6 +23,15 @@ namespace text {
 // different types keeps the first type (dominant sense).  The spotter
 // probes with views into a document's folded token buffer (FindFolded,
 // StartsLowercaseMention), so no probe builds a string.
+//
+// Layout: every folded key lives once in one arena, and one power-of-two
+// open-addressing table (linear probing, load factor <= 1/2) holds a
+// 16-byte slot per surface plus one per first word of a lowercase-spottable
+// surface that is not itself a surface.  A first word's slot points at the
+// prefix of its surface's key, so it costs no arena bytes.  Each slot
+// carries the chunked probe hash's tag (common/probe_hash.h), the key span,
+// the Entry and two flags (is a surface, starts a lowercase mention), so
+// FindFolded and StartsLowercaseMention are one probe each.
 class Gazetteer {
  public:
   struct Entry {
@@ -33,13 +41,20 @@ class Gazetteer {
 
   Gazetteer() = default;
 
+  /// Sizes the table for `surfaces` surfaces and the arena for
+  /// `key_bytes` key bytes, so that many AddSurface calls neither rehash
+  /// nor reallocate.  First words that are not surfaces take further
+  /// slots.
+  void Reserve(size_t surfaces, size_t key_bytes);
+
   /// Registers a surface form with its entity type.  `lowercase_mention`
   /// marks surfaces that should be spotted even without capitalization.
   void AddSurface(std::string_view surface, kb::EntityType type,
                   bool lowercase_mention = false);
 
   /// The entry of `folded`, a surface already ASCII case-folded
-  /// (AsciiFoldChar), or nullptr when unknown.
+  /// (AsciiFoldChar), or nullptr when unknown.  The pointer is valid until
+  /// the next AddSurface.
   const Entry* FindFolded(std::string_view folded) const;
 
   /// True when the case-folded word `folded_word` is the first word of
@@ -59,20 +74,39 @@ class Gazetteer {
   /// bounds the n-gram scan of the extractor.
   int max_lowercase_tokens() const { return max_lowercase_tokens_; }
 
-  size_t size() const { return entries_.size(); }
+  /// Number of distinct surfaces.
+  size_t size() const { return num_surfaces_; }
 
  private:
-  // Heterogeneous lookup: probe std::string keys with a string_view.
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  // Slot flags; a slot with no flag set is empty.
+  static constexpr uint8_t kSurface = 1;          // entry is live
+  static constexpr uint8_t kStartsLowercase = 2;  // a lowercase first word
 
-  std::unordered_map<std::string, Entry, Hash, std::equal_to<>> entries_;
-  std::unordered_set<std::string, Hash, std::equal_to<>>
-      lowercase_first_words_;
+  struct Slot {
+    uint32_t tag = 0;        // high half of the key's probe hash
+    uint32_t key_begin = 0;  // offset into keys_
+    uint32_t key_len = 0;
+    Entry entry{};
+    uint8_t flags = 0;
+  };
+  static_assert(sizeof(Slot) == 16);
+
+  // Index of the slot holding `key`, whose probe hash is `hash`, or of the
+  // empty slot that ends its chain.  The table must not be empty.
+  size_t Probe(uint64_t hash, std::string_view key) const;
+  // The slot of keys_[begin, begin + len), inserted with no flags when
+  // absent (the table may grow first).  On a hit the slot keeps its own
+  // key span.
+  Slot& FindOrInsert(uint32_t begin, uint32_t len);
+  // The slot of `folded`, or nullptr.
+  const Slot* Find(std::string_view folded) const;
+  // Re-inserts every occupied slot into a table of `capacity` slots.
+  void Rehash(size_t capacity);
+
+  std::string keys_;         // every distinct key, folded
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  size_t num_used_ = 0;      // occupied slots
+  size_t num_surfaces_ = 0;
   int max_lowercase_tokens_ = 0;
 };
 

@@ -8,7 +8,11 @@
 #include <fstream>
 #include <limits>
 #include <span>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,11 +20,13 @@
 #include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "kb/delta.h"
 #include "kb/synthetic_kb.h"
+#include "serving/kb_generation.h"
 
 namespace tenet {
 namespace kb {
@@ -264,6 +270,140 @@ TEST(KbIoTest, DeriveGazetteerCoversAliasSurfaces) {
   EXPECT_EQ(after.LookupType("jordan"), EntityType::kLocation);
   EXPECT_TRUE(after.Contains("nova"));
   EXPECT_FALSE(after.Contains("machine learning"));
+}
+
+// DeriveGazetteer as it stood before the one-pass derivation: the
+// highest-prior entity posting of each surface (ties to the lower id)
+// collected in a per-surface map, then one AddSurface per surface.
+text::Gazetteer ReferenceDeriveGazetteer(const KnowledgeBase& kb) {
+  text::Gazetteer gazetteer;
+  std::unordered_map<std::string, std::pair<double, EntityId>> best;
+  kb.alias_index().VisitPostings(
+      [&best](std::string_view surface, const AliasPosting& posting) {
+        if (!posting.concept_ref.is_entity()) return;
+        auto [it, inserted] = best.emplace(
+            std::string(surface),
+            std::make_pair(posting.prior, posting.concept_ref.id));
+        if (!inserted && (posting.prior > it->second.first ||
+                          (posting.prior == it->second.first &&
+                           posting.concept_ref.id < it->second.second))) {
+          it->second = {posting.prior, posting.concept_ref.id};
+        }
+      });
+  for (const auto& [surface, sense] : best) {
+    const bool lowercase = !surface.empty() && IsAsciiLowerChar(surface[0]);
+    gazetteer.AddSurface(surface, kb.entity(sense.second).type, lowercase);
+  }
+  return gazetteer;
+}
+
+// Every dictionary key gets the same entry from both derivations, and
+// every key's first word (a single-word key is its own) the same answer
+// from StartsLowercaseMention.
+void ExpectDerivationMatchesReference(const KnowledgeBase& kb) {
+  const text::Gazetteer derived = DeriveGazetteer(kb);
+  const text::Gazetteer reference = ReferenceDeriveGazetteer(kb);
+  EXPECT_EQ(derived.size(), reference.size());
+  EXPECT_EQ(derived.max_lowercase_tokens(), reference.max_lowercase_tokens());
+  size_t keys = 0;
+  kb.alias_index().frozen_dict()->VisitSurfaces(
+      [&](std::string_view key, std::span<const AliasPosting>) {
+        ++keys;
+        const text::Gazetteer::Entry* a = derived.FindFolded(key);
+        const text::Gazetteer::Entry* b = reference.FindFolded(key);
+        ASSERT_EQ(a == nullptr, b == nullptr) << key;
+        if (a != nullptr) {
+          EXPECT_EQ(a->type, b->type) << key;
+          EXPECT_EQ(a->lowercase_mention, b->lowercase_mention) << key;
+        }
+        const std::string_view first_word = key.substr(0, key.find(' '));
+        EXPECT_EQ(derived.StartsLowercaseMention(first_word),
+                  reference.StartsLowercaseMention(first_word))
+            << first_word;
+      });
+  EXPECT_EQ(keys, kb.alias_index().num_surfaces());
+}
+
+TEST(KbIoTest, DeriveGazetteerMatchesPerSurfaceMapReference) {
+  datasets::SyntheticWorld world = datasets::BuildWorld();
+  ExpectDerivationMatchesReference(world.kb());
+
+  // A delta-touched list is only stably sorted by prior.  "jordan" starts
+  // as river 0.75, person 0.25; adjusting the person's weight to 0.75
+  // renormalizes both to 0.5 and keeps the river first, so the tie must
+  // go to the lower id, the person, and not to the first posting.
+  KnowledgeBase kb;
+  const EntityId person = kb.AddEntity("Jordan", EntityType::kPerson, 0, 1.0);
+  const EntityId river =
+      kb.AddEntity("Jordan River", EntityType::kLocation, 0, 3.0);
+  kb.AddEntityAlias(river, "Jordan", 3.0);
+  const EntityId topic =
+      kb.AddEntity("machine learning", EntityType::kTopic, 0, 1.0);
+  kb.AddEntity("deep machine learning", EntityType::kTopic, 0, 1.0);
+  const PredicateId works_at = kb.AddPredicate("works at");
+  kb.Finalize();
+  ExpectDerivationMatchesReference(kb);
+
+  embedding::EmbeddingStore embeddings(/*dimension=*/4, kb.num_entities(),
+                                       kb.num_predicates());
+  embeddings.Finalize();
+  DeltaBuilder builder(kb);
+  builder.AdjustEntityAliasPrior(person, "Jordan", 0.75);
+  const EntityId nova =
+      builder.AddEntity("Nova", EntityType::kOrganization, 0, 0.75);
+  builder.AddEntityAlias(nova, "jordan river", 0.5);
+  builder.TombstoneEntity(topic);
+  builder.AddPredicateAlias(works_at, "employed at", 0.4);
+  std::vector<DeltaSegment> segments{builder.Build()};
+  Result<AppliedDelta> applied = ApplyDeltas(kb, embeddings, segments);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  const std::span<const AliasPosting> jordan =
+      applied->kb.alias_index().LookupEntities("jordan");
+  ASSERT_EQ(jordan.size(), 2u);
+  ASSERT_EQ(jordan[0].concept_ref.id, river);
+  ASSERT_EQ(jordan[0].prior, jordan[1].prior);
+  EXPECT_EQ(DeriveGazetteer(applied->kb).LookupType("jordan"),
+            EntityType::kPerson);
+  ExpectDerivationMatchesReference(applied->kb);
+}
+
+// Compact writes the KB, then the embeddings; a crash between the two
+// leaves a delta generation's KB beside the base's embeddings.  Such a
+// pair must not load: the first request reaching the missing row would
+// abort the process.
+TEST(KbIoTest, GenerationLoadRejectsMismatchedConceptCounts) {
+  datasets::SyntheticWorld world = datasets::BuildWorld();
+  DeltaBuilder builder(world.kb());
+  const EntityId added =
+      builder.AddEntity("Zorblax Quintessa", EntityType::kPerson, 0, 1.0);
+  builder.SetEmbedding(
+      ConceptRef::Entity(added),
+      std::vector<float>(static_cast<size_t>(world.embeddings.dimension()),
+                         0.5f));
+  std::vector<DeltaSegment> segments{builder.Build()};
+  Result<AppliedDelta> applied =
+      ApplyDeltas(world.kb(), world.embeddings, segments);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+
+  const std::string kb_path = TempPath("mismatched.tenetkb");
+  const std::string emb_path = TempPath("mismatched.tenetemb");
+  ASSERT_TRUE(SaveKnowledgeBase(applied->kb, kb_path).ok());
+  ASSERT_TRUE(SaveEmbeddings(world.embeddings, emb_path).ok());
+  Result<std::shared_ptr<const serving::KbGeneration>> generation =
+      serving::KbGeneration::Load(kb_path, emb_path, {}, /*id=*/1);
+  ASSERT_FALSE(generation.ok());
+  EXPECT_EQ(generation.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = generation.status().ToString();
+  EXPECT_NE(message.find(std::to_string(applied->kb.num_entities())),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(world.embeddings.num_entities())),
+            std::string::npos)
+      << message;
+
+  // The matched pair loads.
+  ASSERT_TRUE(SaveEmbeddings(applied->embeddings, emb_path).ok());
+  EXPECT_TRUE(serving::KbGeneration::Load(kb_path, emb_path, {}, 2).ok());
 }
 
 TEST(KbIoTest, ReloadedWorldLinksIdentically) {

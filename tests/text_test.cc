@@ -6,8 +6,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "text/features.h"
 #include "text/gazetteer.h"
@@ -334,6 +337,119 @@ TEST(GazetteerTest, FirstTypeWinsButLowercaseFlagAccumulates) {
   g.AddSurface("jordan", kb::EntityType::kLocation, true);
   EXPECT_EQ(g.LookupType("jordan"), kb::EntityType::kPerson);
   EXPECT_TRUE(g.IsLowercaseMention("jordan"));
+}
+
+// The reference model of AddSurface's rule, in two hash containers: keys
+// fold, empty surfaces are skipped, the first type wins, lowercase flags
+// OR, and every lowercase add records its key's first word (the key up to
+// its first space) and its token count.
+struct GazetteerModel {
+  std::unordered_map<std::string, Gazetteer::Entry> entries;
+  std::unordered_set<std::string> first_words;
+  int max_lowercase_tokens = 0;
+
+  void Add(std::string_view surface, kb::EntityType type, bool lowercase) {
+    const std::string key = AsciiToLower(surface);
+    if (key.empty()) return;
+    if (lowercase) {
+      first_words.insert(key.substr(0, key.find(' ')));
+      max_lowercase_tokens = std::max(
+          max_lowercase_tokens,
+          1 + static_cast<int>(std::count(key.begin(), key.end(), ' ')));
+    }
+    auto [it, inserted] = entries.emplace(key, Gazetteer::Entry{type, lowercase});
+    if (!inserted) it->second.lowercase_mention |= lowercase;
+  }
+};
+
+void ExpectMatchesModel(const Gazetteer& g, const GazetteerModel& model,
+                        const std::vector<std::string>& probes) {
+  ASSERT_EQ(g.size(), model.entries.size());
+  ASSERT_EQ(g.max_lowercase_tokens(), model.max_lowercase_tokens);
+  for (const std::string& probe : probes) {
+    const Gazetteer::Entry* entry = g.FindFolded(probe);
+    auto it = model.entries.find(probe);
+    if (it == model.entries.end()) {
+      EXPECT_EQ(entry, nullptr) << "'" << probe << "'";
+    } else {
+      ASSERT_NE(entry, nullptr) << "'" << probe << "'";
+      EXPECT_EQ(entry->type, it->second.type) << "'" << probe << "'";
+      EXPECT_EQ(entry->lowercase_mention, it->second.lowercase_mention)
+          << "'" << probe << "'";
+    }
+    EXPECT_EQ(g.StartsLowercaseMention(probe),
+              model.first_words.count(probe) == 1)
+        << "'" << probe << "'";
+  }
+}
+
+// The flat table against the model: random surfaces over a small word pool
+// (so surfaces repeat, with other types and flags, and multi-word surfaces
+// start with words that are no surface), random case, empty surfaces and
+// leading spaces (an empty first word), and enough distinct keys to grow
+// the table many times, with and without a Reserve.
+TEST(GazetteerTest, FlatTableMatchesReferenceModel) {
+  Rng rng(2025);
+  std::vector<std::string> words;
+  for (int w = 0; w < 400; ++w) {
+    std::string word;
+    const int len = static_cast<int>(rng.NextInt(1, 11));
+    for (int c = 0; c < len; ++c) {
+      word.push_back(static_cast<char>('a' + rng.NextUint64(26)));
+    }
+    if (rng.NextBool(0.05)) word.push_back(static_cast<char>(0xC3));
+    words.push_back(std::move(word));
+  }
+  Gazetteer grown;
+  Gazetteer reserved;
+  reserved.Reserve(/*surfaces=*/64, /*key_bytes=*/256);
+  GazetteerModel model;
+  std::vector<std::string> probes{""};
+  for (int add = 1; add <= 6000; ++add) {
+    std::string surface;
+    if (!rng.NextBool(0.01)) {
+      if (rng.NextBool(0.02)) surface.push_back(' ');
+      const int num_words = static_cast<int>(rng.NextInt(1, 4));
+      for (int w = 0; w < num_words; ++w) {
+        if (w > 0) surface.push_back(' ');
+        surface += words[rng.NextUint64(words.size())];
+      }
+      for (char& c : surface) {
+        if (IsAsciiLowerChar(c) && rng.NextBool(0.3)) {
+          c = static_cast<char>(c - ('a' - 'A'));
+        }
+      }
+    }
+    const auto type =
+        static_cast<kb::EntityType>(rng.NextUint64(kb::kNumEntityTypes));
+    const bool lowercase = rng.NextBool(0.5);
+    grown.AddSurface(surface, type, lowercase);
+    reserved.AddSurface(surface, type, lowercase);
+    model.Add(surface, type, lowercase);
+
+    const std::string key = AsciiToLower(surface);
+    probes.push_back(key);
+    probes.push_back(key.substr(0, key.find(' ')));
+    for (size_t len = 1; len < key.size(); ++len) {
+      probes.push_back(key.substr(0, len));
+    }
+    std::string random_key;
+    const int random_len = static_cast<int>(rng.NextInt(1, 24));
+    for (int c = 0; c < random_len; ++c) {
+      random_key.push_back(rng.NextBool(0.15)
+                               ? ' '
+                               : static_cast<char>('a' + rng.NextUint64(26)));
+    }
+    probes.push_back(std::move(random_key));
+    if (add % 1500 == 0) {
+      ExpectMatchesModel(grown, model, probes);
+      ExpectMatchesModel(reserved, model, probes);
+    }
+  }
+  for (const std::string& word : words) probes.push_back(word);
+  ASSERT_GT(model.entries.size(), 4000u);
+  ExpectMatchesModel(grown, model, probes);
+  ExpectMatchesModel(reserved, model, probes);
 }
 
 // The predicate verb pool and non-KB verb pool must be disjoint and both

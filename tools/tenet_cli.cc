@@ -6,11 +6,12 @@
 //   tenet_cli link --kb PATH --emb PATH [--text "..."] [--candidates K]
 //             [--deadline-ms MS] [--trace]
 //       Links a document (from --text or stdin) against a persisted world
-//       and prints the linked concepts and emerging entities.  With a
-//       deadline, an over-budget document degrades to prior-only linking
-//       (reported on stderr) instead of failing.  --trace prints the
-//       request's span tree (stages, cover retries, degradation rungs) on
-//       stderr.
+//       (loaded as a KbGeneration, which rejects a pair whose concept
+//       counts disagree) and prints the linked concepts and emerging
+//       entities.  With a deadline, an over-budget document degrades to
+//       prior-only linking (reported on stderr) instead of failing.
+//       --trace prints the request's span tree (stages, cover retries,
+//       degradation rungs) on stderr.
 //
 //   tenet_cli demo [--seed N]
 //       One-shot: builds the world in memory and links stdin.
@@ -541,26 +542,15 @@ int main(int argc, char** argv) {
   }
 
   if (args->command == "link") {
-    Result<kb::KnowledgeBase> knowledge_base =
-        kb::LoadKnowledgeBase(args->kb_path);
-    if (!knowledge_base.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   knowledge_base.status().ToString().c_str());
+    Result<std::shared_ptr<const serving::KbGeneration>> generation =
+        serving::KbGeneration::Load(args->kb_path, args->emb_path,
+                                    /*delta_paths=*/{}, /*id=*/1);
+    if (!generation.ok()) {
+      std::fprintf(stderr, "%s\n", generation.status().ToString().c_str());
       return 1;
     }
-    Result<embedding::EmbeddingStore> embeddings =
-        kb::LoadEmbeddings(args->emb_path);
-    if (!embeddings.ok()) {
-      std::fprintf(stderr, "%s\n", embeddings.status().ToString().c_str());
-      return 1;
-    }
-    if (embeddings->num_entities() != knowledge_base->num_entities() ||
-        embeddings->num_predicates() != knowledge_base->num_predicates()) {
-      std::fprintf(stderr, "KB and embeddings disagree on concept counts\n");
-      return 1;
-    }
-    text::Gazetteer gazetteer = kb::DeriveGazetteer(*knowledge_base);
-    return LinkAndPrint(*knowledge_base, *embeddings, gazetteer, *args);
+    return LinkAndPrint((*generation)->kb(), (*generation)->embeddings(),
+                        (*generation)->gazetteer(), *args);
   }
 
   if (args->command == "dump-corpora") {
