@@ -33,7 +33,6 @@
 #include "json_out.h"
 #include "kb/alias_index.h"
 #include "kb/synthetic_kb.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -42,9 +41,10 @@ using namespace tenet;
 // The pre-dictionary alias tier, reconstructed line for line from the old
 // AliasIndex::Lookup: sixteen shard maps routed by std::hash of the folded
 // key, folded-string keys (one allocation per probe), vector-valued
-// posting lists, kind filtering by copy — plus the same fault-point and
-// dependency instrumentation the shipping path keeps, so the comparison
-// isolates the index structure rather than the wrapper.
+// posting lists, kind filtering by copy — plus the same fault probe the
+// shipping path keeps, counted into a local outcome record, so the
+// comparison isolates the index structure rather than the wrapper.  It no
+// longer models the per-lookup dependency observer call of the old tier.
 class HashMapBaseline {
  public:
   static constexpr size_t kNumShards = 16;
@@ -75,10 +75,7 @@ class HashMapBaseline {
                                        kb::ConceptRef::Kind kind) const {
     std::vector<kb::AliasPosting> out;
     const bool faulted = TENET_FAULT_POINT("kb/alias_lookup");
-    TENET_OBSERVE_DEPENDENCY("kb/alias_lookup", !faulted);
-    static obs::DependencyOpCounters& ops =
-        *new obs::DependencyOpCounters("bench/alias_baseline");
-    ops.Record(!faulted);
+    outcomes_.Record(Dependency::kKbAliasLookup, !faulted);
     if (faulted) return out;
     std::string key = AsciiToLower(probe);  // fold = one allocation
     const auto& shard = shards_[ShardOf(key)];
@@ -93,6 +90,7 @@ class HashMapBaseline {
   std::array<std::unordered_map<std::string, std::vector<kb::AliasPosting>>,
              kNumShards>
       shards_;
+  mutable DependencyOutcomes outcomes_;
 };
 
 // One timed sweep of the probe set, in ns/lookup.  `run` returns a

@@ -26,7 +26,6 @@
 #include "graph/hopcroft_karp.h"
 #include "graph/mst.h"
 #include "json_out.h"
-#include "obs/metrics.h"
 #include "text/extraction.h"
 
 namespace {
@@ -94,10 +93,12 @@ BENCHMARK(BM_TreeSplit)->Arg(64)->Arg(256)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // Pairwise similarity: the coherence stage's dominant cost.  The scalar
-// baseline reproduces the pre-kernel per-pair Cosine byte for byte — one
-// fault probe, one dependency observation, one op-counter record and a
+// baseline reproduces the pre-kernel per-pair Cosine arithmetic byte for
+// byte — one fault probe, one count into a local outcome record and a
 // serial double-precision dot per pair — so the recorded speedup is the
-// real before/after of the batched path, not a strawman.
+// real before/after of the batched path, not a strawman.  It no longer
+// models the process-wide dependency observer call the pre-kernel Cosine
+// made per pair; that observer is gone.
 
 struct PairwiseFixture {
   int dim;
@@ -105,7 +106,7 @@ struct PairwiseFixture {
   embedding::EmbeddingStore store;
   std::vector<kb::ConceptRef> refs;
   std::vector<double> norms;  // seed-style per-row norms over the raw data
-  obs::DependencyOpCounters ops{"embedding/fetch"};
+  mutable DependencyOutcomes outcomes;
 
   PairwiseFixture(int dim_in, int num_concepts_in)
       : dim(dim_in),
@@ -138,8 +139,7 @@ struct PairwiseFixture {
 // The pre-kernel per-pair arithmetic, verbatim.
 double ScalarBaselineCosine(const PairwiseFixture& fx, int i, int j) {
   const bool faulted = TENET_FAULT_POINT("embedding/fetch");
-  TENET_OBSERVE_DEPENDENCY("embedding/fetch", !faulted);
-  fx.ops.Record(!faulted);
+  fx.outcomes.Record(Dependency::kEmbeddingFetch, !faulted);
   if (faulted) return 0.0;
   if (fx.norms[i] <= 0.0 || fx.norms[j] <= 0.0) return 0.0;
   const float* va = fx.store.Vector(fx.refs[i]).data();

@@ -132,10 +132,11 @@ std::shared_ptr<const kb::KbView> ResolveView(
 }
 
 core::CoherenceGraph BuildGraph(const BaselineSubstrate& substrate,
-                                core::MentionSet mentions) {
+                                core::MentionSet mentions,
+                                DependencyOutcomes* outcomes) {
   core::CoherenceGraphBuilder builder(ResolveView(substrate),
                                       substrate.graph_options);
-  return builder.Build(std::move(mentions));
+  return builder.Build(std::move(mentions), outcomes);
 }
 
 core::LinkingResult AssembleResult(

@@ -53,9 +53,11 @@ core::MentionSet BuildCoarseMentionSet(
     const text::ExtractionResult& extraction,
     const text::Gazetteer* gazetteer);
 
-/// Runs the extractor and builds the coherence graph over `mentions`.
+/// Builds the coherence graph over `mentions`, recording its dependency
+/// operations in `outcomes` when non-null.
 core::CoherenceGraph BuildGraph(const BaselineSubstrate& substrate,
-                                core::MentionSet mentions);
+                                core::MentionSet mentions,
+                                DependencyOutcomes* outcomes);
 
 /// Assembles a LinkingResult from per-mention decisions.  `chosen` maps
 /// mention id -> concept node id of `cg`; `isolated` lists mentions the

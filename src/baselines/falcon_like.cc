@@ -8,7 +8,7 @@ namespace baselines {
 
 Result<core::LinkingResult> FalconLike::LinkDocument(
     std::string_view document_text,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   text::Extractor extractor(substrate_.gazetteer);
   text::ExtractionResult extraction =
@@ -21,16 +21,18 @@ Result<core::LinkingResult> FalconLike::LinkDocument(
   for (core::Mention& mention : mentions.mentions) {
     mention.type = std::nullopt;
   }
-  Result<core::LinkingResult> result = LinkMentionSet(std::move(mentions));
+  Result<core::LinkingResult> result =
+      LinkMentionSet(std::move(mentions), context);
   if (result.ok()) result->timings.extract_ms = extract_ms;
   return result;
 }
 
 Result<core::LinkingResult> FalconLike::LinkMentionSet(
     core::MentionSet mentions,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
-  core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
+  core::CoherenceGraph cg =
+      BuildGraph(substrate_, std::move(mentions), context.outcomes);
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();

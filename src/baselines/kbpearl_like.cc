@@ -11,23 +11,24 @@ namespace tenet {
 namespace baselines {
 Result<core::LinkingResult> KbPearlLike::LinkDocument(
     std::string_view document_text,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   text::Extractor extractor(substrate_.gazetteer);
   text::ExtractionResult extraction =
       extractor.ExtractFromText(document_text);
   double extract_ms = timer.ElapsedMillis();
   Result<core::LinkingResult> result = LinkMentionSet(
-      BuildCoarseMentionSet(extraction, substrate_.gazetteer));
+      BuildCoarseMentionSet(extraction, substrate_.gazetteer), context);
   if (result.ok()) result->timings.extract_ms = extract_ms;
   return result;
 }
 
 Result<core::LinkingResult> KbPearlLike::LinkMentionSet(
     core::MentionSet mentions,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
-  core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
+  core::CoherenceGraph cg =
+      BuildGraph(substrate_, std::move(mentions), context.outcomes);
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();

@@ -20,7 +20,8 @@ namespace baselines {
 // Per-request knobs (deadline, trace) travel in the core::LinkContext.
 // Systems without budget support — the paper's baselines — ignore the
 // context's deadline and run normally, which is exactly their published
-// behaviour; TENET honours both the deadline and the trace.
+// behaviour; TENET honours both the deadline and the trace.  Every system
+// counts its dependency operations into the context's outcome record.
 class Linker {
  public:
   virtual ~Linker() = default;

@@ -11,7 +11,7 @@ namespace baselines {
 
 Result<core::LinkingResult> MintreeLike::LinkDocument(
     std::string_view document_text,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   // The paper feeds MINTREE with TENET's extraction (Sec. 6.1); the short
   // mentions are its input mention set.
@@ -20,17 +20,18 @@ Result<core::LinkingResult> MintreeLike::LinkDocument(
       extractor.ExtractFromText(document_text);
   double extract_ms = timer.ElapsedMillis();
   Result<core::LinkingResult> result = LinkMentionSet(
-      BuildShortOnlyMentionSet(extraction, substrate_.gazetteer));
+      BuildShortOnlyMentionSet(extraction, substrate_.gazetteer), context);
   if (result.ok()) result->timings.extract_ms = extract_ms;
   return result;
 }
 
 Result<core::LinkingResult> MintreeLike::LinkMentionSet(
     core::MentionSet mentions,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
-  core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
+  core::CoherenceGraph cg =
+      BuildGraph(substrate_, std::move(mentions), context.outcomes);
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
@@ -51,8 +52,9 @@ Result<core::LinkingResult> MintreeLike::LinkMentionSet(
     for (int u : cg.ConceptNodesOfMention(noun_mentions[i])) {
       for (size_t j = i + 1; j < noun_mentions.size(); ++j) {
         for (int v : cg.ConceptNodesOfMention(noun_mentions[j])) {
-          double relatedness = view->Cosine(cg.concept_node(u).ref,
-                                            cg.concept_node(v).ref);
+          double relatedness =
+              view->Cosine(cg.concept_node(u).ref, cg.concept_node(v).ref,
+                           context.outcomes);
           // Pair weight: the MST objective is dominated by the semantic
           // distance; local confidence only breaks ties (Phan et al.'s
           // tree weight is built from relatedness edges).

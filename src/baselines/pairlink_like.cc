@@ -13,7 +13,7 @@ namespace baselines {
 
 Result<core::LinkingResult> PairlinkLike::LinkDocument(
     std::string_view document_text,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   // Like MINTREE, Pair-Linking consumes TENET's extraction; the short
   // mentions are its input mention set (no canopy-based joint selection).
@@ -22,17 +22,18 @@ Result<core::LinkingResult> PairlinkLike::LinkDocument(
       extractor.ExtractFromText(document_text);
   double extract_ms = timer.ElapsedMillis();
   Result<core::LinkingResult> result = LinkMentionSet(
-      BuildShortOnlyMentionSet(extraction, substrate_.gazetteer));
+      BuildShortOnlyMentionSet(extraction, substrate_.gazetteer), context);
   if (result.ok()) result->timings.extract_ms = extract_ms;
   return result;
 }
 
 Result<core::LinkingResult> PairlinkLike::LinkMentionSet(
     core::MentionSet mentions,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
-  core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
+  core::CoherenceGraph cg =
+      BuildGraph(substrate_, std::move(mentions), context.outcomes);
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
@@ -50,9 +51,9 @@ Result<core::LinkingResult> PairlinkLike::LinkMentionSet(
   }
   core::SweepPairs(
       nouns, candidates,
-      [&view](const core::PairLinkCandidate& u,
-              const core::PairLinkCandidate& v) {
-        return view->Cosine(u.ref, v.ref);
+      [&view, &context](const core::PairLinkCandidate& u,
+                        const core::PairLinkCandidate& v) {
+        return view->Cosine(u.ref, v.ref, context.outcomes);
       },
       Deadline::Infinite(), &pick);
   std::unordered_map<int, int> chosen;

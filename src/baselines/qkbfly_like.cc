@@ -10,24 +10,25 @@ namespace baselines {
 
 Result<core::LinkingResult> QkbflyLike::LinkDocument(
     std::string_view document_text,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   text::Extractor extractor(substrate_.gazetteer);
   text::ExtractionResult extraction =
       extractor.ExtractFromText(document_text);
   double extract_ms = timer.ElapsedMillis();
   Result<core::LinkingResult> result = LinkMentionSet(
-      BuildCoarseMentionSet(extraction, substrate_.gazetteer));
+      BuildCoarseMentionSet(extraction, substrate_.gazetteer), context);
   if (result.ok()) result->timings.extract_ms = extract_ms;
   return result;
 }
 
 Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     core::MentionSet mentions,
-    const core::LinkContext& /*context*/) const {
+    const core::LinkContext& context) const {
   WallTimer timer;
   std::shared_ptr<const kb::KbView> view = ResolveView(substrate_);
-  core::CoherenceGraph cg = BuildGraph(substrate_, std::move(mentions));
+  core::CoherenceGraph cg =
+      BuildGraph(substrate_, std::move(mentions), context.outcomes);
   double graph_ms = timer.ElapsedMillis();
 
   timer.Restart();
@@ -49,7 +50,8 @@ Result<core::LinkingResult> QkbflyLike::LinkMentionSet(
     for (int other : noun_mentions) {
       if (other == self || current[other] < 0) continue;
       sum += view->Cosine(cg.concept_node(node).ref,
-                          cg.concept_node(current[other]).ref);
+                          cg.concept_node(current[other]).ref,
+                          context.outcomes);
       ++count;
     }
     return count == 0 ? 0.0 : sum / count;

@@ -45,6 +45,16 @@ CircuitBreaker::CircuitBreaker(std::string name, CircuitBreakerOptions options)
       "Current breaker state per dependency (0 closed, 1 open, 2 half_open).",
       dependency);
   state_gauge_->Set(static_cast<double>(state_));
+  constexpr const char* kOperationsHelp =
+      "Dependency operations of the requests that fed the breaker, by "
+      "outcome (error = the operation failed, e.g. an injected fault "
+      "fired).";
+  operations_ok_ = registry->GetCounter(
+      "tenet_dependency_operations_total", kOperationsHelp,
+      dependency + "," + obs::LabelPair("outcome", "ok"));
+  operations_error_ = registry->GetCounter(
+      "tenet_dependency_operations_total", kOperationsHelp,
+      dependency + "," + obs::LabelPair("outcome", "error"));
 }
 
 void CircuitBreaker::RecordTransitionLocked(BreakerState to) {
@@ -111,8 +121,22 @@ bool CircuitBreaker::Allow() {
   return true;
 }
 
-void CircuitBreaker::RecordOutcome(bool ok) {
+void CircuitBreaker::RecordOutcomes(int64_t ok, int64_t failed) {
+  TENET_CHECK_GE(ok, 0);
+  TENET_CHECK_GE(failed, 0);
+  if (ok == 0 && failed == 0) return;
+  operations_ok_->Increment(ok);
+  operations_error_->Increment(failed);
   std::lock_guard<std::mutex> lock(mu_);
+  for (int64_t i = 0; i < failed; ++i) RecordOutcomeLocked(false);
+  for (int64_t i = 0; i < ok; ++i) RecordOutcomeLocked(true);
+}
+
+void CircuitBreaker::RecordOutcome(bool ok) {
+  RecordOutcomes(ok ? 1 : 0, ok ? 0 : 1);
+}
+
+void CircuitBreaker::RecordOutcomeLocked(bool ok) {
   ++stats_.outcomes;
   if (!ok) ++stats_.failures;
   switch (state_) {

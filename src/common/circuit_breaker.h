@@ -45,10 +45,12 @@ struct CircuitBreakerOptions {
   /// Consecutive successful outcomes, observed while half-open, required
   /// to close the breaker again.
   int half_open_successes = 4;
-  /// Registry receiving the breaker's transition counters and state gauge
-  /// (tenet_breaker_transitions_total{dependency=,to=},
-  /// tenet_breaker_state{dependency=}).  Null publishes to the process-wide
-  /// default registry; tests inject their own for isolated windows.
+  /// Registry receiving the breaker's transition counters, state gauge and
+  /// operation counters (tenet_breaker_transitions_total{dependency=,to=},
+  /// tenet_breaker_state{dependency=},
+  /// tenet_dependency_operations_total{dependency=,outcome=}).  Null
+  /// publishes to the process-wide default registry; tests inject their own
+  /// for isolated windows.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -56,16 +58,19 @@ struct CircuitBreakerOptions {
 // window, in the style of the resilience layers of large serving systems
 // (Hystrix, Envoy outlier detection).  Two call paths feed it:
 //
-//   Allow()          the routing decision, taken once per request before
-//                    touching the dependency; false means "serve degraded".
-//   RecordOutcome()  the observation stream, one call per dependency
-//                    operation (success or failure).
+//   Allow()           the routing decision, taken once per request before
+//                     touching the dependency; false means "serve degraded".
+//   RecordOutcomes()  the observation stream, one call per request with the
+//                     ok and failed operation counts of its record
+//                     (DependencyOutcomes), after linking.
 //
-// Outcomes are decoupled from requests on purpose: one document may touch
-// a dependency hundreds of times (embedding fetches) or once (the cover
-// solve), and the breaker only cares about the aggregate health signal.
-// All methods are thread-safe; Allow() and RecordOutcome() are a mutex
-// acquisition plus O(1) work.
+// The window counts operations, not requests: one document may touch a
+// dependency dozens of times (alias lookups) or once (the cover solve),
+// and the breaker cares about the aggregate health signal.  Feeding a
+// request's counts in one call is the same as feeding its failures one by
+// one and then its successes, so a half-open probe request that saw any
+// failure trips the breaker again.  All methods are thread-safe; each
+// takes the mutex once.
 class CircuitBreaker {
  public:
   struct Stats {
@@ -84,7 +89,14 @@ class CircuitBreaker {
   /// Routing decision: true when the request may use the dependency.
   bool Allow();
 
-  /// Feeds one dependency operation outcome into the window.
+  /// Feeds one request's operation counts into the window under one lock:
+  /// the `failed` outcomes first, then the `ok` ones, each through the
+  /// per-outcome transitions of RecordOutcome.  Also counts them into
+  /// tenet_dependency_operations_total.
+  void RecordOutcomes(int64_t ok, int64_t failed);
+
+  /// Feeds one dependency operation outcome: RecordOutcomes(1, 0) or
+  /// RecordOutcomes(0, 1).
   void RecordOutcome(bool ok);
 
   /// Hands back a half-open probe granted by Allow() that the caller ended
@@ -104,6 +116,7 @@ class CircuitBreaker {
   using Clock = std::chrono::steady_clock;
 
   // All private transitions run under mu_.
+  void RecordOutcomeLocked(bool ok);
   void TripLocked();
   void CloseLocked();
   double WindowFailureRateLocked() const;
@@ -119,6 +132,8 @@ class CircuitBreaker {
   // pointers are stable for the registry's lifetime).
   obs::Counter* transitions_to_[3] = {nullptr, nullptr, nullptr};
   obs::Gauge* state_gauge_ = nullptr;
+  obs::Counter* operations_ok_ = nullptr;
+  obs::Counter* operations_error_ = nullptr;
 
   mutable std::mutex mu_;
   BreakerState state_ = BreakerState::kClosed;

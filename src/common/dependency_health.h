@@ -1,58 +1,40 @@
 #ifndef TENET_COMMON_DEPENDENCY_HEALTH_H_
 #define TENET_COMMON_DEPENDENCY_HEALTH_H_
 
+#include <cstdint>
+
 namespace tenet {
 
-// Outcome stream of the pipeline's failure-prone dependencies, the signal
-// that drives the serving layer's circuit breakers.  The design mirrors
-// fault_injection.h: production call sites are annotated with
-// TENET_OBSERVE_DEPENDENCY("area/operation", ok), which is a single
-// relaxed-ish atomic load when nobody is listening; a serving layer that
-// wants the signal installs a process-wide observer for its lifetime.
+// The pipeline's failure-prone dependencies, the signal that drives the
+// serving layer's circuit breakers.  Each is named by the TENET_FAULT_POINT
+// string at its call site, so a chaos schedule armed on a fault point and
+// the breaker watching that dependency agree on what they are talking
+// about:
 //
-// The dependency names are the same strings as the TENET_FAULT_POINT names
-// at the same call sites ("kb/alias_lookup", "embedding/fetch",
-// "core/cover_solve"), so a chaos schedule armed on a fault point and the
-// breaker watching that dependency agree on what they are talking about.
-class DependencyObserver {
- public:
-  virtual ~DependencyObserver() = default;
-
-  /// Called once per observed dependency operation, possibly from many
-  /// threads at once; implementations must be thread-safe and cheap.
-  virtual void ObserveDependency(const char* dependency, bool ok) = 0;
+//   kKbAliasLookup   "kb/alias_lookup"    AliasIndex::Lookup*
+//   kEmbeddingFetch  "embedding/fetch"    EmbeddingStore::Cosine/GatherUnit
+//   kCoverSolve      "core/cover_solve"   TreeCoverSolver::Solve
+enum class Dependency {
+  kKbAliasLookup = 0,
+  kEmbeddingFetch = 1,
+  kCoverSolve = 2,
 };
 
-// Installs `observer` as the process-wide dependency observer for the
-// scope's lifetime.  At most one may be live at a time (it is meant to be
-// owned by the one serving layer of the process).  The owner must stop all
-// traffic before destroying the scope — same contract as FaultInjector.
-class ScopedDependencyObserver {
- public:
-  explicit ScopedDependencyObserver(DependencyObserver* observer);
-  ~ScopedDependencyObserver();
+// One request's dependency outcomes: ok and failed operation counts per
+// Dependency, as plain integers.  The request owns the record and hands
+// it down through core::LinkContext::outcomes; the call sites above bump
+// it next to their fault point (a null record costs one branch), and the
+// serving layer feeds each breaker once from it after linking.  Not
+// thread-safe: one request, one thread.
+struct DependencyOutcomes {
+  int64_t ok[3] = {};
+  int64_t failed[3] = {};
 
-  ScopedDependencyObserver(const ScopedDependencyObserver&) = delete;
-  ScopedDependencyObserver& operator=(const ScopedDependencyObserver&) =
-      delete;
+  void Record(Dependency dependency, bool ok_outcome) {
+    ++(ok_outcome ? ok : failed)[static_cast<int>(dependency)];
+  }
 };
-
-/// True when an observer is installed — the fast path of the macro.
-bool DependencyObserverInstalled();
-
-/// Forwards one outcome to the installed observer (no-op without one).
-/// Call through TENET_OBSERVE_DEPENDENCY, not directly.
-void ReportDependencyOutcome(const char* dependency, bool ok);
 
 }  // namespace tenet
-
-// Reports the outcome of one dependency operation at this call site.
-// `dependency` must be a string literal ("area/operation").
-#define TENET_OBSERVE_DEPENDENCY(dependency, ok)          \
-  do {                                                    \
-    if (::tenet::DependencyObserverInstalled()) {         \
-      ::tenet::ReportDependencyOutcome((dependency), (ok)); \
-    }                                                     \
-  } while (false)
 
 #endif  // TENET_COMMON_DEPENDENCY_HEALTH_H_

@@ -64,7 +64,8 @@ CoherenceGraphBuilder::CoherenceGraphBuilder(
     : CoherenceGraphBuilder(std::make_shared<kb::KbView>(kb, embeddings),
                             options) {}
 
-CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
+CoherenceGraph CoherenceGraphBuilder::Build(
+    MentionSet mentions, DependencyOutcomes* outcomes) const {
   // Pass 1: candidate generation, to size the node space.  Postings past
   // the per-mention cap are counted (hostile surfaces with hundreds of
   // candidates are exactly what the cap is for) but never fetched, so the
@@ -79,7 +80,7 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
     if (mention.is_noun()) {
       for (const kb::EntityCandidate& c : view_->CandidateEntities(
                mention.surface, mention.type,
-               options_.max_candidates_per_mention, &overflow)) {
+               options_.max_candidates_per_mention, &overflow, outcomes)) {
         of_mention[m].push_back(static_cast<int>(concept_nodes.size()));
         concept_nodes.push_back(CoherenceGraph::ConceptNode{
             m, kb::ConceptRef::Entity(c.entity), c.prior});
@@ -87,7 +88,7 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
     } else {
       for (const kb::PredicateCandidate& c : view_->CandidatePredicates(
                mention.surface, options_.max_candidates_per_mention,
-               &overflow)) {
+               &overflow, outcomes)) {
         of_mention[m].push_back(static_cast<int>(concept_nodes.size()));
         concept_nodes.push_back(CoherenceGraph::ConceptNode{
             m, kb::ConceptRef::Predicate(c.predicate), c.prior});
@@ -134,7 +135,7 @@ CoherenceGraph CoherenceGraphBuilder::Build(MentionSet mentions) const {
   std::vector<kb::ConceptRef> refs(num_concepts);
   for (int i = 0; i < num_concepts; ++i) refs[i] = cg.concept_nodes_[i].ref;
   std::vector<double> rows(static_cast<size_t>(num_concepts) * dim);
-  view_->GatherUnit(refs, rows.data());
+  view_->GatherUnit(refs, rows.data(), outcomes);
   const size_t n = static_cast<size_t>(num_concepts);
   cg.distance_.assign(n * n, kNoEdge);
   for (int i = 0; i < num_concepts; ++i) {

@@ -130,13 +130,10 @@ class CoherenceGraphBuilder {
                         CoherenceGraphOptions options = {});
 
   /// Builds the coherence graph over `mentions` (moved in; retrievable via
-  /// CoherenceGraph::mentions()).
-  CoherenceGraph Build(MentionSet mentions) const;
-
-  /// Same as Build(mentions); kept for perfbench until ROADMAP item 1.
-  CoherenceGraph Build(MentionSet mentions, std::nullptr_t) const {
-    return Build(std::move(mentions));
-  }
+  /// CoherenceGraph::mentions()).  Its candidate lookups and its one
+  /// embedding gather are recorded in `outcomes` when non-null.
+  CoherenceGraph Build(MentionSet mentions,
+                       DependencyOutcomes* outcomes = nullptr) const;
 
   const kb::KbView& view() const { return *view_; }
 

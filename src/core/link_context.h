@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/deadline.h"
+#include "common/dependency_health.h"
 #include "obs/trace.h"
 
 namespace tenet {
@@ -39,6 +40,14 @@ struct LinkContext {
   /// lookups and embeddings are healthy, so an answer better than
   /// prior-only is still affordable.
   bool cap_to_pair_link = false;
+
+  /// Optional per-request record of dependency outcomes.  When non-null,
+  /// every alias lookup, embedding fetch and cover solve the call makes is
+  /// counted into it, ok or failed.  Like the trace, it must outlive the
+  /// call and is written from the serving thread only.  The serving layer
+  /// sets its own record on every call it makes and feeds its circuit
+  /// breakers from it after linking.
+  DependencyOutcomes* outcomes = nullptr;
 
   /// The deadline this request should run under, given the callee's
   /// default policy.

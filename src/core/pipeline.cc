@@ -244,7 +244,8 @@ TenetOptions ClampToLimits(TenetOptions options) {
 // distribution the graph would, and overflow past the cap is counted as
 // the graph builder counts it.
 std::vector<std::vector<PairLinkCandidate>> FetchCandidates(
-    const kb::KbView& view, const MentionSet& mentions, int top_k) {
+    const kb::KbView& view, const MentionSet& mentions, int top_k,
+    DependencyOutcomes* outcomes) {
   std::vector<std::vector<PairLinkCandidate>> candidates(
       mentions.num_mentions());
   int64_t candidate_overflow = 0;
@@ -253,13 +254,13 @@ std::vector<std::vector<PairLinkCandidate>> FetchCandidates(
     int overflow = 0;
     if (mention.is_noun()) {
       for (const kb::EntityCandidate& c : view.CandidateEntities(
-               mention.surface, mention.type, top_k, &overflow)) {
+               mention.surface, mention.type, top_k, &overflow, outcomes)) {
         candidates[m].push_back(
             PairLinkCandidate{kb::ConceptRef::Entity(c.entity), c.prior});
       }
     } else {
-      for (const kb::PredicateCandidate& c :
-           view.CandidatePredicates(mention.surface, top_k, &overflow)) {
+      for (const kb::PredicateCandidate& c : view.CandidatePredicates(
+               mention.surface, top_k, &overflow, outcomes)) {
         candidates[m].push_back(PairLinkCandidate{
             kb::ConceptRef::Predicate(c.predicate), c.prior});
       }
@@ -381,7 +382,8 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
   }
 
   StageScope graph_scope(context, "graph", Metrics().stage_graph);
-  CoherenceGraph cg = graph_builder_.Build(std::move(mentions));
+  CoherenceGraph cg = graph_builder_.Build(std::move(mentions),
+                                           context.outcomes);
   timings.graph_ms = graph_scope.Finish();
 
   // ---- Tree cover: B = bound_factor * |M| (Sec. 6.1), growing on the
@@ -409,7 +411,8 @@ Result<LinkingResult> TenetPipeline::LinkMentionSetWithTimings(
             context.trace->StartSpan("cover_retry", cover_scope.span_id());
       }
     }
-    cover = solver_.Solve(cg, schedule.value(), &cover_stats);
+    cover = solver_.Solve(cg, schedule.value(), &cover_stats,
+                          context.outcomes);
     if (retry_span >= 0) context.trace->EndSpan(retry_span);
     ++attempt;
     if (cover.ok() || !cover.status().IsBoundTooSmall()) break;
@@ -497,7 +500,8 @@ Result<LinkingResult> TenetPipeline::Degrade(
       cg != nullptr
           ? GraphCandidates(*cg)
           : FetchCandidates(*view_, mentions,
-                            options_.graph.max_candidates_per_mention);
+                            options_.graph.max_candidates_per_mention,
+                            context.outcomes);
   std::vector<int> pick(mentions.num_mentions());
   for (int m = 0; m < mentions.num_mentions(); ++m) {
     pick[m] = TopPriorCandidate(candidates[m]);
@@ -526,9 +530,9 @@ Result<LinkingResult> TenetPipeline::Degrade(
         return 1.0 - cg->EdgeWeight(u.node, v.node, /*missing=*/1.0);
       };
     } else {
-      similarity = [this](const PairLinkCandidate& u,
-                          const PairLinkCandidate& v) {
-        return view_->Cosine(u.ref, v.ref);
+      similarity = [this, outcomes = context.outcomes](
+                       const PairLinkCandidate& u, const PairLinkCandidate& v) {
+        return view_->Cosine(u.ref, v.ref, outcomes);
       };
     }
     PairSweepStats stats =

@@ -5,14 +5,12 @@
 #include <span>
 #include <utility>
 
-#include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "core/tree_split.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/mst.h"
 #include "graph/tree.h"
-#include "obs/metrics.h"
 
 namespace tenet {
 namespace core {
@@ -224,16 +222,15 @@ int TreeCover::TotalEdges() const {
 }
 
 Result<TreeCover> TreeCoverSolver::Solve(const CoherenceGraph& cg,
-                                         double bound,
-                                         TreeCoverStats* stats) const {
+                                         double bound, TreeCoverStats* stats,
+                                         DependencyOutcomes* outcomes) const {
   const bool faulted = TENET_FAULT_POINT("core/cover_solve");
   // Only the fault (the stand-in for an unavailable solver backend) is a
   // dependency failure; kBoundTooSmall below is an expected, retryable
   // outcome of Algorithm 1 and must not trip a breaker.
-  TENET_OBSERVE_DEPENDENCY("core/cover_solve", !faulted);
-  static obs::DependencyOpCounters& ops =
-      *new obs::DependencyOpCounters("core/cover_solve");
-  ops.Record(!faulted);
+  if (outcomes != nullptr) {
+    outcomes->Record(Dependency::kCoverSolve, !faulted);
+  }
   if (faulted) {
     return Status::Internal("injected fault: cover solver unavailable");
   }

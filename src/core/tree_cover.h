@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/dependency_health.h"
 #include "common/result.h"
 #include "core/coherence_graph.h"
 #include "graph/graph.h"
@@ -66,8 +67,13 @@ class TreeCoverSolver {
  public:
   TreeCoverSolver() = default;
 
+  /// One core/cover_solve operation, recorded in `outcomes` when non-null:
+  /// only a fired fault (the stand-in for an unavailable solver backend)
+  /// is a failed one; kBoundTooSmall is an expected, retryable outcome of
+  /// Algorithm 1.
   Result<TreeCover> Solve(const CoherenceGraph& cg, double bound,
-                          TreeCoverStats* stats = nullptr) const;
+                          TreeCoverStats* stats = nullptr,
+                          DependencyOutcomes* outcomes = nullptr) const;
 };
 
 /// Finds the smallest bound (within `tolerance`, relative) for which Solve

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "embedding/dot_kernel.h"
@@ -19,8 +18,7 @@ EmbeddingStore::EmbeddingStore(int dimension, int32_t num_entities,
       num_predicates_(num_predicates),
       data_(static_cast<size_t>(dimension) *
                 (static_cast<size_t>(num_entities) + num_predicates),
-            0.0f),
-      ops_("embedding/fetch") {
+            0.0f) {
   TENET_CHECK_GT(dimension, 0);
   TENET_CHECK_GE(num_entities, 0);
   TENET_CHECK_GE(num_predicates, 0);
@@ -95,13 +93,15 @@ Status EmbeddingStore::LoadMatrix(const void* matrix, size_t count_floats) {
   return Status::Ok();
 }
 
-double EmbeddingStore::Cosine(kb::ConceptRef a, kb::ConceptRef b) const {
+double EmbeddingStore::Cosine(kb::ConceptRef a, kb::ConceptRef b,
+                              DependencyOutcomes* outcomes) const {
   TENET_CHECK(finalized_) << "Cosine before Finalize";
   // A fired fetch fault behaves like a missing vector: zero similarity,
   // the same value a genuinely absent (zero-norm) embedding yields.
   const bool faulted = TENET_FAULT_POINT("embedding/fetch");
-  TENET_OBSERVE_DEPENDENCY("embedding/fetch", !faulted);
-  ops_.Record(!faulted);
+  if (outcomes != nullptr) {
+    outcomes->Record(Dependency::kEmbeddingFetch, !faulted);
+  }
   if (faulted) return 0.0;
   // Both unit rows go to the stack; only a store wider than any shipped
   // world (32 dimensions) takes the heap.
@@ -119,11 +119,13 @@ double EmbeddingStore::Cosine(kb::ConceptRef a, kb::ConceptRef b) const {
 }
 
 void EmbeddingStore::GatherUnit(std::span<const kb::ConceptRef> refs,
-                                double* out) const {
+                                double* out,
+                                DependencyOutcomes* outcomes) const {
   TENET_CHECK(finalized_) << "GatherUnit before Finalize";
   const bool faulted = TENET_FAULT_POINT("embedding/fetch");
-  TENET_OBSERVE_DEPENDENCY("embedding/fetch", !faulted);
-  ops_.Record(!faulted);
+  if (outcomes != nullptr) {
+    outcomes->Record(Dependency::kEmbeddingFetch, !faulted);
+  }
   if (faulted) {
     std::memset(out, 0, refs.size() * dimension_ * sizeof(double));
     return;

@@ -5,9 +5,9 @@
 #include <span>
 #include <vector>
 
+#include "common/dependency_health.h"
 #include "common/status.h"
 #include "kb/types.h"
-#include "obs/metrics.h"
 
 namespace tenet {
 namespace embedding {
@@ -58,10 +58,12 @@ class EmbeddingStore {
   /// the store is left un-finalized on error.
   Status LoadMatrix(const void* matrix, size_t count_floats);
 
-  /// Cosine similarity in [-1, 1]; zero vectors yield 0.  One dependency
-  /// observation / fault-point probe per call — the batched path below is
-  /// the cheap way to fetch a whole document's worth.
-  double Cosine(kb::ConceptRef a, kb::ConceptRef b) const;
+  /// Cosine similarity in [-1, 1]; zero vectors yield 0.  One
+  /// embedding/fetch operation — a fault-point probe, recorded in
+  /// `outcomes` when non-null — per call; the batched path below is the
+  /// cheap way to fetch a whole document's worth.
+  double Cosine(kb::ConceptRef a, kb::ConceptRef b,
+                DependencyOutcomes* outcomes = nullptr) const;
 
   /// The paper's global semantic distance 1 - cos (Equations 3-5),
   /// clamped to [0, 2].
@@ -71,20 +73,12 @@ class EmbeddingStore {
 
   /// Batched fetch: writes the unit rows of `refs` into `out` (row-major,
   /// refs.size() x dimension(), caller-allocated).  The whole gather is a
-  /// single dependency operation — one fault-point probe and one
-  /// observation, however many rows — so a document's coherence stage costs
-  /// O(1) observability work instead of O(C^2).  A fired fault behaves
-  /// like every vector missing: `out` is zero-filled and all similarities
-  /// over it are 0, the same value Cosine() reports under a fired fault.
-  void GatherUnit(std::span<const kb::ConceptRef> refs, double* out) const;
-
-  /// Re-points the store's dependency-operation counters
-  /// (tenet_dependency_operations_total{dependency="embedding/fetch"}) at
-  /// `registry` (null: back to the process-wide default).  Tests inject a
-  /// per-test registry; production stores publish to the default one.
-  void set_metrics_registry(obs::MetricsRegistry* registry) {
-    ops_ = obs::DependencyOpCounters("embedding/fetch", registry);
-  }
+  /// single dependency operation — one fault-point probe and one record in
+  /// `outcomes`, however many rows.  A fired fault behaves like every
+  /// vector missing: `out` is zero-filled and all similarities over it are
+  /// 0, the same value Cosine() reports under a fired fault.
+  void GatherUnit(std::span<const kb::ConceptRef> refs, double* out,
+                  DependencyOutcomes* outcomes = nullptr) const;
 
  private:
   size_t Offset(kb::ConceptRef ref) const;
@@ -101,7 +95,6 @@ class EmbeddingStore {
   std::vector<float> data_;   // entities first, then predicates
   std::vector<double> norm_;  // one L2 norm per row, by Finalize()
   bool finalized_ = false;
-  obs::DependencyOpCounters ops_;
 };
 
 }  // namespace embedding

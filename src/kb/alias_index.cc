@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace tenet {
 namespace kb {
@@ -81,16 +80,16 @@ size_t AliasIndex::num_surfaces() const {
 }
 
 std::span<const AliasPosting> AliasIndex::Lookup(
-    std::string_view surface, ConceptRef::Kind kind) const {
+    std::string_view surface, ConceptRef::Kind kind,
+    DependencyOutcomes* outcomes) const {
   TENET_CHECK(finalized_) << "AliasIndex::Lookup before Finalize";
   // A fired lookup fault behaves like an index miss: the mention simply has
   // no candidates, which downstream stages must tolerate anyway.  (A genuine
   // miss for an unknown surface is a healthy outcome, not a failure.)
   const bool faulted = TENET_FAULT_POINT("kb/alias_lookup");
-  TENET_OBSERVE_DEPENDENCY("kb/alias_lookup", !faulted);
-  static obs::DependencyOpCounters& ops =
-      *new obs::DependencyOpCounters("kb/alias_lookup");
-  ops.Record(!faulted);
+  if (outcomes != nullptr) {
+    outcomes->Record(Dependency::kKbAliasLookup, !faulted);
+  }
   if (faulted) return {};
   // The dictionary folds the probe on the fly — no allocation, no posting
   // copy.
@@ -99,13 +98,13 @@ std::span<const AliasPosting> AliasIndex::Lookup(
 }
 
 std::span<const AliasPosting> AliasIndex::LookupEntities(
-    std::string_view surface) const {
-  return Lookup(surface, ConceptRef::Kind::kEntity);
+    std::string_view surface, DependencyOutcomes* outcomes) const {
+  return Lookup(surface, ConceptRef::Kind::kEntity, outcomes);
 }
 
 std::span<const AliasPosting> AliasIndex::LookupPredicates(
-    std::string_view surface) const {
-  return Lookup(surface, ConceptRef::Kind::kPredicate);
+    std::string_view surface, DependencyOutcomes* outcomes) const {
+  return Lookup(surface, ConceptRef::Kind::kPredicate, outcomes);
 }
 
 void AliasIndex::VisitPostings(

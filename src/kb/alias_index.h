@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/dependency_health.h"
 #include "kb/alias_dict.h"
 #include "kb/types.h"
 
@@ -63,13 +64,14 @@ class AliasIndex {
   /// Entity candidates of `surface`, most probable first; empty when the
   /// surface is unknown (a non-linkable phrase).  The span borrows the
   /// dictionary's arena — valid until the index is destroyed; callers that
-  /// outlive it must copy.
+  /// outlive it must copy.  One kb/alias_lookup operation, recorded in
+  /// `outcomes` when non-null (a fired fault is a failed one).
   std::span<const AliasPosting> LookupEntities(
-      std::string_view surface) const;
+      std::string_view surface, DependencyOutcomes* outcomes = nullptr) const;
 
   /// Predicate candidates of `surface`, most probable first.
   std::span<const AliasPosting> LookupPredicates(
-      std::string_view surface) const;
+      std::string_view surface, DependencyOutcomes* outcomes = nullptr) const;
 
   /// Number of distinct (case-folded) surface forms.
   size_t num_surfaces() const;
@@ -94,7 +96,8 @@ class AliasIndex {
 
  private:
   std::span<const AliasPosting> Lookup(std::string_view surface,
-                                       ConceptRef::Kind kind) const;
+                                       ConceptRef::Kind kind,
+                                       DependencyOutcomes* outcomes) const;
 
   // Build map, keyed by folded surface; emptied by Finalize/AdoptFrozen.
   std::unordered_map<std::string, std::vector<AliasPosting>> building_;

@@ -37,15 +37,18 @@ class KbView {
   /// counting, renormalization over the returned set).
   std::vector<EntityCandidate> CandidateEntities(
       std::string_view surface, std::optional<EntityType> type,
-      int max_candidates, int* overflow = nullptr) const {
-    return kb_->CandidateEntities(surface, type, max_candidates, overflow);
+      int max_candidates, int* overflow = nullptr,
+      DependencyOutcomes* outcomes = nullptr) const {
+    return kb_->CandidateEntities(surface, type, max_candidates, overflow,
+                                  outcomes);
   }
 
   /// Candidate predicates; see KnowledgeBase::CandidatePredicates.
   std::vector<PredicateCandidate> CandidatePredicates(
-      std::string_view surface, int max_candidates,
-      int* overflow = nullptr) const {
-    return kb_->CandidatePredicates(surface, max_candidates, overflow);
+      std::string_view surface, int max_candidates, int* overflow = nullptr,
+      DependencyOutcomes* outcomes = nullptr) const {
+    return kb_->CandidatePredicates(surface, max_candidates, overflow,
+                                    outcomes);
   }
 
   // ---- fact access -------------------------------------------------------
@@ -70,16 +73,19 @@ class KbView {
 
   int dimension() const { return embeddings_->dimension(); }
 
-  /// Cosine similarity in [-1, 1]; one embedding/fetch dependency
-  /// observation per call, fired faults yield 0 (see EmbeddingStore).
-  double Cosine(ConceptRef a, ConceptRef b) const {
-    return embeddings_->Cosine(a, b);
+  /// Cosine similarity in [-1, 1]; one embedding/fetch operation per
+  /// call, recorded in `outcomes` when non-null; fired faults yield 0 (see
+  /// EmbeddingStore).
+  double Cosine(ConceptRef a, ConceptRef b,
+                DependencyOutcomes* outcomes = nullptr) const {
+    return embeddings_->Cosine(a, b, outcomes);
   }
 
-  /// Batched unit-row fetch; one dependency observation for the whole
+  /// Batched unit-row fetch; one embedding/fetch operation for the whole
   /// gather, fired faults zero-fill `out` (see EmbeddingStore::GatherUnit).
-  void GatherUnit(std::span<const ConceptRef> refs, double* out) const {
-    embeddings_->GatherUnit(refs, out);
+  void GatherUnit(std::span<const ConceptRef> refs, double* out,
+                  DependencyOutcomes* outcomes = nullptr) const {
+    embeddings_->GatherUnit(refs, out, outcomes);
   }
 
  private:

@@ -193,10 +193,11 @@ const PredicateRecord& KnowledgeBase::predicate(PredicateId id) const {
 
 std::vector<EntityCandidate> KnowledgeBase::CandidateEntities(
     std::string_view surface, std::optional<EntityType> type,
-    int max_candidates, int* overflow) const {
+    int max_candidates, int* overflow, DependencyOutcomes* outcomes) const {
   TENET_CHECK(finalized_);
   return SelectCandidates<EntityCandidate>(
-      alias_index_.LookupEntities(surface), max_candidates, overflow,
+      alias_index_.LookupEntities(surface, outcomes), max_candidates,
+      overflow,
       [&](const AliasPosting& posting) {
         return !type.has_value() ||
                entities_[posting.concept_ref.id].type == *type;
@@ -207,10 +208,12 @@ std::vector<EntityCandidate> KnowledgeBase::CandidateEntities(
 }
 
 std::vector<PredicateCandidate> KnowledgeBase::CandidatePredicates(
-    std::string_view surface, int max_candidates, int* overflow) const {
+    std::string_view surface, int max_candidates, int* overflow,
+    DependencyOutcomes* outcomes) const {
   TENET_CHECK(finalized_);
   return SelectCandidates<PredicateCandidate>(
-      alias_index_.LookupPredicates(surface), max_candidates, overflow,
+      alias_index_.LookupPredicates(surface, outcomes), max_candidates,
+      overflow,
       [](const AliasPosting&) { return true; },
       [](const AliasPosting& posting) {
         return PredicateCandidate{posting.concept_ref.id, posting.prior};

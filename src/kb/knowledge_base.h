@@ -138,16 +138,18 @@ class KnowledgeBase {
   /// number of matching candidates *beyond* the cap — the hostile-input
   /// guardrails count these into tenet_input_truncated_total{candidates}
   /// without changing which candidates are returned or how their priors
-  /// renormalize (the clean path stays bit-identical).
+  /// renormalize (the clean path stays bit-identical).  The alias lookup
+  /// is recorded in `outcomes` when non-null (AliasIndex::LookupEntities).
   std::vector<EntityCandidate> CandidateEntities(
       std::string_view surface, std::optional<EntityType> type,
-      int max_candidates, int* overflow = nullptr) const;
+      int max_candidates, int* overflow = nullptr,
+      DependencyOutcomes* outcomes = nullptr) const;
 
   /// Candidate predicates for a (lemmatized) relational phrase
-  /// (Sec. 3, Step 2).  `overflow` as in CandidateEntities.
+  /// (Sec. 3, Step 2).  `overflow` and `outcomes` as in CandidateEntities.
   std::vector<PredicateCandidate> CandidatePredicates(
-      std::string_view surface, int max_candidates,
-      int* overflow = nullptr) const;
+      std::string_view surface, int max_candidates, int* overflow = nullptr,
+      DependencyOutcomes* outcomes = nullptr) const;
 
   /// Indices into facts() where `id` appears as subject or object.  The
   /// span points into a flat CSR arena owned by the KB, valid as long as

@@ -181,21 +181,6 @@ void Histogram::Reset() {
   }
 }
 
-// -------------------------------------------------- DependencyOpCounters
-
-DependencyOpCounters::DependencyOpCounters(std::string_view dependency,
-                                           MetricsRegistry* registry) {
-  if (registry == nullptr) registry = MetricsRegistry::Default();
-  constexpr const char* kHelp =
-      "Dependency operations at instrumented call sites, by outcome "
-      "(error = the operation failed, e.g. an injected fault fired).";
-  const std::string dep = LabelPair("dependency", dependency);
-  ok_ = registry->GetCounter("tenet_dependency_operations_total", kHelp,
-                             dep + "," + LabelPair("outcome", "ok"));
-  error_ = registry->GetCounter("tenet_dependency_operations_total", kHelp,
-                                dep + "," + LabelPair("outcome", "error"));
-}
-
 // -------------------------------------------------------- MetricsRegistry
 
 MetricsRegistry* MetricsRegistry::Default() {

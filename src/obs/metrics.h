@@ -137,28 +137,6 @@ class Histogram {
   std::array<Shard, kMetricShards> shards_;
 };
 
-class MetricsRegistry;
-
-// The tenet_dependency_operations_total{dependency=,outcome="ok"|"error"}
-// counter pair of one instrumented dependency call site (KB alias lookups,
-// embedding fetches, cover solves).  Construct once — a function-local
-// static at a call site without an injectable registry, or a member of the
-// instrumented component (EmbeddingStore) so tests can re-point it at a
-// per-test registry; Record() is then one shard increment.
-class DependencyOpCounters {
- public:
-  /// Resolves the counter pair against `registry` (null: the process-wide
-  /// default registry).
-  explicit DependencyOpCounters(std::string_view dependency,
-                                MetricsRegistry* registry = nullptr);
-
-  void Record(bool ok) const { (ok ? ok_ : error_)->Increment(); }
-
- private:
-  Counter* ok_;
-  Counter* error_;
-};
-
 // One rendered sample of a snapshot: counters and gauges yield one point
 // each; a histogram expands into `<family>_count`, `<family>_sum`,
 // `<family>_p50`, `<family>_p95` and `<family>_p99`.
@@ -169,9 +147,10 @@ struct MetricPoint {
 };
 
 // Owns metrics by (family, labels) and renders them.  Get* calls are
-// find-or-create under a mutex and return stable pointers — callers cache
-// the pointer once (typically in a function-local static) and take the
-// lock never again on the hot path.  A family's type and help text are
+// find-or-create under a mutex and return stable pointers — callers resolve
+// the pointer once, into a member at construction against the registry
+// they were given (CircuitBreaker, BatchLinkingService), and take the lock
+// never again on the hot path.  A family's type and help text are
 // fixed by its first Get*; a type mismatch on the same family is a
 // programming error and check-fails.
 class MetricsRegistry {
@@ -181,9 +160,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// The process-wide default registry.  Library instrumentation points
-  /// (pipeline stages, dependency call sites) publish here; components with
-  /// injectable registries (the serving layer) default here too, so the
-  /// CLI/eval/bench read one source of truth.
+  /// without an injected registry (pipeline stages, text guards, KB I/O)
+  /// publish here; components with injectable registries (the serving
+  /// layer) default here too, so the CLI/eval/bench read one source of
+  /// truth.
   static MetricsRegistry* Default();
 
   Counter* GetCounter(std::string_view family, std::string_view help,

@@ -1,7 +1,6 @@
 #include "serving/batch_service.h"
 
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -54,6 +53,10 @@ ThreadPool::Options PoolOptions(const ServingOptions& options) {
   pool.queue_capacity = options.queue_capacity;
   pool.overflow = options.overflow;
   return pool;
+}
+
+constexpr int Index(Dependency dependency) {
+  return static_cast<int>(dependency);
 }
 
 constexpr const char* kCompletedHelp =
@@ -137,12 +140,6 @@ BatchLinkingService::Instruments BatchLinkingService::MakeInstruments(
   return m;
 }
 
-void BatchLinkingService::BreakerObserver::ObserveDependency(
-    const char* dependency, bool ok) {
-  CircuitBreaker* breaker = service_->MutableBreaker(dependency);
-  if (breaker != nullptr) breaker->RecordOutcome(ok);
-}
-
 BatchLinkingService::BatchLinkingService(const baselines::Linker* linker,
                                          ServingOptions options)
     : BatchLinkingService(LegacyTarget(linker), std::move(options)) {}
@@ -157,36 +154,25 @@ BatchLinkingService::BatchLinkingService(
     : options_(options),
       registry_(ResolveRegistry(options)),
       m_(MakeInstruments(registry_)),
-      kb_alias_breaker_(kKbAliasDependency, ResolveBreaker(options)),
-      embedding_breaker_(kEmbeddingDependency, ResolveBreaker(options)),
-      cover_breaker_(kCoverSolveDependency, ResolveBreaker(options)),
+      breakers_{
+          CircuitBreaker(kKbAliasDependency, ResolveBreaker(options)),
+          CircuitBreaker(kEmbeddingDependency, ResolveBreaker(options)),
+          CircuitBreaker(kCoverSolveDependency, ResolveBreaker(options))},
       retry_budget_(ResolveRetryBudget(options)),
       admission_(ResolveAdmission(options)),
       target_(target),
-      observer_(this),
-      observer_scope_(&observer_),
       pool_(PoolOptions(options)) {
   m_.generation->Set(static_cast<double>(target->generation_id()));
 }
 
 BatchLinkingService::~BatchLinkingService() { pool_.Shutdown(); }
 
-CircuitBreaker* BatchLinkingService::MutableBreaker(const char* dependency) {
-  if (std::strcmp(dependency, kKbAliasDependency) == 0) {
-    return &kb_alias_breaker_;
-  }
-  if (std::strcmp(dependency, kEmbeddingDependency) == 0) {
-    return &embedding_breaker_;
-  }
-  if (std::strcmp(dependency, kCoverSolveDependency) == 0) {
-    return &cover_breaker_;
-  }
-  return nullptr;
-}
-
 const CircuitBreaker* BatchLinkingService::breaker(
     const char* dependency) const {
-  return const_cast<BatchLinkingService*>(this)->MutableBreaker(dependency);
+  for (const CircuitBreaker& breaker : breakers_) {
+    if (breaker.name() == dependency) return &breaker;
+  }
+  return nullptr;
 }
 
 Deadline BatchLinkingService::DefaultDeadline() const {
@@ -228,13 +214,14 @@ Status BatchLinkingService::Submit(std::string text, core::LinkContext context,
 }
 
 Result<core::LinkingResult> BatchLinkingService::LinkOnce(
-    const Request& request) const {
+    const Request& request, DependencyOutcomes* outcomes) const {
   core::LinkContext context;
   // An infinite request deadline leaves the linker's own per-document
   // policy in charge (and keeps the call bit-identical to a plain
   // LinkDocument, which the offline evaluation relies on).
   if (!request.deadline.infinite()) context.deadline = request.deadline;
   context.trace = request.trace;
+  context.outcomes = outcomes;
   return request.target->linker->LinkDocument(request.text, context);
 }
 
@@ -249,14 +236,21 @@ void BatchLinkingService::Process(Request request) {
   // embeddings are still healthy, so the request keeps its real budget
   // and is capped at the pair-link rung; a KB or embedding outage leaves
   // nothing better than the prior-only rung (expired deadline).
-  const bool kb_allowed = kb_alias_breaker_.Allow();
-  const bool embedding_allowed = embedding_breaker_.Allow();
-  const bool cover_allowed = cover_breaker_.Allow();
+  CircuitBreaker& kb_breaker = breakers_[Index(Dependency::kKbAliasLookup)];
+  CircuitBreaker& embedding_breaker =
+      breakers_[Index(Dependency::kEmbeddingFetch)];
+  CircuitBreaker& cover_breaker = breakers_[Index(Dependency::kCoverSolve)];
+  const bool kb_allowed = kb_breaker.Allow();
+  const bool embedding_allowed = embedding_breaker.Allow();
+  const bool cover_allowed = cover_breaker.Allow();
   const bool breaker_bypass =
       !(kb_allowed && embedding_allowed && cover_allowed);
   const bool pair_link_route = kb_allowed && embedding_allowed &&
                                !cover_allowed;
 
+  // The request's one outcome record, shared by every call below and fed
+  // to the breakers once, after the last.
+  DependencyOutcomes outcomes;
   Result<core::LinkingResult> result = Status::Internal("not linked");
   if (breaker_bypass) {
     core::LinkContext degraded_context;
@@ -272,18 +266,19 @@ void BatchLinkingService::Process(Request request) {
       // half-open probes the other breakers just granted must be handed
       // back — otherwise staggered recoveries starve each other's probes
       // and breakers wedge in half-open.
-      if (kb_allowed) kb_alias_breaker_.ReturnProbe();
-      if (embedding_allowed) embedding_breaker_.ReturnProbe();
-      if (cover_allowed) cover_breaker_.ReturnProbe();
+      if (kb_allowed) kb_breaker.ReturnProbe();
+      if (embedding_allowed) embedding_breaker.ReturnProbe();
+      if (cover_allowed) cover_breaker.ReturnProbe();
       degraded_context.deadline = Deadline::Expired();
     }
     degraded_context.trace = request.trace;
+    degraded_context.outcomes = &outcomes;
     result = request.target->linker->LinkDocument(request.text,
                                                   degraded_context);
   } else {
     RetrySchedule schedule(options_.retry, /*initial_value=*/0.0);
     for (;;) {
-      result = LinkOnce(request);
+      result = LinkOnce(request, &outcomes);
       if (result.ok() || !IsRetryable(result.status())) break;
       if (request.deadline.expired()) break;
       if (schedule.exhausted()) break;
@@ -294,6 +289,9 @@ void BatchLinkingService::Process(Request request) {
       m_.retries->Increment();
     }
     if (result.ok()) retry_budget_.RecordSuccess();
+  }
+  for (int d = 0; d < 3; ++d) {
+    breakers_[d].RecordOutcomes(outcomes.ok[d], outcomes.failed[d]);
   }
 
   if (!result.ok()) {
@@ -405,9 +403,11 @@ ServiceStats BatchLinkingService::Stats() const {
   stats.generation = static_cast<int64_t>(m_.generation->Value());
   stats.swaps_ok = m_.swaps_ok->Value();
   stats.swaps_rolled_back = m_.swaps_rolled_back->Value();
-  stats.kb_alias_breaker = kb_alias_breaker_.state();
-  stats.embedding_breaker = embedding_breaker_.state();
-  stats.cover_breaker = cover_breaker_.state();
+  stats.kb_alias_breaker =
+      breakers_[Index(Dependency::kKbAliasLookup)].state();
+  stats.embedding_breaker =
+      breakers_[Index(Dependency::kEmbeddingFetch)].state();
+  stats.cover_breaker = breakers_[Index(Dependency::kCoverSolve)].state();
   stats.latency_p50_ms = m_.request_latency->P50();
   stats.latency_p95_ms = m_.request_latency->P95();
   stats.latency_p99_ms = m_.request_latency->P99();

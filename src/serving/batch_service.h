@@ -27,9 +27,9 @@
 namespace tenet {
 namespace serving {
 
-// The dependencies guarded by per-dependency circuit breakers — the same
-// names as the TENET_FAULT_POINT / TENET_OBSERVE_DEPENDENCY annotations at
-// the corresponding call sites.
+// The dependencies guarded by per-dependency circuit breakers, in
+// Dependency order — the same names as the TENET_FAULT_POINT annotations
+// at the corresponding call sites.
 inline constexpr const char* kKbAliasDependency = "kb/alias_lookup";
 inline constexpr const char* kEmbeddingDependency = "embedding/fetch";
 inline constexpr const char* kCoverSolveDependency = "core/cover_solve";
@@ -132,12 +132,17 @@ struct ServingTarget {
 //          -> worker: breaker routing -> linker (+ budgeted retries)
 //          -> callback
 //
-// Per-dependency circuit breakers watch the KB alias, embedding-fetch and
-// cover-solver outcome streams (via the process-wide dependency observer
-// installed for the service's lifetime).  A request that meets an open
-// breaker is not failed: it is routed straight to the prior-only rung of
-// the pipeline's degradation ladder by linking under an already-expired
-// deadline — load on the sick dependency drops, answers keep flowing.
+// Per-dependency circuit breakers watch the KB alias lookups, embedding
+// fetches and cover solves.  Each request owns one DependencyOutcomes
+// record, set on every LinkContext the worker builds for it (each retry,
+// the pair-link and the prior-only route); after the last call the worker
+// feeds each breaker once from it.  Nothing is process-wide: two services
+// can share a process, and linking outside Process — a serial LinkDocument
+// on the same linker, the session layer's re-ranking — feeds no breaker.
+// A request that meets an open breaker is not failed: it is routed
+// straight to the prior-only rung of the pipeline's degradation ladder by
+// linking under an already-expired deadline — load on the sick dependency
+// drops, answers keep flowing.
 //
 // Live KB updates (DESIGN.md §12): a service built over a KbGeneration can
 // be re-pointed at a newer generation with SwapGeneration, with zero locks
@@ -174,6 +179,7 @@ class BatchLinkingService {
   /// Asynchronous entry point: admission, then enqueue.  Per-request knobs
   /// (deadline, trace) travel in the LinkContext; an unset context deadline
   /// is resolved against ServingOptions::default_deadline_ms at the door.
+  /// The context's outcome record is not read: the worker keeps its own.
   /// On OK, `done` is invoked exactly once from a worker thread.  On
   /// kResourceExhausted the request was shed and `done` is never invoked.
   Status Submit(std::string text, Callback done);
@@ -211,8 +217,8 @@ class BatchLinkingService {
   /// Always null; kept for perfbench until ROADMAP item 1.
   embedding::SimilarityCache* similarity_cache() const { return nullptr; }
 
-  /// Breaker watching `dependency` (one of the k*Dependency constants);
-  /// null for unknown names.
+  /// Breaker watching `dependency` (one of the k*Dependency names); null
+  /// for unknown names.
   const CircuitBreaker* breaker(const char* dependency) const;
 
   const ServingOptions& options() const { return options_; }
@@ -250,17 +256,6 @@ class BatchLinkingService {
     obs::Histogram* swap_latency;
   };
 
-  // Fans the dependency outcome stream out to the service's breakers.
-  class BreakerObserver : public DependencyObserver {
-   public:
-    explicit BreakerObserver(BatchLinkingService* service)
-        : service_(service) {}
-    void ObserveDependency(const char* dependency, bool ok) override;
-
-   private:
-    BatchLinkingService* service_;
-  };
-
   static Instruments MakeInstruments(obs::MetricsRegistry* registry);
 
   BatchLinkingService(std::shared_ptr<const ServingTarget> target,
@@ -268,16 +263,15 @@ class BatchLinkingService {
 
   Deadline DefaultDeadline() const;
   void Process(Request request);
-  Result<core::LinkingResult> LinkOnce(const Request& request) const;
-  CircuitBreaker* MutableBreaker(const char* dependency);
+  Result<core::LinkingResult> LinkOnce(const Request& request,
+                                       DependencyOutcomes* outcomes) const;
 
   const ServingOptions options_;
   obs::MetricsRegistry* registry_;
   Instruments m_;
 
-  CircuitBreaker kb_alias_breaker_;
-  CircuitBreaker embedding_breaker_;
-  CircuitBreaker cover_breaker_;
+  // One breaker per Dependency, indexed by it.
+  CircuitBreaker breakers_[3];
   RetryBudget retry_budget_;
   AdmissionController admission_;
 
@@ -287,11 +281,9 @@ class BatchLinkingService {
 
   // Declaration order is the destruction contract: the pool (last member)
   // is destroyed first, joining every worker — which releases every
-  // Request's generation pin — before the target cell, the observer scope
-  // and the breakers die.
+  // Request's generation pin — before the target cell and the breakers
+  // die.
   RcuCell<ServingTarget> target_;
-  BreakerObserver observer_;
-  ScopedDependencyObserver observer_scope_;
   ThreadPool pool_;
 };
 

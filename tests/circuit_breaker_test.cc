@@ -1,11 +1,15 @@
 // CircuitBreaker state machine (closed -> open -> half-open -> closed /
 // re-open) and the shared RetryBudget token bucket.
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/circuit_breaker.h"
+#include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace tenet {
 namespace {
@@ -147,6 +151,92 @@ TEST(CircuitBreakerTest, StateNamesAreStable) {
   EXPECT_EQ(BreakerStateToString(BreakerState::kClosed), "closed");
   EXPECT_EQ(BreakerStateToString(BreakerState::kOpen), "open");
   EXPECT_EQ(BreakerStateToString(BreakerState::kHalfOpen), "half_open");
+}
+
+// The transition and operation counters a breaker named "dep" publishes.
+std::vector<int64_t> PublishedCounters(obs::MetricsRegistry& registry) {
+  const std::string dep = obs::LabelPair("dependency", "dep");
+  std::vector<int64_t> values;
+  for (const char* to : {"closed", "open", "half_open"}) {
+    values.push_back(registry
+                         .GetCounter("tenet_breaker_transitions_total", "",
+                                     dep + "," + obs::LabelPair("to", to))
+                         ->Value());
+  }
+  for (const char* outcome : {"ok", "error"}) {
+    values.push_back(
+        registry
+            .GetCounter("tenet_dependency_operations_total", "",
+                        dep + "," + obs::LabelPair("outcome", outcome))
+            ->Value());
+  }
+  return values;
+}
+
+void ExpectSameBreaker(const CircuitBreaker& a, const CircuitBreaker& b) {
+  EXPECT_EQ(a.state(), b.state());
+  const CircuitBreaker::Stats sa = a.stats();
+  const CircuitBreaker::Stats sb = b.stats();
+  EXPECT_EQ(sa.outcomes, sb.outcomes);
+  EXPECT_EQ(sa.failures, sb.failures);
+  EXPECT_EQ(sa.rejected, sb.rejected);
+  EXPECT_EQ(sa.trips, sb.trips);
+  EXPECT_EQ(sa.closes, sb.closes);
+}
+
+// One request's counts fed in one call equal its failures fed one by one,
+// then its successes: from each starting state, random batches leave twin
+// breakers with the same state, stats and published counters.  A zero
+// cooldown makes Allow() deterministic (an open breaker always turns
+// half-open), so both twins can take the same routing calls in between.
+TEST(CircuitBreakerTest, BatchedFeedEqualsPerOutcomeFeed) {
+  CircuitBreakerOptions options = FastOptions();
+  options.open_cooldown_ms = 0.0;
+  int trips = 0;
+  int closes = 0;
+  for (BreakerState start : {BreakerState::kClosed, BreakerState::kOpen,
+                             BreakerState::kHalfOpen}) {
+    SCOPED_TRACE(std::string(BreakerStateToString(start)));
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(seed);
+      obs::MetricsRegistry batched_registry;
+      obs::MetricsRegistry single_registry;
+      options.metrics = &batched_registry;
+      CircuitBreaker batched("dep", options);
+      options.metrics = &single_registry;
+      CircuitBreaker single("dep", options);
+      for (CircuitBreaker* breaker : {&batched, &single}) {
+        if (start == BreakerState::kClosed) continue;
+        for (int i = 0; i < options.min_samples; ++i) {
+          breaker->RecordOutcome(false);
+        }
+        if (start == BreakerState::kHalfOpen) breaker->Allow();
+      }
+      ASSERT_EQ(batched.state(), start);
+      ASSERT_EQ(single.state(), start);
+
+      Rng rng(seed);
+      for (int step = 0; step < 40; ++step) {
+        const int64_t ok = rng.NextInt(0, 12);
+        const int64_t failed = rng.NextBool(0.5) ? 0 : rng.NextInt(1, 3);
+        batched.RecordOutcomes(ok, failed);
+        for (int64_t i = 0; i < failed; ++i) single.RecordOutcome(false);
+        for (int64_t i = 0; i < ok; ++i) single.RecordOutcome(true);
+        ExpectSameBreaker(batched, single);
+        if (rng.NextBool(0.4)) {
+          EXPECT_EQ(batched.Allow(), single.Allow());
+        }
+      }
+      ExpectSameBreaker(batched, single);
+      EXPECT_EQ(PublishedCounters(batched_registry),
+                PublishedCounters(single_registry));
+      trips += batched.stats().trips;
+      closes += batched.stats().closes;
+    }
+  }
+  // The random batches drove the breakers through both transitions.
+  EXPECT_GT(trips, 0);
+  EXPECT_GT(closes, 0);
 }
 
 TEST(RetryBudgetTest, DrainsAndStopsRetries) {

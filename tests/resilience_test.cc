@@ -3,13 +3,26 @@
 // batch run must complete every document — degraded answers instead of
 // aborts — with per-document degradation accounting and per-document
 // failure isolation.
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "baselines/earl_like.h"
+#include "baselines/falcon_like.h"
+#include "baselines/kbpearl_like.h"
+#include "baselines/mintree_like.h"
+#include "baselines/pairlink_like.h"
+#include "baselines/qkbfly_like.h"
 #include "baselines/tenet_linker.h"
+#include "common/dependency_health.h"
 #include "common/fault_injection.h"
 #include "datasets/corpus_generator.h"
 #include "datasets/world.h"
 #include "eval/harness.h"
+#include "obs/metrics.h"
+#include "serving/batch_service.h"
 
 namespace tenet {
 namespace eval {
@@ -152,6 +165,120 @@ TEST(ResilienceTest, EmbeddingFetchFaultsOnlyDegradeQuality) {
   // Missing vectors skew coherence weights but never abort a document.
   EXPECT_EQ(scores.failed_documents, 0);
   EXPECT_GT(faults.HitCount("embedding/fetch"), 0);
+}
+
+// --- The per-request outcome record ---------------------------------------
+
+// The fault points of the three dependencies, in Dependency order.
+constexpr const char* kDependencyPoints[3] = {
+    "kb/alias_lookup", "embedding/fetch", "core/cover_solve"};
+
+// Links every document of `ds` through `linker` under `context` (with a
+// fresh record set on it) and checks the record against the fault points:
+// every hit is one recorded operation and every fire one failed operation.
+// With `rate` > 0 all three points are armed at it.  Returns the hit count
+// per dependency so callers can check which ones the path touched.
+std::vector<int> ExpectRecordMatchesFaultPoints(
+    const baselines::Linker& linker, const datasets::Dataset& ds,
+    core::LinkContext context, double rate) {
+  FaultInjector faults(/*seed=*/57);
+  if (rate > 0.0) {
+    for (const char* point : kDependencyPoints) faults.Arm(point, rate);
+  }
+  DependencyOutcomes outcomes;
+  context.outcomes = &outcomes;
+  for (const datasets::Document& doc : ds.documents) {
+    EXPECT_TRUE(linker.LinkDocument(doc.text, context).ok());
+  }
+  std::vector<int> hits;
+  for (int d = 0; d < 3; ++d) {
+    SCOPED_TRACE(kDependencyPoints[d]);
+    const int hit = faults.HitCount(kDependencyPoints[d]);
+    EXPECT_EQ(outcomes.ok[d] + outcomes.failed[d], hit);
+    EXPECT_EQ(outcomes.failed[d], faults.FireCount(kDependencyPoints[d]));
+    hits.push_back(hit);
+  }
+  return hits;
+}
+
+TEST(ResilienceTest, RecordSeesEveryPipelineDependencyOperation) {
+  datasets::Dataset ds = TinyDataset(78, /*num_docs=*/8);
+  baselines::TenetLinker tenet(Substrate());
+  core::LinkContext pair_link;
+  pair_link.cap_to_pair_link = true;
+  struct Rung {
+    const char* name;
+    core::LinkContext context;
+    std::vector<bool> touches;  // per dependency, on the unarmed run
+  };
+  const Rung rungs[] = {
+      {"full", {}, {true, true, true}},
+      {"pair_link", pair_link, {true, true, false}},
+      {"prior_only", core::LinkContext::WithDeadline(Deadline::Expired()),
+       {true, false, false}},
+  };
+  for (const Rung& rung : rungs) {
+    SCOPED_TRACE(rung.name);
+    std::vector<int> hits =
+        ExpectRecordMatchesFaultPoints(tenet, ds, rung.context, 0.0);
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_EQ(hits[d] > 0, rung.touches[d]) << kDependencyPoints[d];
+    }
+    ExpectRecordMatchesFaultPoints(tenet, ds, rung.context, 0.3);
+  }
+}
+
+TEST(ResilienceTest, RecordSeesEveryBaselineDependencyOperation) {
+  datasets::Dataset ds = TinyDataset(79, /*num_docs=*/8);
+  std::vector<std::unique_ptr<baselines::Linker>> linkers;
+  linkers.push_back(std::make_unique<baselines::FalconLike>(Substrate()));
+  linkers.push_back(std::make_unique<baselines::EarlLike>(Substrate()));
+  linkers.push_back(std::make_unique<baselines::KbPearlLike>(Substrate()));
+  linkers.push_back(std::make_unique<baselines::QkbflyLike>(Substrate()));
+  linkers.push_back(std::make_unique<baselines::MintreeLike>(Substrate()));
+  linkers.push_back(std::make_unique<baselines::PairlinkLike>(Substrate()));
+  for (const auto& linker : linkers) {
+    SCOPED_TRACE(std::string(linker->name()));
+    std::vector<int> hits =
+        ExpectRecordMatchesFaultPoints(*linker, ds, {}, 0.0);
+    EXPECT_GT(hits[0], 0);  // candidate lookups
+    EXPECT_GT(hits[1], 0);  // the graph's gather, plus any Cosine calls
+    EXPECT_EQ(hits[2], 0);  // no baseline solves a tree cover
+    ExpectRecordMatchesFaultPoints(*linker, ds, {}, 0.3);
+  }
+}
+
+TEST(ResilienceTest, ServedBatchFeedsEveryOperationToItsBreaker) {
+  datasets::Dataset ds = TinyDataset(80, /*num_docs=*/8);
+  baselines::TenetLinker tenet(Substrate());
+  obs::MetricsRegistry registry;
+  serving::ServingOptions options;
+  options.metrics = &registry;
+  options.num_threads = 2;
+  options.overflow = QueueOverflowPolicy::kBlock;
+  serving::BatchLinkingService service(&tenet, options);
+  std::vector<std::string> texts;
+  for (const datasets::Document& doc : ds.documents) texts.push_back(doc.text);
+
+  FaultInjector faults(/*seed=*/58);
+  for (const serving::ServedResult& served : service.LinkBatch(texts)) {
+    EXPECT_TRUE(served.result.ok());
+  }
+  for (const char* point : kDependencyPoints) {
+    SCOPED_TRACE(point);
+    const CircuitBreaker::Stats stats = service.breaker(point)->stats();
+    EXPECT_GT(faults.HitCount(point), 0);
+    EXPECT_EQ(stats.outcomes, faults.HitCount(point));
+    EXPECT_EQ(stats.failures, 0);
+    // The breaker publishes the same count to the service's registry.
+    const std::string labels = obs::LabelPair("dependency", point) + "," +
+                               obs::LabelPair("outcome", "ok");
+    EXPECT_EQ(registry
+                  .GetCounter("tenet_dependency_operations_total", "",
+                              labels)
+                  ->Value(),
+              faults.HitCount(point));
+  }
 }
 
 }  // namespace

@@ -330,6 +330,76 @@ TEST(BatchServiceTest, AsyncSubmitInvokesCallbackExactlyOnce) {
   EXPECT_EQ(callbacks.load(), static_cast<int>(ds.documents.size()));
 }
 
+// Every breaker is fed from the requests of its own service, so services
+// are independent: two of them over one linker live side by side, and each
+// serves its batch with the serial answers.
+TEST(BatchServiceTest, TwoServicesShareOneLinker) {
+  datasets::Dataset ds = TinyDataset(87, /*num_docs=*/6);
+  baselines::TenetLinker tenet(Substrate());
+  obs::MetricsRegistry first_registry;
+  obs::MetricsRegistry second_registry;
+  ServingOptions options;
+  options.num_threads = 2;
+  options.overflow = QueueOverflowPolicy::kBlock;
+  options.metrics = &first_registry;
+  BatchLinkingService first(&tenet, options);
+  options.metrics = &second_registry;
+  BatchLinkingService second(&tenet, options);
+
+  const std::vector<std::string> texts = Texts(ds);
+  for (BatchLinkingService* service : {&first, &second}) {
+    std::vector<ServedResult> served = service->LinkBatch(texts);
+    ASSERT_EQ(served.size(), texts.size());
+    for (size_t i = 0; i < texts.size(); ++i) {
+      ASSERT_TRUE(served[i].result.ok());
+      Result<core::LinkingResult> serial = tenet.LinkDocument(texts[i]);
+      ASSERT_TRUE(serial.ok());
+      EXPECT_EQ(served[i].result->links.size(), serial->links.size());
+    }
+    EXPECT_EQ(service->Stats().full, static_cast<int64_t>(texts.size()));
+    EXPECT_GT(service->breaker(kKbAliasDependency)->stats().outcomes, 0);
+  }
+  // Each service's breakers saw its own batch only.
+  for (const char* dependency :
+       {kKbAliasDependency, kEmbeddingDependency, kCoverSolveDependency}) {
+    EXPECT_EQ(first.breaker(dependency)->stats().outcomes,
+              second.breaker(dependency)->stats().outcomes)
+        << dependency;
+  }
+}
+
+// Linking outside the service — serial LinkDocument calls on the linker a
+// live service serves, from the caller's thread — feeds none of the
+// service's breakers.
+TEST(BatchServiceTest, SerialLinkingFeedsNoBreaker) {
+  datasets::Dataset ds = TinyDataset(88);
+  baselines::TenetLinker tenet(Substrate());
+  obs::MetricsRegistry registry;
+  ServingOptions options;
+  options.metrics = &registry;
+  options.num_threads = 2;
+  options.overflow = QueueOverflowPolicy::kBlock;
+  BatchLinkingService service(&tenet, options);
+  (void)service.LinkBatch(Texts(ds));
+
+  std::vector<CircuitBreaker::Stats> before;
+  for (const char* dependency :
+       {kKbAliasDependency, kEmbeddingDependency, kCoverSolveDependency}) {
+    before.push_back(service.breaker(dependency)->stats());
+    EXPECT_GT(before.back().outcomes, 0) << dependency;
+  }
+  for (const datasets::Document& doc : ds.documents) {
+    ASSERT_TRUE(tenet.LinkDocument(doc.text).ok());
+  }
+  int i = 0;
+  for (const char* dependency :
+       {kKbAliasDependency, kEmbeddingDependency, kCoverSolveDependency}) {
+    EXPECT_EQ(service.breaker(dependency)->stats().outcomes,
+              before[i++].outcomes)
+        << dependency;
+  }
+}
+
 }  // namespace
 }  // namespace serving
 }  // namespace tenet
